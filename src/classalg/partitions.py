@@ -290,5 +290,6 @@ def class_size(rho, group, n=None):
     order_gn = factorial(n) * group.order**n
     z = rho.centralizer_order(group)
     size = Fraction(order_gn, z)
-    assert size.denominator == 1
+    if size.denominator != 1:
+        raise ArithmeticError(f"centralizer order {z} does not divide |Gamma_{n}|")
     return int(size)

@@ -2,10 +2,30 @@
 
 A scalar is an ``int``, a ``Fraction`` (the fast path used by all
 combinatorial code), or a :class:`Cyc` living in the m-th cyclotomic
-field.  Every ``Cyc`` is kept in a canonical reduced form: coefficients
-of 1, z, ..., z^(phi(m)-1) modulo the m-th cyclotomic polynomial, with
-the conductor m minimized.  Rational values are always unwrapped to
-``Fraction``, so equality and hashing behave uniformly.
+field.  Every ``Cyc`` is kept in a canonical reduced form: ``coeffs`` is
+a tuple of ``Fraction`` of length phi(m), the coefficients of
+1, z, ..., z^(phi(m)-1) modulo the m-th cyclotomic polynomial, and the
+conductor m is minimal.  Rational values are always unwrapped to
+``Fraction``, so equality and hashing behave uniformly.  The public
+constructor ``Cyc(m, coeffs)`` raises ``ValueError`` on anything else;
+the arithmetic builds its results with the unchecked :func:`_cyc`.
+
+The arithmetic keeps that form without re-solving it on every operation:
+
+- ``Cyc * rational`` scales the coefficients and ``Cyc + rational``
+  shifts the constant one; neither can change the conductor.
+- Operands of one conductor are added or multiplied on their coefficient
+  tuples.  A product is reduced with a cached table of z^k for
+  phi(m) <= k <= 2 phi(m) - 2 (:func:`_mul_vec`).
+- Operands of different conductors are first lifted to the least common
+  multiple of the two.
+- A result whose non-constant coefficients vanish is returned as a
+  ``Fraction``.  Only when Q(zeta_m) has a proper non-rational cyclotomic
+  subfield (m = 8, 9, 12, ...) does a result go through :func:`_make`,
+  which finds the minimal conductor by exact linear algebra.
+
+``_poly_mul`` and ``_poly_divmod`` are used only by
+:func:`cyclotomic_poly`, :func:`_power_vec` and :meth:`Cyc.inverse`.
 """
 
 from __future__ import annotations
@@ -13,7 +33,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
+
+_RATIONAL = (int, Fraction)
+_ZERO = Fraction(0)
+_setattr = object.__setattr__
 
 
 def _poly_trim(p):
@@ -53,7 +77,8 @@ def cyclotomic_poly(m):
     for d in range(1, m):
         if m % d == 0:
             num, r = _poly_divmod(num, [Fraction(c) for c in cyclotomic_poly(d)])
-            assert not r
+            if r:
+                raise ArithmeticError(f"Phi_{d} leaves a remainder dividing x^{m} - 1")
     return tuple(int(c) for c in num)
 
 
@@ -74,6 +99,41 @@ def _power_vec(m, k):
     _, r = _poly_divmod(p, [Fraction(c) for c in cyclotomic_poly(m)])
     r = list(r) + [Fraction(0)] * (phi - len(r))
     return tuple(r[:phi])
+
+
+@lru_cache(maxsize=None)
+def _reduction_table(m):
+    """``(k, ((i, c), ...))`` for phi(m) <= k <= 2 phi(m) - 2, where the
+    c are the nonzero (integer) coefficients of z^i in z_m^k mod Phi_m."""
+    phi = _phi(m)
+    return tuple(
+        (k, tuple((i, int(c)) for i, c in enumerate(_power_vec(m, k)) if c))
+        for k in range(phi, 2 * phi - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _has_proper_subfield(m):
+    """Whether Q(zeta_m) contains some Q(zeta_d) other than Q, d < m."""
+    return any(2 < d < m for d in _divisors(m))
+
+
+def _mul_vec(m, a, b):
+    """Product of two coefficient tuples of Q(zeta_m), reduced mod Phi_m."""
+    phi = len(a)
+    prod = [_ZERO] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    out = prod[:phi]
+    for k, row in _reduction_table(m):
+        x = prod[k]
+        if x:
+            for i, c in row:
+                out[i] += x * c
+    return tuple(out)
 
 
 def _solve_columns(cols, target):
@@ -120,70 +180,106 @@ def _make(m, vec):
         cols = [_power_vec(m, (m // d) * j) for j in range(_phi(d))]
         y = _solve_columns(cols, vec)
         if y is not None:
-            return Cyc(d, tuple(y))
-    return Cyc(m, vec)
+            return _cyc(d, tuple(y))
+    return _cyc(m, vec)
+
+
+def _canon(m, vec):
+    """Canonical form of a tuple of phi(m) ``Fraction`` in Q(zeta_m)."""
+    if not any(vec[1:]):
+        return vec[0]
+    if _has_proper_subfield(m):
+        return _make(m, vec)
+    return _cyc(m, vec)
+
+
+def _cyc(m, coeffs):
+    """A Cyc from an already canonical ``(m, coeffs)``, unchecked."""
+    x = object.__new__(Cyc)
+    _setattr(x, "m", m)
+    _setattr(x, "coeffs", coeffs)
+    return x
 
 
 class Cyc:
     """An element of the m-th cyclotomic field in canonical form.
 
     Immutable; interoperates with ``int`` and ``Fraction`` in arithmetic.
+    ``Cyc(m, coeffs)`` raises ``ValueError`` unless ``coeffs`` holds
+    phi(m) values whose element is not rational and has conductor
+    exactly m; :func:`zeta` and arithmetic build any other value.
     """
 
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m, coeffs):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"conductor must be a positive integer, not {m!r}")
+        if len(coeffs) != _phi(m):
+            raise ValueError(
+                f"Q(zeta_{m}) needs {_phi(m)} coefficients, got {len(coeffs)}"
+            )
+        canon = _make(m, coeffs)
+        if not isinstance(canon, Cyc) or canon.m != m:
+            raise ValueError(
+                f"Cyc({m}, {[str(c) for c in coeffs]}) is not canonical: "
+                f"it equals {scalar_to_string(canon)}"
+            )
+        _setattr(self, "m", m)
+        _setattr(self, "coeffs", coeffs)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyc is immutable")
 
     def _lift(self, m):
-        """Coefficient vector of self in Q(zeta_m), self.m | m."""
+        """Coefficient tuple of self in Q(zeta_m), self.m | m."""
+        if m == self.m:
+            return self.coeffs
         step = m // self.m
         out = [Fraction(0)] * _phi(m)
         for k, c in enumerate(self.coeffs):
             if c:
                 for i, v in enumerate(_power_vec(m, step * k)):
                     out[i] += c * v
-        return out
+        return tuple(out)
 
     def __add__(self, other):
-        other = _as_cyc(other)
-        if other is None:
+        if isinstance(other, _RATIONAL):
+            if not other:
+                return self
+            c = self.coeffs
+            return _cyc(self.m, (c[0] + other,) + c[1:])
+        if not isinstance(other, Cyc):
             return NotImplemented
-        m = self.m * other.m // gcd(self.m, other.m)
+        m = lcm(self.m, other.m)
         a, b = self._lift(m), other._lift(m)
-        return _make(m, [x + y for x, y in zip(a, b)])
+        return _canon(m, tuple(x + y for x, y in zip(a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.m, tuple(-c for c in self.coeffs))
+        return _cyc(self.m, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        o = _as_cyc(other)
-        if o is None:
+        if not isinstance(other, (*_RATIONAL, Cyc)):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = _as_cyc(other)
-        if o is None:
+        if not isinstance(other, _RATIONAL):
             return NotImplemented
-        return o + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
-        other = _as_cyc(other)
-        if other is None:
+        if isinstance(other, _RATIONAL):
+            if not other:
+                return _ZERO
+            return _cyc(self.m, tuple(c * other if c else c for c in self.coeffs))
+        if not isinstance(other, Cyc):
             return NotImplemented
-        m = self.m * other.m // gcd(self.m, other.m)
-        a, b = self._lift(m), other._lift(m)
-        prod = _poly_mul(list(a), list(b))
-        _, r = _poly_divmod(prod, [Fraction(c) for c in cyclotomic_poly(m)])
-        r = list(r) + [Fraction(0)] * (_phi(m) - len(r))
-        return _make(m, r)
+        m = lcm(self.m, other.m)
+        return _canon(m, _mul_vec(m, self._lift(m), other._lift(m)))
 
     __rmul__ = __mul__
 
@@ -197,11 +293,8 @@ class Cyc:
         # extended gcd of a and Phi_m over Q[x]
         r0, r1 = phi, a
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        t0 = [Fraction(1)]
-        del t0
         while r1:
             q, r = _poly_divmod(r0, r1)
-            s = [Fraction(0)] * max(len(s0), len(_poly_mul(q, s1)) or 1)
             qs1 = _poly_mul(q, s1)
             s = [Fraction(0)] * max(len(s0), len(qs1))
             for i, v in enumerate(s0):
@@ -219,16 +312,14 @@ class Cyc:
         return _make(self.m, rr)
 
     def __truediv__(self, other):
-        o = _as_cyc(other)
-        if o is None:
+        if not isinstance(other, (*_RATIONAL, Cyc)):
             return NotImplemented
-        return self * o.inverse()
+        return self * inverse(other)
 
     def __rtruediv__(self, other):
-        o = _as_cyc(other)
-        if o is None:
+        if not isinstance(other, _RATIONAL):
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def conjugate(self):
         """Galois conjugate sending zeta to zeta^{-1}."""
@@ -240,7 +331,7 @@ class Cyc:
         return _make(self.m, out)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             return False  # canonical Cyc is never rational
         if isinstance(other, Cyc):
             return self.m == other.m and self.coeffs == other.coeffs
@@ -254,18 +345,6 @@ class Cyc:
 
     def __repr__(self):
         return scalar_to_string(self)
-
-
-def _rational_cyc(x):
-    return Cyc(1, (Fraction(x),))
-
-
-def _as_cyc(x):
-    if isinstance(x, Cyc):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return _rational_cyc(x)
-    return None
 
 
 def zeta(m, k=1):

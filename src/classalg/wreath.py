@@ -135,7 +135,9 @@ def canonical_representative(group, rho, n=None):
             g[block[-1]] = group.class_rep(cid)
             pos += r
     x = WreathElement(tuple(g), tuple(sigma))
-    assert type_of(group, x) == rho
+    actual = type_of(group, x)
+    if actual != rho:
+        raise ValueError(f"canonical representative of {rho} has type {actual}")
     return x
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from classalg.scalars import (
     Cyc,
     ScalarParseError,
+    _make,
+    _phi,
     conjugate,
     cyclotomic_poly,
     inverse,
@@ -133,3 +136,133 @@ def test_serialization_roundtrip_random(a, b, k):
     v = a + b * zeta(8, k)
     conductor = v.m if isinstance(v, Cyc) else 1
     assert scalar_from_string(scalar_to_string(v), conductor) == v
+
+
+def test_public_constructor_rejects_non_canonical():
+    for m, coeffs in [
+        (3, (1, 0)),  # the rational 1
+        (3, (1,)),  # wrong length
+        (6, (0, 1)),  # zeta_6 lies in Q(zeta_3)
+        (6, (1, 1)),
+        (8, (0, 0, 1, 0)),  # zeta_8^2 = zeta_4
+        (1, (5,)),
+        (0, ()),
+    ]:
+        with pytest.raises(ValueError):
+            Cyc(m, coeffs)
+    assert Cyc(3, (0, 1)) == zeta(3)
+    assert Cyc(8, (1, 1, 0, 0)) == 1 + zeta(8)
+    assert hash(Cyc(8, (1, 1, 0, 0))) == hash(1 + zeta(8))
+
+
+# Oracle for the arithmetic fast paths: exact arithmetic in
+# Q[x]/(x^m - 1) (cyclic convolution), reduced mod Phi_m by long
+# division, then canonicalized by the slow ``_make``.
+
+CONDUCTORS = (3, 4, 5, 8, 12)
+
+
+def _conductor(x):
+    return x.m if isinstance(x, Cyc) else 1
+
+
+def _cyclic(x, m):
+    """x as coefficients of 1, z_m, ..., z_m^(m-1); x lies in Q(zeta_d), d | m."""
+    w = [Fraction(0)] * m
+    if isinstance(x, Cyc):
+        step = m // x.m
+        for k, c in enumerate(x.coeffs):
+            w[step * k] += c
+    else:
+        w[0] = Fraction(x)
+    return w
+
+
+def _oracle(m, w):
+    phi_m = cyclotomic_poly(m)
+    deg = len(phi_m) - 1
+    w = list(w)
+    for k in range(m - 1, deg - 1, -1):
+        c = w[k]
+        if c:
+            for j, p in enumerate(phi_m):
+                w[k - deg + j] -= c * p
+    return _make(m, w[:deg])
+
+
+def _oracle_add(x, y, sign=1):
+    m = lcm(_conductor(x), _conductor(y))
+    return _oracle(m, [a + sign * b for a, b in zip(_cyclic(x, m), _cyclic(y, m))])
+
+
+def _oracle_mul(x, y):
+    m = lcm(_conductor(x), _conductor(y))
+    a, b = _cyclic(x, m), _cyclic(y, m)
+    w = [Fraction(0)] * m
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            w[(i + j) % m] += u * v
+    return _oracle(m, w)
+
+
+def _assert_canonical(v):
+    if isinstance(v, Cyc):
+        assert type(v.coeffs) is tuple and len(v.coeffs) == _phi(v.m)
+        assert all(type(c) is Fraction for c in v.coeffs)
+        assert _make(v.m, v.coeffs) == v  # not rational, minimal conductor
+    else:
+        assert type(v) is Fraction
+
+
+def _check_arithmetic(x, y):
+    for result, expected in [
+        (x + y, _oracle_add(x, y)),
+        (y + x, _oracle_add(x, y)),
+        (x - y, _oracle_add(x, y, -1)),
+        (y - x, _oracle_add(y, x, -1)),
+        (x * y, _oracle_mul(x, y)),
+        (y * x, _oracle_mul(x, y)),
+    ]:
+        assert result == expected, (x, y, result, expected)
+        _assert_canonical(result)
+
+
+RATIONALS = [0, 1, -1, 2, Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 7)]
+SPECIAL = [
+    zeta(3), zeta(3, 2), zeta(4), zeta(5, 2), zeta(8), zeta(8, 3), zeta(12),
+    zeta(12, 5), 1 + zeta(8), zeta(4) - zeta(8),
+]
+
+
+def test_fast_paths_fall_into_subfields():
+    assert zeta(3) * zeta(3, 2) == 1
+    assert zeta(8) * zeta(8) == zeta(4)
+    assert (zeta(4) - zeta(8)) + zeta(8) == zeta(4)
+    z = zeta(5)
+    assert z + 0 is z and 0 + z is z
+    assert z * 0 == 0 and type(z * 0) is Fraction
+    for x in SPECIAL:
+        for y in SPECIAL + RATIONALS:
+            _check_arithmetic(x, y)
+
+
+@st.composite
+def field_elements(draw):
+    m = draw(st.sampled_from(CONDUCTORS))
+    w = [Fraction(0)] * m
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        k = draw(st.integers(min_value=0, max_value=m - 1))
+        w[k] += draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    return _oracle(m, w)
+
+
+operands = st.one_of(
+    field_elements(), st.sampled_from(SPECIAL), st.sampled_from(RATIONALS)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands, operands)
+def test_fast_paths_match_oracle(x, y):
+    if isinstance(x, Cyc) or isinstance(y, Cyc):
+        _check_arithmetic(x, y)
