@@ -2,9 +2,12 @@
 orchestration, and table emission.
 
 Exit codes: 0 all requested suites pass, 1 verification failure,
-2 usage or configuration error.  Reports are deterministic for a given
-configuration and seed (timings go to stderr); all scalars are emitted
-as exact strings, never floats.
+2 usage or configuration error.  A ValueError or ArithmeticError raised
+while a suite runs is a counterexample: the suite reports it as a
+failure.  Errors in the configuration or the group file (a missing
+character table included), and ResourceCapError, stay usage errors.
+Reports are deterministic for a given configuration and seed (timings
+go to stderr); all scalars are emitted as exact strings, never floats.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .groups import load_group, require_character_table
+from .groups import CharacterTableError, load_group, require_character_table
 from .wreath import ResourceCapError
 from .scalars import scalar_to_string
 
@@ -107,7 +110,12 @@ def make_report(suite, parameters, failures, wall_time):
 
 def run_suite(suite, parameters, fn):
     start = time.monotonic()
-    failures = fn()
+    try:
+        failures = fn()
+    except CharacterTableError:
+        raise  # the group file lacks a table: a usage error
+    except (ValueError, ArithmeticError) as exc:
+        failures = [("exception", type(exc).__name__, str(exc))]
     return make_report(suite, parameters, failures, time.monotonic() - start)
 
 

@@ -11,6 +11,13 @@ O^k(alpha) built from Jucys-Murphy power sums, normally ordered powers
 of the generating field applied to diagonal pushforwards (giving the
 Virasoro operators and the cubic operator), and the polynomial model
 related to the level picture by the characteristic map.
+
+Every such operator is linear, so the verification routines apply it
+through a FockOperator: its column on a basis state K^rho is computed
+once, by the code of the direct function (heis, op_O, virasoro_L,
+cubic_zero_mode), and kept for the operator's lifetime; a vector's
+image is the coefficient-weighted sum of cached columns.  The direct
+functions take whole vectors and stay the oracle for the operators.
 """
 
 from __future__ import annotations
@@ -132,6 +139,41 @@ def fock_inner(u, v):
     return total
 
 
+class FockOperator:
+    """A linear operator on the Fock space, given by its columns.
+
+    column_of maps a basis state K^rho (a FockVector) to its image.  Each
+    column is computed on first use and kept for the operator's
+    lifetime, a sparse matrix filled on demand; applying the operator
+    to a vector sums the cached columns weighted by the coefficients.
+    """
+
+    __slots__ = ("group", "column_of", "columns")
+
+    def __init__(self, group, column_of):
+        self.group = group
+        self.column_of = column_of
+        self.columns = {}
+
+    def column(self, rho):
+        col = self.columns.get(rho)
+        if col is None:
+            col = self.columns[rho] = self.column_of(basis_state(self.group, rho))
+        return col
+
+    def __call__(self, vec):
+        out = {}
+        for _, rho, v in vec.terms():
+            for n, f in self.column(rho).levels.items():
+                lvl = out.setdefault(n, {})
+                for sigma, w in f.coeffs.items():
+                    lvl[sigma] = lvl.get(sigma, 0) + v * w
+        return FockVector(
+            self.group,
+            {n: WreathClassFunction(self.group, n, cf) for n, cf in out.items()},
+        )
+
+
 def domain_types(group, max_level):
     """All (n, rho) with n <= max_level, in deterministic order."""
     return [
@@ -185,7 +227,7 @@ def heis(group, m, alpha, vec):
 
 
 def heis_op(group, m, alpha):
-    return lambda v: heis(group, m, alpha, v)
+    return FockOperator(group, lambda v: heis(group, m, alpha, v))
 
 
 # -- Heisenberg oracles ------------------------------------------------
@@ -334,7 +376,7 @@ def op_O(group, k, alpha, vec):
 
 
 def op_O_op(group, k, alpha):
-    return lambda v: op_O(group, k, alpha, v)
+    return FockOperator(group, lambda v: op_O(group, k, alpha, v))
 
 
 def op_b(group):
@@ -369,29 +411,6 @@ def op_O_hbar(group, alpha, vec, order):
 
 def commutator(f, g):
     return lambda v: f(g(v)) - g(f(v))
-
-
-def op_sum(*ops):
-    def run(v):
-        out = None
-        for op in ops:
-            w = op(v)
-            out = w if out is None else out + w
-        return out
-
-    return run
-
-
-def op_scale(op, s):
-    return lambda v: op(v).scale(s)
-
-
-def zero_op(group):
-    return lambda v: FockVector(group)
-
-
-def identity_op():
-    return lambda v: v
 
 
 def operator_difference_cells(group, op1, op2, max_level):
@@ -474,7 +493,11 @@ def virasoro_L(group, n, beta, vec):
 
 
 def virasoro_op(group, n, beta):
-    return lambda v: virasoro_L(group, n, beta, v)
+    tensor = pushforward_tauk(beta, 2)
+    return FockOperator(
+        group,
+        lambda v: normal_power_apply(group, 2, tensor, n, v).scale(Fraction(1, 2)),
+    )
 
 
 def cubic_zero_mode(group, beta, vec):
@@ -484,11 +507,15 @@ def cubic_zero_mode(group, beta, vec):
 
 
 def cubic_op(group, beta):
-    return lambda v: cubic_zero_mode(group, beta, v)
+    tensor = pushforward_tauk(beta, 3)
+    return FockOperator(
+        group,
+        lambda v: normal_power_apply(group, 3, tensor, 0, v).scale(Fraction(1, 6)),
+    )
 
 
 def ad_power(a, f, k):
-    """(ad a)^k f for operator closures."""
+    """(ad a)^k f for operators."""
     out = f
     for _ in range(k):
         out = commutator(a, out)
@@ -504,23 +531,6 @@ def ad_power(a, f, k):
 
 def sym_from_type(rho):
     return {rho: Fraction(1)}
-
-
-def sym_add(p, q):
-    out = dict(p)
-    for k, v in q.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def sym_scale(p, s):
-    if not s:
-        return {}
-    return {k: s * v for k, v in p.items()}
 
 
 def sym_create(group, r, cid, p):
@@ -645,6 +655,14 @@ def verify_virasoro(group, max_level, max_mode=2):
     failures = []
     chi = euler_class(group)
     k = group.num_classes
+    ops = {}
+
+    def virasoro(j, beta):
+        op = ops.get((j, beta))
+        if op is None:
+            op = ops[(j, beta)] = virasoro_op(group, j, beta)
+        return op
+
     for n in range(-max_mode, max_mode + 1):
         for m in range(-max_mode, max_mode + 1):
             for b in range(k):
@@ -652,19 +670,15 @@ def verify_virasoro(group, max_level, max_mode=2):
                     beta = k_basis(group, b)
                     gamma = k_basis(group, c)
                     bg = convolve_g(beta, gamma)
-                    lhs = commutator(
-                        virasoro_op(group, n, beta), virasoro_op(group, m, gamma)
-                    )
+                    lhs = commutator(virasoro(n, beta), virasoro(m, gamma))
                     central = Fraction(0)
                     if n == -m:
                         central = Fraction(n**3 - n, 12) * trace_g(
                             convolve_g(chi, bg)
                         )
 
-                    def rhs(v, n=n, m=m, bg=bg, central=central):
-                        return virasoro_L(group, n + m, bg, v).scale(
-                            n - m
-                        ) + v.scale(central)
+                    def rhs(v, n=n, m=m, op=virasoro(n + m, bg), central=central):
+                        return op(v).scale(n - m) + v.scale(central)
 
                     bad = operator_difference_cells(group, lhs, rhs, max_level)
                     failures.extend(

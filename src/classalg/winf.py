@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .fock import FockVector, _mode_tuples, heis, op_O
+from .fock import FockOperator, FockVector, _mode_tuples, heis, op_O
 from .groups import require_character_table
 from .partitions import partitions_of
 from .series import HbarSeries
@@ -298,15 +298,34 @@ def realize_J_mode(group, l, k, gamma_index, vec):
     return out.scale(Fraction(1, l + 1))
 
 
-def realize(group, x):
-    """The level-one action of a DiffOpElement (central element -> id)."""
+def realize_J_op(group, l, k, gamma_index):
+    """The realized J^l_k on an idempotent as a cached-column operator."""
+    return FockOperator(
+        group, lambda v: realize_J_mode(group, l, k, gamma_index, v)
+    )
+
+
+def realize(group, x, j_ops=None):
+    """The level-one action of a DiffOpElement (central element -> id).
+
+    j_ops maps (l, k, gamma_index) to the J-mode operator; realizations
+    that share it share the cached columns.  A fresh dict by default.
+    """
+    if j_ops is None:
+        j_ops = {}
+    terms = []
+    for (k, gi), f in x.terms.items():
+        for l, c in enumerate(poly_to_falling(f)):
+            if c:
+                key = (l, k, gi)
+                if key not in j_ops:
+                    j_ops[key] = realize_J_op(group, l, k, gi)
+                terms.append((j_ops[key], -c))
 
     def run(vec):
         out = vec.scale(x.central) if x.central else FockVector(group)
-        for (k, gi), f in x.terms.items():
-            for l, c in enumerate(poly_to_falling(f)):
-                if c:
-                    out = out + realize_J_mode(group, l, k, gi, vec).scale(-c)
+        for op, c in terms:
+            out = out + op(vec).scale(c)
         return out
 
     return run
@@ -372,10 +391,11 @@ def verify_convdiff(group, max_level, max_k=3):
 
     ct = require_character_table(group)
     failures = []
+    j_ops = {}
     for k in range(max_k + 1):
         for gi in range(len(ct.rows)):
             gam = ct.irreducible(gi)
-            op = realize(group, convdiff_image(group, k, gi))
+            op = realize(group, convdiff_image(group, k, gi), j_ops)
             for rho in domain_types(group, max_level):
                 v = basis_state(group, rho)
                 if op(v) != op_O(group, k, gam, v):
@@ -540,8 +560,9 @@ def verify_winf_level_one(group, max_level, num_pairs, seed=0):
     failures = []
     for idx, (i, j) in enumerate(pairs):
         x, y = pool[i], pool[j]
-        rx, ry = realize(group, x), realize(group, y)
-        rz = realize(group, winf_bracket(x, y))
+        j_ops = {}  # shared within the pair only, to bound memory
+        rx, ry = realize(group, x, j_ops), realize(group, y, j_ops)
+        rz = realize(group, winf_bracket(x, y), j_ops)
         for rho in basis:
             v = basis_state(group, rho)
             if rx(ry(v)) - ry(rx(v)) != rz(v):

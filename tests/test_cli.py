@@ -1,6 +1,9 @@
 import json
 
+import classalg.algebra as algebra
+import classalg.fock as fock
 from classalg.cli import RunConfig, run
+from classalg.wreath import ResourceCapError
 
 
 def capture(capsys, argv):
@@ -173,3 +176,64 @@ def test_timing_on_stderr_not_stdout(capsys):
     assert code == 0
     assert "s\n" in err or err == "" or err.startswith("#")
     json.loads(out)  # stdout stays machine-parseable
+
+
+def _non_central(f, g):
+    # one element of g's class: to_class_function raises its genuine
+    # error on the first class with more than one element
+    x = next(iter(g.to_group_algebra().terms))
+    return algebra.to_class_function(
+        algebra.GroupAlgebraElement(g.group, g.n, {x: 1})
+    )
+
+
+def test_error_inside_suite_is_a_failure(monkeypatch, capsys):
+    monkeypatch.setattr(fock, "convolve_n", _non_central)
+    code, out, _ = capture(
+        capsys, ["fock", "verify", "cubic", "--group", "cyclic2", "--level", "2"]
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    assert report["failures"] == [
+        ["exception", "ValueError", "element is not supported on full conjugacy classes"]
+    ]
+
+
+def test_arithmetic_error_inside_suite_is_a_failure(monkeypatch, capsys):
+    def divide_by_zero(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(fock, "heis_k", divide_by_zero)
+    code, out, _ = capture(
+        capsys, ["all", "--group", "trivial", "--level", "1", "--cap", "1"]
+    )
+    assert code == 1
+    reports = {r["suite"]: r for r in json.loads(out)}
+    assert reports["heisenberg"]["failures"] == [
+        ["exception", "ZeroDivisionError", "division by zero"]
+    ]
+    assert reports["jm"]["status"] == "pass"
+
+
+def test_resource_cap_inside_suite_is_a_usage_error(monkeypatch, capsys):
+    def refuse(*args):
+        raise ResourceCapError("enumeration cap exceeded")
+
+    monkeypatch.setattr(fock, "verify_cubic", refuse)
+    code, out, err = capture(
+        capsys, ["fock", "verify", "cubic", "--group", "trivial", "--level", "2"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "enumeration cap exceeded" in err
+
+
+def test_missing_character_table_inside_suite_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "c2.txt"
+    path.write_text("order 2\n0 1\n1 0\n")
+    code, out, _ = capture(
+        capsys, ["winf", "verify", "level-one", "--group", str(path), "--level", "1"]
+    )
+    assert code == 2
+    assert out == ""

@@ -1,12 +1,18 @@
 from fractions import Fraction
 
+import pytest
+
+import classalg.fock as fock
 from classalg.algebra import WreathClassFunction
 from classalg.fock import (
+    FockVector,
     ad_power,
     basis_state,
     characteristic_inverse,
     characteristic_map,
     commutator,
+    cubic_op,
+    cubic_zero_mode,
     domain_types,
     fock_inner,
     heis,
@@ -15,6 +21,8 @@ from classalg.fock import (
     heis_create_bigsum,
     heis_op,
     op_b,
+    op_O,
+    op_O_op,
     sym_create,
     sym_from_type,
     vacuum,
@@ -25,10 +33,19 @@ from classalg.fock import (
     verify_heisenberg,
     verify_virasoro,
     virasoro_L,
+    virasoro_op,
     xi_class_function,
 )
-from classalg.groups import k_basis, load_group, unit_g
+from classalg.groups import (
+    TensorClassFunction,
+    k_basis,
+    load_group,
+    require_character_table,
+    unit_g,
+)
 from classalg.partitions import TypeFunction, enumerate_types
+from classalg.scalars import Cyc
+from classalg.winf import realize_J_mode, realize_J_op
 
 
 def test_vacuum_and_basis():
@@ -188,3 +205,141 @@ def test_ad_power_zeroth():
     same = ad_power(op_b(g), f, 0)
     v = vacuum(g)
     assert same(v) == f(v)
+
+
+# -- cached-column operators against the direct functions ---------------
+
+
+def _vector(g, terms):
+    """A Fock vector from (type label, coefficient) pairs."""
+    levels = {}
+    for label, v in terms:
+        rho = TypeFunction.from_label(label)
+        levels.setdefault(rho.norm, {})[rho] = v
+    return FockVector(
+        g, {n: WreathClassFunction(g, n, cf) for n, cf in levels.items()}
+    )
+
+
+# Each vector spans levels 0 to 3: applied to the whole vector, the
+# direct functions bound annihilation by level 3, which is more than
+# the lower-level terms can absorb.
+SPREAD_VECTORS = {
+    "cyclic2": [
+        ("empty", Fraction(5)),
+        ("c1:[1]", Fraction(3, 2)),
+        ("c0:[2,1]", Fraction(-2)),
+        ("c0:[1]|c1:[2]", Fraction(1, 3)),
+    ],
+    "cyclic3": [
+        ("empty", Cyc(3, (0, 1))),
+        ("c2:[1]", Fraction(-1, 2)),
+        ("c0:[1]|c1:[1]", Cyc(3, (Fraction(1, 2), 2))),
+        ("c1:[2,1]", Cyc(3, (-1, -1))),
+        ("c0:[1]|c2:[2]", Fraction(7)),
+    ],
+}
+
+
+def _operator_cases(g):
+    alpha = require_character_table(g).irreducible(1)
+    return [
+        ("p_2", lambda v: heis(g, 2, alpha, v), heis_op(g, 2, alpha)),
+        ("p_-1", lambda v: heis(g, -1, alpha, v), heis_op(g, -1, alpha)),
+        ("O^2", lambda v: op_O(g, 2, alpha, v), op_O_op(g, 2, alpha)),
+        ("L_1", lambda v: virasoro_L(g, 1, alpha, v), virasoro_op(g, 1, alpha)),
+        ("L_-2", lambda v: virasoro_L(g, -2, alpha, v), virasoro_op(g, -2, alpha)),
+        ("cubic", lambda v: cubic_zero_mode(g, alpha, v), cubic_op(g, alpha)),
+        (
+            "J^2_-1",
+            lambda v: realize_J_mode(g, 2, -1, 1, v),
+            realize_J_op(g, 2, -1, 1),
+        ),
+        (
+            "J^1_1",
+            lambda v: realize_J_mode(g, 1, 1, 1, v),
+            realize_J_op(g, 1, 1, 1),
+        ),
+    ]
+
+
+def _cancelling_vector(g, direct, types):
+    """a K^rho + b K^sigma whose images cancel in one cell (n, cell)."""
+    columns = [(rho, direct(basis_state(g, rho))) for rho in types]
+    for i, (rho, u) in enumerate(columns):
+        for sigma, w in columns[i + 1:]:
+            for n, cell, a in u.terms():
+                b = w.component(n).coeffs.get(cell)
+                if b:
+                    vec = basis_state(g, rho).scale(b) - basis_state(
+                        g, sigma
+                    ).scale(a)
+                    return vec, n, cell
+    raise AssertionError("no two columns share a cell")
+
+
+def _no_recompute(vec):
+    raise AssertionError("a cached column was recomputed")
+
+
+@pytest.mark.parametrize("name", sorted(SPREAD_VECTORS))
+def test_cached_operators_match_direct_functions(name):
+    g = load_group(name)
+    spread = _vector(g, SPREAD_VECTORS[name])
+    types = domain_types(g, 2)
+    for label, direct, op in _operator_cases(g):
+        cancelling, n, cell = _cancelling_vector(g, direct, types)
+        assert cell not in direct(cancelling).component(n).coeffs, label
+        expected = [direct(v) for v in (spread, cancelling)]
+        assert [op(v) for v in (spread, cancelling)] == expected, label
+        # the second application reads only cached columns
+        op.column_of = _no_recompute
+        assert [op(v) for v in (spread, cancelling)] == expected, label
+
+
+# -- fault injection: a wrong coefficient makes each suite fail ----------
+
+
+def _bump_first_term(tensor):
+    (key, coeff), *rest = tensor.terms
+    return TensorClassFunction(
+        tensor.group, tensor.arity, ((key, coeff + 1),) + tuple(rest)
+    )
+
+
+def test_virasoro_catches_wrong_pushforward(monkeypatch):
+    g = load_group("trivial")
+    original = fock.pushforward_tauk
+    monkeypatch.setattr(
+        fock, "pushforward_tauk", lambda f, k: _bump_first_term(original(f, k))
+    )
+    # on the vacuum [L_2, L_-2] is the central term alone, which a
+    # rescaled L_n squares and the central charge does not
+    assert (2, -2, 0, 0, "empty") in verify_virasoro(g, 2, 2)
+
+
+def test_cubic_catches_wrong_pushforward(monkeypatch):
+    g = load_group("trivial")
+    original = fock.pushforward_tauk
+    monkeypatch.setattr(
+        fock,
+        "pushforward_tauk",
+        lambda f, k: _bump_first_term(original(f, k)) if k == 3 else original(f, k),
+    )
+    # b swaps K^(1,1) and K^(2), which a rescaled cubic operator does not
+    assert (0, "c0:[2]") in verify_cubic(g, 2)
+
+
+def test_covcomm_catches_wrong_power_sum(monkeypatch):
+    g = load_group("trivial")
+    original = fock._xi_class
+    monkeypatch.setattr(
+        fock,
+        "_xi_class",
+        lambda grp, n, k, cid: original(grp, n, k, cid).scale(
+            2 if (n, k) == (2, 2) else 1
+        ),
+    )
+    # O^2 doubled at level 2 only: p_-1 lifts K^(1) to level 2
+    cells = verify_covcomm(g, 2, unit_g(g), unit_g(g), 2)
+    assert TypeFunction.from_label("c0:[1]") in cells

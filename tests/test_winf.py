@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import classalg.winf as winf
 from classalg.groups import CharacterTableError, load_group
 from classalg.winf import (
     DiffOpElement,
@@ -154,3 +155,17 @@ def test_diffop_requires_character_table(tmp_path):
     g = load_group(str(path))
     with pytest.raises(CharacterTableError):
         DiffOpElement(g)
+
+
+def test_level_one_catches_wrong_mode_factor(monkeypatch):
+    # the mode-1 factor of the first derivative field enters P_2 through
+    # :J0 d1J0:, so every J^1_0 column that absorbs a 1-part moves
+    g = load_group("trivial")
+    original = winf._derivative_mode_factor
+    monkeypatch.setattr(
+        winf,
+        "_derivative_mode_factor",
+        lambda a, m: original(a, m) + (1 if (a, m) == (1, 1) else 0),
+    )
+    assert (1, 0, "c0:[1]") in verify_convdiff(g, 2, 1)
+    assert verify_winf_level_one(g, 2, 8) != []
