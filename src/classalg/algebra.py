@@ -156,7 +156,7 @@ class WreathClassFunction:
     def is_zero(self):
         return not self.coeffs
 
-    def to_group_algebra(self, cap=None):
+    def to_group_algebra(self):
         ctx = WreathContext.get(self.group, self.n)
         out = {}
         for x, r in ctx._elements_with_types():

@@ -172,22 +172,11 @@ def suite_cubic(group, cfg):
 
 def suite_covcomm(group, cfg):
     from .fock import verify_covcomm
-    from .groups import k_basis
 
     params = {"group": group.name, "level": cfg.level, "max_k": cfg.k}
-
-    def run():
-        failures = []
-        for k in range(1, cfg.k + 1):
-            for b in range(group.num_classes):
-                for c in range(group.num_classes):
-                    cells = verify_covcomm(
-                        group, k, k_basis(group, b), k_basis(group, c), cfg.level
-                    )
-                    failures.extend((k, b, c, cell) for cell in cells)
-        return failures
-
-    return run_suite("covcomm", params, run)
+    return run_suite(
+        "covcomm", params, lambda: verify_covcomm(group, cfg.k, cfg.level)
+    )
 
 
 def suite_dictionary(group, cfg):
@@ -223,15 +212,15 @@ def suite_vo(group, cfg):
     from .winf import verify_vo
 
     level = min(cfg.level, 3)
-    table = require_character_table(group)
     params = {
         "group": group.name,
         "level": level,
         "series_order": cfg.order,
-        "irreducibles": len(table.rows),
+        "irreducibles": group.num_classes,  # a character table is square
     }
 
     def run():
+        table = require_character_table(group)
         failures = []
         for gi in range(len(table.rows)):
             failures.extend(verify_vo(group, gi, level, cfg.order))
@@ -580,6 +569,7 @@ def run(argv=None):
             emit(report, cfg)
             return exit_code(report)
         if command == "all":
+            require_character_table(group)  # vo, level-one and bracket need it
             reports = [suite(group, cfg) for suite in ALL_SUITES]
             emit(reports, cfg)
             return exit_code(reports)

@@ -1,6 +1,12 @@
 """The Fock space direct-sum of the class algebras R(Gamma_n).
 
-Vectors are graded by level n with components in the K^rho basis.
+A vector is one sparse map from colored types to coefficients,
+FockVector(group, {rho: coeff}): the sum of coeff K^rho over all
+levels at once, K^rho lying at level ||rho||.  The polynomial model
+and the cached operator columns use the same rho -> coefficient shape;
+component(n) gives the level-n part as a class function for the
+convolution product of R(Gamma_n).
+
 Creation and annihilation operators act by exact closed formulas on
 that basis; independent slower constructions (induction by averaging
 over the big group, and the adjoint characterization through the
@@ -29,9 +35,7 @@ from math import factorial
 from .algebra import (
     GroupAlgebraElement,
     WreathClassFunction,
-    bilinear_form_n,
     convolve_n,
-    k_class,
     to_class_function,
     xi_power_sum,
 )
@@ -49,32 +53,29 @@ from .wreath import (
 
 
 class FockVector:
-    """A finitely supported vector in the direct sum of the R(Gamma_n)."""
+    """A finitely supported vector sum_rho coeffs[rho] K^rho in the direct
+    sum of the R(Gamma_n); K^rho lies at level ||rho||.  No zero
+    coefficient is stored."""
 
-    __slots__ = ("group", "levels")
+    __slots__ = ("group", "coeffs")
 
-    def __init__(self, group, levels=None):
+    def __init__(self, group, coeffs=None):
         self.group = group
-        self.levels = {}
-        for n, f in (levels or {}).items():
-            if f.n != n:
-                raise ValueError("level key does not match component level")
-            if not f.is_zero():
-                self.levels[n] = f
+        self.coeffs = {rho: v for rho, v in (coeffs or {}).items() if v}
 
     def component(self, n):
-        f = self.levels.get(n)
-        if f is None:
-            return WreathClassFunction(self.group, n, {})
-        return f
+        """The level-n part as an element of R(Gamma_n)."""
+        return WreathClassFunction(
+            self.group,
+            n,
+            {rho: v for rho, v in self.coeffs.items() if rho.norm == n},
+        )
 
-    def terms(self):
-        for n in sorted(self.levels):
-            for rho, v in self.levels[n].coeffs.items():
-                yield n, rho, v
+    def levels(self):
+        return sorted({rho.norm for rho in self.coeffs})
 
     def max_level(self):
-        return max(self.levels) if self.levels else -1
+        return max((rho.norm for rho in self.coeffs), default=-1)
 
     def _check(self, other):
         if self.group is not other.group:
@@ -82,60 +83,60 @@ class FockVector:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.levels)
-        for n, f in other.levels.items():
-            out[n] = out[n] + f if n in out else f
+        out = dict(self.coeffs)
+        for rho, v in other.coeffs.items():
+            out[rho] = out.get(rho, 0) + v
         return FockVector(self.group, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, s):
+        if not s:
+            return FockVector(self.group)
         return FockVector(
-            self.group, {n: f.scale(s) for n, f in self.levels.items()}
+            self.group, {rho: s * v for rho, v in self.coeffs.items()}
         )
 
     def __eq__(self, other):
         return (
             isinstance(other, FockVector)
             and self.group is other.group
-            and self.levels == other.levels
+            and self.coeffs == other.coeffs
         )
 
     def is_zero(self):
-        return not self.levels
+        return not self.coeffs
 
     def __repr__(self):
-        inner = "; ".join(
-            f"{n}: {self.levels[n]!r}" for n in sorted(self.levels)
+        inner = ", ".join(
+            f"{rho.label()}: {v}"
+            for rho, v in sorted(
+                self.coeffs.items(), key=lambda kv: kv[0].sort_key()
+            )
         )
-        return f"FockVector({inner})" if inner else "FockVector(0)"
+        return f"FockVector({{{inner}}})"
 
 
 def vacuum(group):
-    return FockVector(
-        group, {0: WreathClassFunction(group, 0, {EMPTY_TYPE: Fraction(1)})}
-    )
+    return FockVector(group, {EMPTY_TYPE: Fraction(1)})
 
 
 def basis_state(group, rho):
     """K^rho as a Fock vector at level ||rho||."""
-    return FockVector(group, {rho.norm: k_class(group, rho.norm, rho)})
-
-
-def lift_level(f):
-    """Wrap a single WreathClassFunction as a Fock vector."""
-    return FockVector(f.group, {f.n: f})
+    return FockVector(group, {rho: Fraction(1)})
 
 
 def fock_inner(u, v):
-    """Orthogonal sum of the level bilinear forms."""
+    """Orthogonal sum of the level bilinear forms:
+    sum_rho Z_rho^{-1} u(rho) v(rho^{-1})."""
     u._check(v)
+    group = u.group
     total = Fraction(0)
-    for n, f in u.levels.items():
-        g = v.levels.get(n)
-        if g is not None:
-            total = total + bilinear_form_n(f, g)
+    for rho, a in u.coeffs.items():
+        b = v.coeffs.get(rho.inverse(group))
+        if b:
+            total = total + a * b * Fraction(1, rho.centralizer_order(group))
     return total
 
 
@@ -163,15 +164,10 @@ class FockOperator:
 
     def __call__(self, vec):
         out = {}
-        for _, rho, v in vec.terms():
-            for n, f in self.column(rho).levels.items():
-                lvl = out.setdefault(n, {})
-                for sigma, w in f.coeffs.items():
-                    lvl[sigma] = lvl.get(sigma, 0) + v * w
-        return FockVector(
-            self.group,
-            {n: WreathClassFunction(self.group, n, cf) for n, cf in out.items()},
-        )
+        for rho, v in vec.coeffs.items():
+            for sigma, w in self.column(rho).coeffs.items():
+                out[sigma] = out.get(sigma, 0) + v * w
+        return FockVector(self.group, out)
 
 
 def domain_types(group, max_level):
@@ -196,25 +192,17 @@ def heis_k(group, m, cid, vec):
     out = {}
     if m < 0:
         r = -m
-        for n, rho, v in vec.terms():
-            new = rho.add_part(r, cid)
-            coeff = v * r * (rho.multiplicity(r, cid) + 1)
-            lvl = out.setdefault(n + r, {})
-            lvl[new] = lvl.get(new, 0) + coeff
+        for rho, v in vec.coeffs.items():
+            out[rho.add_part(r, cid)] = v * r * (rho.multiplicity(r, cid) + 1)
     else:
         r = m
         src = group.inv_class[cid]
         scale = Fraction(1, group.zeta[cid])
-        for n, rho, v in vec.terms():
+        for rho, v in vec.coeffs.items():
             new = rho.remove_part(r, src)
-            if new is None:
-                continue
-            lvl = out.setdefault(n - r, {})
-            lvl[new] = lvl.get(new, 0) + v * scale
-    return FockVector(
-        group,
-        {n: WreathClassFunction(group, n, cf) for n, cf in out.items()},
-    )
+            if new is not None:
+                out[new] = v * scale
+    return FockVector(group, out)
 
 
 def heis(group, m, alpha, vec):
@@ -286,20 +274,20 @@ def induce_product(f, g):
 def heis_create_bigsum(group, r, alpha, vec):
     """p_{-r}(alpha) computed through the induction definition."""
     sig = sigma_class(group, r, alpha)
-    out = FockVector(group)
-    for n in sorted(vec.levels):
-        out = out + lift_level(induce_product(sig, vec.levels[n]))
-    return out
+    out = {}
+    for n in vec.levels():
+        out.update(induce_product(sig, vec.component(n)).coeffs)
+    return FockVector(group, out)
 
 
 def heis_create_avg(group, gamma, vec):
     """p_{-1}(gamma) by averaging ad g (y (x) gamma) over S_n."""
     import itertools
 
-    out = FockVector(group)
-    for m in sorted(vec.levels):
+    out = {}
+    for m in vec.levels():
         n = m + 1
-        y = vec.levels[m].to_group_algebra()
+        y = vec.component(m).to_group_algebra()
         terms = {}
         for w, v in y.terms.items():
             for cid, members in enumerate(group.classes):
@@ -320,8 +308,8 @@ def heis_create_avg(group, gamma, vec):
                 conj[z] = conj.get(z, 0) + v
             acc = acc + GroupAlgebraElement(group, n, conj)
         acc = acc.scale(Fraction(1, factorial(m)))
-        out = out + lift_level(to_class_function(acc))
-    return out
+        out.update(to_class_function(acc).coeffs)
+    return FockVector(group, out)
 
 
 def heis_annihilate_adjoint(group, r, alpha, vec):
@@ -332,17 +320,12 @@ def heis_annihilate_adjoint(group, r, alpha, vec):
     if r <= 0:
         raise ValueError("adjoint oracle needs r > 0")
     out = {}
-    for n in sorted(vec.levels):
-        if n - r < 0:
+    for n in vec.levels():
+        if n < r:
             continue
-        coeffs = {}
         for nu in enumerate_types(group, n - r):
             probe = heis(group, -r, alpha, basis_state(group, nu.inverse(group)))
-            val = fock_inner(vec, probe)
-            if val:
-                coeffs[nu] = val * nu.centralizer_order(group)
-        if coeffs:
-            out[n - r] = WreathClassFunction(group, n - r, coeffs)
+            out[nu] = fock_inner(vec, probe) * nu.centralizer_order(group)
     return FockVector(group, out)
 
 
@@ -366,12 +349,10 @@ def xi_class_function(group, n, k, alpha):
 def op_O(group, k, alpha, vec):
     """O^k(alpha): levelwise convolution by Xi_n^k(alpha)."""
     out = {}
-    for n in sorted(vec.levels):
-        if n == 0:
-            continue  # the empty power sum
-        img = convolve_n(xi_class_function(group, n, k, alpha), vec.levels[n])
-        if not img.is_zero():
-            out[n] = img
+    for n in vec.levels():
+        if n:  # level 0 carries the empty power sum
+            f = xi_class_function(group, n, k, alpha)
+            out.update(convolve_n(f, vec.component(n)).coeffs)
     return FockVector(group, out)
 
 
@@ -392,17 +373,7 @@ def op_O_hbar(group, alpha, vec, order):
     out = FockVector(group)
     for k in range(order + 1):
         piece = op_O(group, k, alpha, vec).scale(Fraction(1, factorial(k)))
-        lifted = {}
-        for n, f in piece.levels.items():
-            lifted[n] = WreathClassFunction(
-                group,
-                n,
-                {
-                    rho: HbarSeries.hbar_power(k, order) * v
-                    for rho, v in f.coeffs.items()
-                },
-            )
-        out = out + FockVector(group, lifted)
+        out = out + piece.scale(HbarSeries.hbar_power(k, order))
     return out
 
 
@@ -558,17 +529,11 @@ def sym_annihilate(group, r, cid, p):
 
 def characteristic_map(group, p):
     """The monomial of type rho maps to ztilde_rho K^rho at level ||rho||."""
-    out = FockVector(group)
-    for rho, v in p.items():
-        out = out + basis_state(group, rho).scale(v * rho.ztilde())
-    return out
+    return FockVector(group, {rho: v * rho.ztilde() for rho, v in p.items()})
 
 
 def characteristic_inverse(group, vec):
-    out = {}
-    for _, rho, v in vec.terms():
-        out[rho] = v * Fraction(1, rho.ztilde())
-    return out
+    return {rho: v * Fraction(1, rho.ztilde()) for rho, v in vec.coeffs.items()}
 
 
 # -- generators ---------------------------------------------------------
@@ -699,15 +664,34 @@ def verify_cubic(group, max_level):
     return failures
 
 
-def verify_covcomm(group, k, gamma, alpha, max_level):
-    """[O^k(gamma), p_{-1}(alpha)] = (ad b)^k p_{-1}(gamma alpha)."""
+def verify_covcomm(group, max_k, max_level):
+    """[O^k(K^b), p_{-1}(K^c)] = (ad b)^k p_{-1}(K^b K^c) for
+    1 <= k <= max_k and all classes b, c, with b = O^1(1).
+
+    Each operator is built once and shares its cached columns across
+    the cells that use it.  Returns the failing (k, b, c, rho) cells.
+    """
     from .groups import convolve_g
 
-    lhs = commutator(op_O_op(group, k, gamma), heis_op(group, -1, alpha))
-    rhs = ad_power(
-        op_b(group), heis_op(group, -1, convolve_g(gamma, alpha)), k
-    )
-    return operator_difference_cells(group, lhs, rhs, max_level)
+    classes = range(group.num_classes)
+    basis = [k_basis(group, c) for c in classes]
+    b_op = op_b(group)
+    create = [heis_op(group, -1, alpha) for alpha in basis]
+    create_product = {
+        (b, c): heis_op(group, -1, convolve_g(basis[b], basis[c]))
+        for b in classes
+        for c in classes
+    }
+    failures = []
+    for k in range(1, max_k + 1):
+        for b in classes:
+            conv = op_O_op(group, k, basis[b])
+            for c in classes:
+                lhs = commutator(conv, create[c])
+                rhs = ad_power(b_op, create_product[b, c], k)
+                bad = operator_difference_cells(group, lhs, rhs, max_level)
+                failures.extend((k, b, c, rho) for rho in bad)
+    return failures
 
 
 def verify_dictionary(group, max_degree):

@@ -458,21 +458,7 @@ def vertex_zero_mode(group, gamma, vec, order, exponent_scale):
                 weight = weight_b * _partition_weight_factor(
                     lam_a, create_weight, order
                 )
-                lifted = FockVector(
-                    group,
-                    {
-                        n: type(piece.levels[n])(
-                            group,
-                            n,
-                            {
-                                rho: weight * v
-                                for rho, v in piece.levels[n].coeffs.items()
-                            },
-                        )
-                        for n in piece.levels
-                    },
-                )
-                out = out + lifted
+                out = out + piece.scale(weight)
     return out
 
 
@@ -496,13 +482,10 @@ def vo_rhs(group, gamma_index, vec, order, corrected=True):
     q = HbarSeries.exp_hbar(prefactor_exp, window)
     denom = (q - 1) * (q - 1)
     out = {}
-    for n, f in diff.levels.items():
-        coeffs = {}
-        for rho, s in f.coeffs.items():
-            if not isinstance(s, HbarSeries):
-                s = HbarSeries.const(s, window)
-            coeffs[rho] = (q * s).divide(denom) * overall
-        out[n] = type(f)(group, n, coeffs)
+    for rho, s in diff.coeffs.items():
+        if not isinstance(s, HbarSeries):
+            s = HbarSeries.const(s, window)
+        out[rho] = (q * s).divide(denom) * overall
     return FockVector(group, out)
 
 

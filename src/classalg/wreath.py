@@ -160,12 +160,12 @@ def enumerate_group(group, n, cap=None):
             yield WreathElement(g, sigma)
 
 
-def enumerate_class(group, rho, n=None, cap=None):
+def enumerate_class(group, rho, n=None):
     """All elements of type rho (oracle-grade, by filtering Gamma_n)."""
     if n is None:
         n = rho.norm
     rho = rho.pad_to(n)
-    for x in enumerate_group(group, n, cap):
+    for x in enumerate_group(group, n):
         if type_of(group, x) == rho:
             yield x
 
@@ -181,10 +181,9 @@ class WreathContext:
 
     _instances = {}
 
-    def __init__(self, group, n, cap=None):
+    def __init__(self, group, n):
         self.group = group
         self.n = n
-        self.cap = cap
         self.types = enumerate_types(group, n)
         self.type_index = {rho: i for i, rho in enumerate(self.types)}
         self.reps = [canonical_representative(group, rho, n) for rho in self.types]
@@ -193,10 +192,10 @@ class WreathContext:
         self._element_types = None
 
     @classmethod
-    def get(cls, group, n, cap=None):
+    def get(cls, group, n):
         key = (id(group), n)
         if key not in cls._instances:
-            cls._instances[key] = cls(group, n, cap)
+            cls._instances[key] = cls(group, n)
         return cls._instances[key]
 
     def class_sizes(self):
@@ -226,10 +225,6 @@ class WreathContext:
         if self._element_types is None:
             self._element_types = [
                 (x, self.type_index[type_of(self.group, x)])
-                for x in enumerate_group(self.group, self.n, self.cap)
+                for x in enumerate_group(self.group, self.n)
             ]
         return self._element_types
-
-
-def centralizer_order(rho, group):
-    return rho.centralizer_order(group)

@@ -237,3 +237,15 @@ def test_missing_character_table_inside_suite_is_a_usage_error(tmp_path, capsys)
     )
     assert code == 2
     assert out == ""
+
+
+def test_all_without_character_table_runs_no_suite(tmp_path, capsys):
+    path = tmp_path / "c2.txt"
+    path.write_text("order 2\n0 1\n1 0\n")
+    code, out, err = capture(
+        capsys, ["all", "--group", str(path), "--level", "1", "--cap", "1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "# heisenberg:" not in err
+    assert "character table required" in err

@@ -120,9 +120,7 @@ def test_basic_convolution_matrix_level2():
     rows = {}
     for rho in enumerate_types(g, 2):
         out = b(basis_state(g, rho))
-        rows[rho.label()] = {
-            s.label(): v for n, s, v in out.terms()
-        }
+        rows[rho.label()] = {s.label(): v for s, v in out.coeffs.items()}
     assert rows == {
         "c0:[1,1]": {"c0:[2]": 1},
         "c0:[2]": {"c0:[1,1]": 1},
@@ -149,16 +147,7 @@ def test_cubic_small():
 
 def test_covcomm_small():
     for name in ("trivial", "cyclic2"):
-        g = load_group(name)
-        for k in (1, 2):
-            for b in range(g.num_classes):
-                for c in range(g.num_classes):
-                    assert (
-                        verify_covcomm(
-                            g, k, k_basis(g, b), k_basis(g, c), 3
-                        )
-                        == []
-                    )
+        assert verify_covcomm(load_group(name), 2, 3) == []
 
 
 def test_characteristic_map_basics():
@@ -212,12 +201,8 @@ def test_ad_power_zeroth():
 
 def _vector(g, terms):
     """A Fock vector from (type label, coefficient) pairs."""
-    levels = {}
-    for label, v in terms:
-        rho = TypeFunction.from_label(label)
-        levels.setdefault(rho.norm, {})[rho] = v
     return FockVector(
-        g, {n: WreathClassFunction(g, n, cf) for n, cf in levels.items()}
+        g, {TypeFunction.from_label(label): v for label, v in terms}
     )
 
 
@@ -264,17 +249,17 @@ def _operator_cases(g):
 
 
 def _cancelling_vector(g, direct, types):
-    """a K^rho + b K^sigma whose images cancel in one cell (n, cell)."""
+    """a K^rho + b K^sigma whose images cancel in one cell."""
     columns = [(rho, direct(basis_state(g, rho))) for rho in types]
     for i, (rho, u) in enumerate(columns):
         for sigma, w in columns[i + 1:]:
-            for n, cell, a in u.terms():
-                b = w.component(n).coeffs.get(cell)
+            for cell, a in u.coeffs.items():
+                b = w.coeffs.get(cell)
                 if b:
                     vec = basis_state(g, rho).scale(b) - basis_state(
                         g, sigma
                     ).scale(a)
-                    return vec, n, cell
+                    return vec, cell
     raise AssertionError("no two columns share a cell")
 
 
@@ -288,8 +273,8 @@ def test_cached_operators_match_direct_functions(name):
     spread = _vector(g, SPREAD_VECTORS[name])
     types = domain_types(g, 2)
     for label, direct, op in _operator_cases(g):
-        cancelling, n, cell = _cancelling_vector(g, direct, types)
-        assert cell not in direct(cancelling).component(n).coeffs, label
+        cancelling, cell = _cancelling_vector(g, direct, types)
+        assert cell not in direct(cancelling).coeffs, label
         expected = [direct(v) for v in (spread, cancelling)]
         assert [op(v) for v in (spread, cancelling)] == expected, label
         # the second application reads only cached columns
@@ -341,5 +326,34 @@ def test_covcomm_catches_wrong_power_sum(monkeypatch):
         ),
     )
     # O^2 doubled at level 2 only: p_-1 lifts K^(1) to level 2
-    cells = verify_covcomm(g, 2, unit_g(g), unit_g(g), 2)
-    assert TypeFunction.from_label("c0:[1]") in cells
+    cells = verify_covcomm(g, 2, 2)
+    assert (2, 0, 0, TypeFunction.from_label("c0:[1]")) in cells
+
+
+def test_heisenberg_catches_wrong_creation_factor(monkeypatch):
+    g = load_group("trivial")
+    original = fock.heis_k
+    monkeypatch.setattr(
+        fock,
+        "heis_k",
+        lambda grp, m, cid, vec: original(grp, m, cid, vec).scale(
+            2 if m == -2 else 1
+        ),
+    )
+    # p_-2 doubled: on the vacuum [p_2, p_-2] reads 4, not 2
+    assert (2, -2, 0, 0, "empty") in verify_heisenberg(g, 1, 2)
+
+
+def test_dictionary_catches_wrong_annihilation_scale(monkeypatch):
+    g = load_group("trivial")
+    original = fock.sym_annihilate
+    monkeypatch.setattr(
+        fock,
+        "sym_annihilate",
+        lambda grp, r, cid, p: {
+            rho: v * (2 if r == 1 else 1)
+            for rho, v in original(grp, r, cid, p).items()
+        },
+    )
+    # d/dx_1 doubled: x_1 maps to 2, while p_1 takes K^(1) to K^()
+    assert ("annihilate", 1, 0, "c0:[1]") in verify_dictionary(g, 2)

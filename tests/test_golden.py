@@ -1,8 +1,10 @@
-"""Byte-for-byte stdout of CLI calls whose output runs through Cyc arithmetic.
+"""Byte-for-byte stdout of a fixed set of CLI calls: the behaviour contract.
 
-The files under ``tests/golden/`` were captured before the scalar kernel
-gained its rational and same-conductor fast paths; any change to them
-is a change of behaviour.
+Each file under ``tests/golden/`` was captured from an earlier version
+of the program before a refactor that had to keep it: the level-one and
+group-info cases before the scalar kernel gained its fast paths, the
+cyclic2 tables and battery before Fock vectors became one flat map.
+Any change to them is a change of behaviour.
 """
 
 from pathlib import Path
@@ -24,6 +26,17 @@ CASES = {
         "--pairs", "1", "--k", "1", "--seed", "0",
     ],
     "group-info-cyclic5.out": ["group", "info", "--group", "cyclic5"],
+    "jm-table-cyclic2.out": ["jm", "table", "--group", "cyclic2", "--n", "3"],
+    "wreath-classes-cyclic2.out": [
+        "wreath", "classes", "--group", "cyclic2", "--n", "3",
+    ],
+    "stable-constants-cyclic2.out": [
+        "stable", "constants", "--group", "cyclic2", "--cap", "2",
+    ],
+    "all-cyclic2.out": [
+        "all", "--group", "cyclic2", "--level", "2", "--pairs", "3",
+        "--triples", "5",
+    ],
 }
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import classalg.fock as fock
 import classalg.winf as winf
 from classalg.groups import CharacterTableError, load_group
 from classalg.winf import (
@@ -169,3 +170,18 @@ def test_level_one_catches_wrong_mode_factor(monkeypatch):
     )
     assert (1, 0, "c0:[1]") in verify_convdiff(g, 2, 1)
     assert verify_winf_level_one(g, 2, 8) != []
+
+
+def test_vo_catches_wrong_power_sum(monkeypatch):
+    g = load_group("trivial")
+    original = fock._xi_class
+    monkeypatch.setattr(
+        fock,
+        "_xi_class",
+        lambda grp, n, k, cid: original(grp, n, k, cid).scale(
+            2 if (n, k) == (2, 1) else 1
+        ),
+    )
+    # O^1 doubled at level 2 only: the hbar^1 coefficient of O_hbar moves
+    # on both level-2 basis states and nowhere else
+    assert verify_vo(g, 0, 2, 3) == [(0, "c0:[1,1]"), (0, "c0:[2]")]
