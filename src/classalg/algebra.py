@@ -1,9 +1,10 @@
 """The group algebra of Gamma_n and its center R(Gamma_n).
 
-Provides sparse group-algebra elements, class functions in the K^rho
-(class-sum) basis, conversion between the two, Jucys-Murphy elements,
-the twisted power sums Xi_n^k(alpha), the eta/epsilon products,
-elementary symmetric functions of JM elements, and subalgebra
+Provides SparseVector, the one sparse linear-combination type of the
+package, and on it sparse group-algebra elements and class functions in
+the K^rho (class-sum) basis; conversion between the two, Jucys-Murphy
+elements, the twisted power sums Xi_n^k(alpha), the eta/epsilon
+products, elementary symmetric functions of JM elements, and subalgebra
 generation by exact linear algebra.
 """
 
@@ -22,72 +23,102 @@ from .wreath import (
 )
 
 
-class GroupAlgebraElement:
-    """A sparse element of C[Gamma_n]: map WreathElement -> scalar."""
+class SparseVector:
+    """A finite linear combination sum_b coeffs[b] b over one basis.
 
-    __slots__ = ("group", "n", "terms")
+    group is the finite group Gamma the space is built from; coeffs
+    maps basis elements to scalars and never stores a zero.  Operands of
+    + and - must lie in the same space: the same type over the same
+    group (and, for the level-n types, the same n).  Unhashable (it
+    defines __eq__ and no __hash__), as the coefficients may change.
+    """
 
-    def __init__(self, group, n, terms=None):
+    __slots__ = ("group", "coeffs")
+
+    def __init__(self, group, coeffs=None):
         self.group = group
-        self.n = n
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self.coeffs = {b: v for b, v in (coeffs or {}).items() if v}
+
+    def _new(self, coeffs):
+        """A vector in the same space; coeffs must hold no zero."""
+        out = object.__new__(type(self))
+        out.group = self.group
+        out.coeffs = coeffs
+        return out
+
+    def _same_space(self, other):
+        return type(other) is type(self) and other.group is self.group
 
     def _check(self, other):
-        if self.group is not other.group or self.n != other.n:
-            raise ValueError("group algebra elements over different algebras")
+        if not self._same_space(other):
+            raise ValueError(f"{type(self).__name__} operands from different spaces")
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
+        out = dict(self.coeffs)
+        for b, v in other.coeffs.items():
+            s = out.get(b, 0) + v
             if s:
-                out[k] = s
+                out[b] = s
             else:
-                out.pop(k, None)
-        return GroupAlgebraElement(self.group, self.n, out)
+                out.pop(b, None)
+        return self._new(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, s):
         if not s:
-            return GroupAlgebraElement(self.group, self.n, {})
-        return GroupAlgebraElement(
-            self.group, self.n, {k: s * v for k, v in self.terms.items()}
-        )
+            return self._new({})
+        return self._new({b: w for b, v in self.coeffs.items() if (w := s * v)})
+
+    def __eq__(self, other):
+        return self._same_space(other) and self.coeffs == other.coeffs
+
+    def is_zero(self):
+        return not self.coeffs
+
+
+class _LevelVector(SparseVector):
+    """A SparseVector of one level n: in C[Gamma_n] or in R(Gamma_n)."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, group, n, coeffs=None):
+        super().__init__(group, coeffs)
+        self.n = n
+
+    def _new(self, coeffs):
+        out = super()._new(coeffs)
+        out.n = self.n
+        return out
+
+    def _same_space(self, other):
+        return super()._same_space(other) and other.n == self.n
+
+
+class GroupAlgebraElement(_LevelVector):
+    """A sparse element of C[Gamma_n]: coeffs maps WreathElement -> scalar."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         """Convolution (group algebra) product."""
         self._check(other)
         out = {}
         group = self.group
-        for x, vx in self.terms.items():
-            for y, vy in other.terms.items():
+        for x, vx in self.coeffs.items():
+            for y, vy in other.coeffs.items():
                 z = wreath_mul(group, x, y)
                 s = out.get(z, 0) + vx * vy
                 if s:
                     out[z] = s
                 else:
                     out.pop(z, None)
-        return GroupAlgebraElement(self.group, self.n, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.group is other.group
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("GroupAlgebraElement is not hashable")
-
-    def is_zero(self):
-        return not self.terms
+        return self._new(out)
 
     def support_size(self):
-        return len(self.terms)
+        return len(self.coeffs)
 
 
 def algebra_unit(group, n):
@@ -101,60 +132,21 @@ def algebra_power(a, k):
     return out
 
 
-class WreathClassFunction:
+class WreathClassFunction(_LevelVector):
     """An element of R(Gamma_n) as sum_rho coeffs[rho] K^rho.
 
     K^rho is the class sum of the class of type rho; coefficients equal
     the values of the corresponding class function on each class.
     """
 
-    __slots__ = ("group", "n", "coeffs")
+    __slots__ = ()
 
     def __init__(self, group, n, coeffs=None):
-        self.group = group
-        self.n = n
-        self.coeffs = {}
-        for rho, v in (coeffs or {}).items():
+        coeffs = coeffs or {}
+        for rho in coeffs:
             if rho.norm != n:
                 raise ValueError(f"type of size {rho.norm} in R(Gamma_{n})")
-            if v:
-                self.coeffs[rho] = v
-
-    def _check(self, other):
-        if self.group is not other.group or self.n != other.n:
-            raise ValueError("class functions over different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return WreathClassFunction(self.group, self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        if not s:
-            return WreathClassFunction(self.group, self.n, {})
-        return WreathClassFunction(
-            self.group, self.n, {k: s * v for k, v in self.coeffs.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WreathClassFunction)
-            and self.group is other.group
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def is_zero(self):
-        return not self.coeffs
+        super().__init__(group, n, coeffs)
 
     def to_group_algebra(self):
         ctx = WreathContext.get(self.group, self.n)
@@ -196,7 +188,7 @@ def to_class_function(a):
     group, n = a.group, a.n
     by_type = {}
     counts = {}
-    for x, v in a.terms.items():
+    for x, v in a.coeffs.items():
         rho = type_of(group, x)
         if rho in by_type and by_type[rho] != v:
             raise ValueError("element is not constant on a conjugacy class")
@@ -234,7 +226,11 @@ def convolve_n(f, g):
 
 
 def bilinear_form_n(f, g):
-    """<f, g> = sum_rho Z_rho^{-1} f(rho) g(rho^{-1}) on R(Gamma_n)."""
+    """<f, g> = sum_rho Z_rho^{-1} f(rho) g(rho^{-1}) on R(Gamma_n).
+
+    On Fock vectors (as fock.fock_inner) it is the orthogonal sum of the
+    level forms.
+    """
     f._check(g)
     group = f.group
     total = 0

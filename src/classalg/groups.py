@@ -503,9 +503,16 @@ PRESETS = (
 )
 
 
-@lru_cache(maxsize=None)
 def load_group(source):
-    """Load a group from a preset name or a multiplication-table file."""
+    """Load a group from a preset name (built once) or a
+    multiplication-table file (parsed on every call)."""
+    group = _load_preset(source)
+    return group if group is not None else _load_group_file(source)
+
+
+@lru_cache(maxsize=None)
+def _load_preset(source):
+    """The preset group named source, or None if source names none."""
     if source == "trivial":
         group = FiniteGroup([[0]], name="trivial")
         rows = [[Fraction(1)]]
@@ -525,7 +532,7 @@ def load_group(source):
         group = _quaternion8_group()
         rows = _QUATERNION8_CHARACTERS
     else:
-        return _load_group_file(source)
+        return None
     group.character_table = CharacterTable(group, rows)
     return group
 

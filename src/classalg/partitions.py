@@ -179,13 +179,6 @@ class TypeFunction:
             {group.inv_class[c]: lam for c, lam in self.items}
         )
 
-    def union(self, other):
-        data = dict(self.items)
-        for c, lam in other.items:
-            cur = data.get(cid := c, EMPTY_PARTITION)
-            data[cid] = Partition(cur.parts + lam.parts)
-        return TypeFunction(data)
-
     def pad_to(self, n):
         """rho~ = rho with (n - ||rho||) extra 1-parts at the identity class."""
         extra = n - self.norm

@@ -23,9 +23,6 @@ The arithmetic keeps that form without re-solving it on every operation:
   ``Fraction``.  Only when Q(zeta_m) has a proper non-rational cyclotomic
   subfield (m = 8, 9, 12, ...) does a result go through :func:`_make`,
   which finds the minimal conductor by exact linear algebra.
-
-``_poly_mul`` and ``_poly_divmod`` are used only by
-:func:`cyclotomic_poly`, :func:`_power_vec` and :meth:`Cyc.inverse`.
 """
 
 from __future__ import annotations
@@ -40,22 +37,42 @@ _ZERO = Fraction(0)
 _setattr = object.__setattr__
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+# -- polynomials: coefficient tuples, lowest degree first --------------
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+def poly_trim(c):
+    """The polynomial c as a tuple without trailing zeros."""
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    return poly_trim(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def poly_scale(a, s):
+    if not s:
+        return ()
+    return poly_trim([s * x for x in a])
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return poly_trim(out)
 
 
-def _poly_divmod(num, den):
+def poly_divmod(num, den):
+    """Quotient and remainder of num by den, with rational coefficients."""
     num = [Fraction(x) for x in num]
     q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
     inv_lead = Fraction(1) / Fraction(den[-1])
@@ -65,7 +82,7 @@ def _poly_divmod(num, den):
             q[i] = c
             for j, d in enumerate(den):
                 num[i + j] -= c * d
-    return q, _poly_trim(num)
+    return tuple(q), poly_trim(num)
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +93,7 @@ def cyclotomic_poly(m):
     num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
     for d in range(1, m):
         if m % d == 0:
-            num, r = _poly_divmod(num, [Fraction(c) for c in cyclotomic_poly(d)])
+            num, r = poly_divmod(num, cyclotomic_poly(d))
             if r:
                 raise ArithmeticError(f"Phi_{d} leaves a remainder dividing x^{m} - 1")
     return tuple(int(c) for c in num)
@@ -96,7 +113,7 @@ def _power_vec(m, k):
     """z_m^k reduced mod Phi_m, as a coefficient tuple of length phi(m)."""
     phi = _phi(m)
     p = [Fraction(0)] * (k % m) + [Fraction(1)]
-    _, r = _poly_divmod(p, [Fraction(c) for c in cyclotomic_poly(m)])
+    _, r = poly_divmod(p, cyclotomic_poly(m))
     r = list(r) + [Fraction(0)] * (phi - len(r))
     return tuple(r[:phi])
 
@@ -285,29 +302,22 @@ class Cyc:
 
     def inverse(self):
         """Multiplicative inverse via the extended Euclidean algorithm."""
-        phi = [Fraction(c) for c in cyclotomic_poly(self.m)]
-        a = list(self.coeffs)
-        _poly_trim(a)
+        phi = cyclotomic_poly(self.m)
+        a = poly_trim(self.coeffs)
         if not a:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         # extended gcd of a and Phi_m over Q[x]
         r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
+        s0, s1 = (), (Fraction(1),)
         while r1:
-            q, r = _poly_divmod(r0, r1)
-            qs1 = _poly_mul(q, s1)
-            s = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, v in enumerate(s0):
-                s[i] += v
-            for i, v in enumerate(qs1):
-                s[i] -= v
-            _poly_trim(s)
+            q, r = poly_divmod(r0, r1)
+            s = poly_add(s0, poly_scale(poly_mul(q, s1), -1))
             r0, r1, s0, s1 = r1, r, s1, s
         # r0 = gcd (a nonzero constant since Phi_m is irreducible)
         if len(r0) != 1:
             raise ArithmeticError("cyclotomic gcd not constant")
         inv = [c / r0[0] for c in s0]
-        _, rr = _poly_divmod(inv, phi)
+        _, rr = poly_divmod(inv, phi)
         rr = list(rr) + [Fraction(0)] * (_phi(self.m) - len(rr))
         return _make(self.m, rr)
 

@@ -24,39 +24,10 @@ from math import factorial
 from .fock import FockOperator, FockVector, _mode_tuples, heis, op_O
 from .groups import require_character_table
 from .partitions import partitions_of
+from .scalars import poly_add, poly_mul, poly_scale, poly_trim
 from .series import HbarSeries
 
-# -- exact polynomials in D (coefficient tuples, low degree first) ----
-
-
-def poly_trim(c):
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return poly_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def poly_scale(a, s):
-    if not s:
-        return ()
-    return poly_trim([s * x for x in a])
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return poly_trim(out)
+# -- exact polynomials in D, on the kernel of scalars ------------------
 
 
 def poly_shift(a, s):

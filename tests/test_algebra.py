@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import classalg.algebra as algebra
 from classalg.algebra import (
+    GroupAlgebraElement,
     WreathClassFunction,
     algebra_unit,
     bilinear_form_n,
@@ -18,6 +20,7 @@ from classalg.algebra import (
     verify_jm,
     xi_power_sum,
 )
+from classalg.fock import FockVector
 from classalg.groups import k_basis, load_group
 from classalg.partitions import TypeFunction, class_size, enumerate_types
 from classalg.wreath import WreathContext
@@ -170,3 +173,57 @@ def test_embed_level_commutation():
     a = embed_level(k_basis(g, 1), 1, 3)
     b = embed_level(k_basis(g, 2), 3, 3)
     assert (a * b - b * a).is_zero()
+
+
+def _vector(kind, group, n, values):
+    """A vector of the given container type whose coefficients on the
+    first basis elements of level n are values."""
+    ctx = WreathContext.get(group, n)
+    basis = ctx.reps if kind is GroupAlgebraElement else ctx.types
+    coeffs = {b: Fraction(v) for b, v in zip(basis, values)}
+    if kind is FockVector:
+        return FockVector(group, coeffs)
+    return kind(group, n, coeffs)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [GroupAlgebraElement, WreathClassFunction, FockVector],
+    ids=lambda kind: kind.__name__,
+)
+def test_sparse_container_contract(kind):
+    g, h = load_group("cyclic2"), load_group("cyclic3")
+    x = _vector(kind, g, 2, [1, 2])
+    with pytest.raises(ValueError):
+        x + _vector(kind, h, 2, [1])
+    if kind is not FockVector:
+        with pytest.raises(ValueError):
+            x + _vector(kind, g, 3, [1])
+    # the constructor drops zeros, so equality with it shows that the
+    # sum stored none
+    zero = _vector(kind, g, 2, [])
+    assert x + _vector(kind, g, 2, [-1, 3]) == _vector(kind, g, 2, [0, 5])
+    cancelled = x + _vector(kind, g, 2, [-1, -2])
+    assert cancelled == zero and cancelled.is_zero()
+    assert (x - x).is_zero()
+    assert x.scale(0) == zero and x.scale(0).is_zero()
+    with pytest.raises(TypeError):
+        hash(x)
+
+
+def test_class_function_rejects_type_of_other_level():
+    g = load_group("cyclic2")
+    with pytest.raises(ValueError):
+        WreathClassFunction(g, 2, {TypeFunction().pad_to(3): 1})
+
+
+def test_jm_catches_wrong_eta_value(monkeypatch):
+    g = load_group("trivial")
+    original = algebra.eta_value_formula
+    monkeypatch.setattr(
+        algebra,
+        "eta_value_formula",
+        lambda grp, n, gamma, rho: original(grp, n, gamma, rho)
+        + (1 if rho.label() == "c0:[2]" else 0),
+    )
+    assert "eta value at c0:[2]" in verify_jm(g, 2)

@@ -181,7 +181,7 @@ def test_timing_on_stderr_not_stdout(capsys):
 def _non_central(f, g):
     # one element of g's class: to_class_function raises its genuine
     # error on the first class with more than one element
-    x = next(iter(g.to_group_algebra().terms))
+    x = next(iter(g.to_group_algebra().coeffs))
     return algebra.to_class_function(
         algebra.GroupAlgebraElement(g.group, g.n, {x: 1})
     )

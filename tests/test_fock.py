@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 import classalg.fock as fock
 from classalg.algebra import WreathClassFunction
+from classalg.cli import run
 from classalg.fock import (
     FockVector,
     ad_power,
@@ -357,3 +359,24 @@ def test_dictionary_catches_wrong_annihilation_scale(monkeypatch):
     )
     # d/dx_1 doubled: x_1 maps to 2, while p_1 takes K^(1) to K^()
     assert ("annihilate", 1, 0, "c0:[1]") in verify_dictionary(g, 2)
+
+
+@pytest.mark.parametrize(
+    "family, name, index_arg",
+    [("power-sum", "xi_power_sum", 2), ("creation", "p_i_vector", 1)],
+)
+def test_generators_catch_dropped_generator(
+    family, name, index_arg, monkeypatch, capsys
+):
+    original = getattr(fock, name)
+
+    # drop the family member i = 1: at level 2 on the trivial group it
+    # is K^(2) up to a factor, which the unit alone does not generate
+    def dropped(*args):
+        return original(*args).scale(0 if args[index_arg] == 1 else 1)
+
+    monkeypatch.setattr(fock, name, dropped)
+    code = run(["generators", "--group", "trivial", "--n", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["failures"] == [[family, 1, "expected", 2]]

@@ -3,7 +3,8 @@
 Each file under ``tests/golden/`` was captured from an earlier version
 of the program before a refactor that had to keep it: the level-one and
 group-info cases before the scalar kernel gained its fast paths, the
-cyclic2 tables and battery before Fock vectors became one flat map.
+cyclic2 tables and battery before Fock vectors became one flat map,
+the trivial battery before the containers shared one sparse base.
 Any change to them is a change of behaviour.
 """
 
@@ -37,6 +38,7 @@ CASES = {
         "all", "--group", "cyclic2", "--level", "2", "--pairs", "3",
         "--triples", "5",
     ],
+    "all-trivial.out": ["all", "--group", "trivial"],
 }
 
 

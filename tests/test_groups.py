@@ -175,6 +175,14 @@ def test_group_file_roundtrip(tmp_path):
         require_character_table(loaded)
 
 
+def test_group_file_is_read_on_every_load(tmp_path):
+    path = tmp_path / "g.grp"
+    path.write_text("order 2\n0 1\n1 0\n")
+    assert load_group(str(path)).order == 2
+    path.write_text("order 1\n0\n")
+    assert load_group(str(path)).order == 1
+
+
 def test_unknown_preset():
     with pytest.raises((ValueError, OSError)):
         load_group("nosuchgroup")

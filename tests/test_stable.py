@@ -1,3 +1,7 @@
+import json
+
+import classalg.stable as stable
+from classalg.cli import run
 from classalg.groups import load_group
 from classalg.partitions import TypeFunction, enumerate_types_upto
 from classalg.stable import (
@@ -116,3 +120,18 @@ def test_coefficient_support_filtration():
         d = stable_coefficient(g, rho, sigma, nu)
         if d:
             assert max(rho.norm, sigma.norm) <= nu.norm <= rho.norm + sigma.norm
+
+
+def test_stable_verify_catches_wrong_coefficient(monkeypatch, capsys):
+    original = stable.stable_coefficient
+    bumped = ("c0:[2]", "c0:[2]", "c0:[3]")
+
+    def coefficient(group, rho, sigma, nu):
+        d = original(group, rho, sigma, nu)
+        return d + 1 if (rho.label(), sigma.label(), nu.label()) == bumped else d
+
+    monkeypatch.setattr(stable, "stable_coefficient", coefficient)
+    code = run(["stable", "verify", "--group", "trivial", "--cap", "2", "--n", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert "level 3: c0:[2] * c0:[2] mismatch" in report["failures"]

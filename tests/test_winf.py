@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 import classalg.fock as fock
 import classalg.winf as winf
+from classalg.cli import run
 from classalg.groups import CharacterTableError, load_group
 from classalg.winf import (
     DiffOpElement,
@@ -185,3 +187,17 @@ def test_vo_catches_wrong_power_sum(monkeypatch):
     # O^1 doubled at level 2 only: the hbar^1 coefficient of O_hbar moves
     # on both level-2 basis states and nowhere else
     assert verify_vo(g, 0, 2, 3) == [(0, "c0:[1,1]"), (0, "c0:[2]")]
+
+
+def test_bracket_catches_wrong_cocycle(monkeypatch, capsys):
+    original = winf.psi_scalar
+    # shifting the r < 0 branch alone breaks psi(r, s) = -psi(s, r)
+    monkeypatch.setattr(
+        winf,
+        "psi_scalar",
+        lambda r, f, s, g: original(r, f, s, g) + (1 if (r, s) == (-1, 1) else 0),
+    )
+    code = run(["winf", "verify", "bracket", "--group", "trivial", "--triples", "10"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert ["antisymmetry", 8] in report["failures"]
