@@ -201,10 +201,10 @@ def to_class_function(a):
 
 
 def convolve_n(f, g):
-    """Product in R(Gamma_n) via class-representative counting."""
+    """Product in R(Gamma_n) through the rows of the class table
+    (WreathContext.structure_constants)."""
     f._check(g)
     ctx = WreathContext.get(f.group, f.n)
-    table = ctx.structure_constants()
     k = len(ctx.types)
     out = [0] * k
     fv = f.vector(ctx)
@@ -216,7 +216,7 @@ def convolve_n(f, g):
             if not gv[s]:
                 continue
             prod = fv[r] * gv[s]
-            row = table[r][s]
+            row = ctx.structure_constants(r, s)
             for t in range(k):
                 if row[t]:
                     out[t] = out[t] + prod * row[t]

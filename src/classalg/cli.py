@@ -275,15 +275,20 @@ def _stable_cap(group, cfg):
 
 
 def suite_stable(group, cfg):
-    from .stable import check_stability, verify_forgetful
+    from .stable import (
+        check_stability,
+        stable_structure_constants,
+        verify_forgetful,
+    )
 
     cap = _stable_cap(group, cfg)
     levels = [2 * cap, 2 * cap + 1] if cfg.n is None else [cfg.n, cfg.n + 1]
     params = {"group": group.name, "cap": cap, "levels": levels}
 
     def run():
-        failures = list(check_stability(group, cap, levels))
-        failures.extend(verify_forgetful(group, cap, levels[0]))
+        stable = stable_structure_constants(group, cap)
+        failures = list(check_stability(group, cap, levels, stable))
+        failures.extend(verify_forgetful(group, cap, levels[0], stable))
         return failures
 
     return run_suite("stable", params, run)

@@ -29,7 +29,6 @@ functions take whole vectors and stay the oracle for the operators.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .algebra import (
@@ -289,9 +288,12 @@ def heis_annihilate_adjoint(group, r, alpha, vec):
 # -- convolution operators O^k ----------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _xi_class(group, n, k, cid):
-    return xi_power_sum(group, n, k, k_basis(group, cid))
+    """Xi_n^k(K^c), kept in the level-n context of the group."""
+    cache = WreathContext.get(group, n).xi_classes
+    if (k, cid) not in cache:
+        cache[k, cid] = xi_power_sum(group, n, k, k_basis(group, cid))
+    return cache[k, cid]
 
 
 def xi_class_function(group, n, k, alpha):

@@ -60,6 +60,7 @@ class FiniteGroup:
         self.exponent = self._exponent()
         self.character_table = None
         self._structure_constants = None
+        self.wreath_contexts = {}  # n -> wreath.WreathContext, filled on use
 
     # -- validation -------------------------------------------------
 

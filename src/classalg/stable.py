@@ -195,15 +195,15 @@ def unnormalized_constant(group, rho, sigma, nu, d_tilde):
 # -- verification -------------------------------------------------------
 
 
-def check_stability(group, cap, levels):
+def check_stability(group, cap, levels, stable):
     """Compare the level-n orbit products across the given levels and
-    against the level-free factorization counts; check integrality and
+    against the level-free factorization counts ``stable`` (the table of
+    ``stable_structure_constants(group, cap)``); check integrality and
     nonnegativity in both normalizations and the support filtration.
 
     Returns a list of failure descriptions (empty = pass).
     """
     failures = []
-    stable = stable_structure_constants(group, cap)
     per_level = {n: orbit_product_table(group, cap, n) for n in levels}
     types = enumerate_types_upto(group, cap)
     for rho in types:
@@ -277,11 +277,12 @@ def p_rho_vector(group, rho, n):
     return vec.component(n).scale(scale)
 
 
-def verify_forgetful(group, cap, n):
+def verify_forgetful(group, cap, n, stable):
     """Check, for every type within the cap: the forgetful image of the
     orbit sum, the binomial multiple of the padded class sum, and the
     normalized creation-monomial image at level n all agree; and the
-    forgetful map intertwines the two products.
+    forgetful map intertwines the two products, the stable one given
+    by ``stable = stable_structure_constants(group, cap)``.
 
     Returns a list of failure descriptions (empty = pass).
     """
@@ -295,7 +296,6 @@ def verify_forgetful(group, cap, n):
             failures.append(f"forgetful image: {rho.label()}")
         if p_rho_vector(group, rho, n) != expected:
             failures.append(f"creation monomial: {rho.label()}")
-    stable = stable_structure_constants(group, cap)
     for rho in types:
         for sigma in types:
             lhs = convolve_n(images[rho], images[sigma])

@@ -1,4 +1,5 @@
-"""Wreath products Gamma_n = Gamma wr S_n: elements, types, enumeration.
+"""Wreath products Gamma_n = Gamma wr S_n: elements, types, enumeration,
+characters and the class multiplication table.
 
 An element is (g, sigma) with g a tuple of n element ids of Gamma and
 sigma a permutation of {0..n-1} in one-line form, acting on the left:
@@ -6,12 +7,27 @@ sigma a permutation of {0..n-1} in one-line form, acting on the left:
 h_{sigma^{-1}(i)}.  Cycle products multiply right-to-left along a
 cycle; the type records, per Gamma-class, the partition of cycle
 lengths.
+
+The structure constants of the class sums K^rho (the class table that
+algebra.convolve_n reads) come from the irreducible characters of
+Gamma_n when Gamma has a character table.  WreathCharacters computes
+them by the wreath Murnaghan-Nakayama rule from Gamma's table and
+partitions alone; each row N[r][s][.] is then an exact integer sum over
+the characters, computed on first use.  The enumerated table, which
+multiplies every element of Gamma_n by every class representative, is
+the oracle for those rows and the only path for a group file without a
+character table.  A group keeps its per-level contexts (types,
+representatives, characters, filled rows) in ``group.wreath_contexts``,
+so they are freed with the group.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .partitions import (
@@ -20,6 +36,7 @@ from .partitions import (
     class_size,
     enumerate_types,
 )
+from .scalars import Cyc, cyclotomic_poly, poly_divmod
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -171,15 +188,19 @@ def enumerate_class(group, rho, n=None):
 
 
 class WreathContext:
-    """Caches per (group, n): types, representatives, class table.
+    """Caches per (group, n): types, representatives, characters, the
+    rows of the class table and the Xi_n^k(K^c) of fock.
+
+    The contexts of a group live in ``group.wreath_contexts``, keyed on
+    n, so they are freed with the group; :meth:`get` is the entry point.
 
     The class multiplication table N[rho][sigma][nu] counts
     #{a in C_rho : a^{-1} x_nu in C_sigma} for the canonical
     representative x_nu, i.e. the structure constants of the class sums
-    K^rho in the center of C[Gamma_n].
+    K^rho in the center of C[Gamma_n].  With a character table for
+    Gamma it comes from the characters of Gamma_n, one row at a time;
+    without one, from enumerating Gamma_n.
     """
-
-    _instances = {}
 
     def __init__(self, group, n):
         self.group = group
@@ -188,21 +209,46 @@ class WreathContext:
         self.type_index = {rho: i for i, rho in enumerate(self.types)}
         self.reps = [canonical_representative(group, rho, n) for rho in self.types]
         self.order = wreath_order(group, n)
+        self.xi_classes = {}  # (k, class id) -> Xi_n^k(K^c), filled by fock
+        self._rows = {}
+        self._characters = None
         self._structure = None
         self._element_types = None
 
     @classmethod
     def get(cls, group, n):
-        key = (id(group), n)
-        if key not in cls._instances:
-            cls._instances[key] = cls(group, n)
-        return cls._instances[key]
+        contexts = group.wreath_contexts
+        if n not in contexts:
+            contexts[n] = cls(group, n)
+        return contexts[n]
 
     def class_sizes(self):
         return [class_size(rho, self.group, self.n) for rho in self.types]
 
-    def structure_constants(self):
-        """N[r][s][t] with K^{rho_r} K^{rho_s} = sum_t N[r][s][t] K^{rho_t}."""
+    def structure_constants(self, r, s):
+        """The row N[r][s][.]: K^{rho_r} K^{rho_s} = sum_t N[r][s][t] K^{rho_t}.
+
+        Each row is computed on first use and kept; N[r][s] = N[s][r].
+        """
+        key = (r, s) if r <= s else (s, r)
+        row = self._rows.get(key)
+        if row is None:
+            if self.group.character_table is None:
+                row = self._enumerated_structure_constants()[r][s]
+            else:
+                row = self.characters()._row(r, s)
+            self._rows[key] = row
+        return row
+
+    def characters(self):
+        """The irreducible characters of Gamma_n (built on first use)."""
+        if self._characters is None:
+            self._characters = WreathCharacters(self)
+        return self._characters
+
+    def _enumerated_structure_constants(self):
+        """The whole table N by multiplying every element of Gamma_n with
+        every class representative: the oracle for the character rows."""
         if self._structure is not None:
             return self._structure
         if self.n == 0:
@@ -228,3 +274,215 @@ class WreathContext:
                 for x in enumerate_group(self.group, self.n)
             ]
         return self._element_types
+
+
+# -- characters of Gamma_n ---------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _rim_hooks(parts, r):
+    """((partition left, height), ...) for each r-rim hook of `parts`.
+
+    Through beta-numbers: a hook moves one bead b to the free position
+    b - r, and its height is the number of beads strictly in between.
+    """
+    length = len(parts)
+    beta = [p + length - 1 - i for i, p in enumerate(parts)]
+    beads = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        if b < r or b - r in beads:
+            continue
+        height = sum(1 for x in beta if b - r < x < b)
+        moved = sorted(beta[:i] + [b - r] + beta[i + 1:], reverse=True)
+        left = tuple(x - (length - 1 - j) for j, x in enumerate(moved))
+        out.append((tuple(p for p in left if p), height))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_reduction(m):
+    """The columns of x^i mod Phi_m, 0 <= i < m: the j-th column holds
+    the coefficient of x^j in each of them, as integers."""
+    phi = cyclotomic_poly(m)
+    rows = []
+    for i in range(m):
+        _, rem = poly_divmod((0,) * i + (1,), phi)
+        rows.append([int(c) for c in rem] + [0] * (len(phi) - 1 - len(rem)))
+    return tuple(zip(*rows))
+
+
+def _lift(value, m):
+    """A character value of Gamma as m integers in Z[x]/(x^m - 1)."""
+    out = [Fraction(0)] * m
+    if isinstance(value, Cyc):
+        step = m // value.m
+        for k, c in enumerate(value.coeffs):
+            out[k * step] = c
+    else:
+        out[0] = Fraction(value)
+    if any(c.denominator != 1 for c in out):
+        raise ArithmeticError(f"character value {value} is not an algebraic integer")
+    return tuple(int(c) for c in out)
+
+
+class WreathCharacters:
+    """The irreducible characters of Gamma_n by the wreath
+    Murnaghan-Nakayama rule (Macdonald, Ch. I, App. B).
+
+    chi^lam is labelled by lam : Irr(Gamma) -> partitions with total size
+    n, a TypeFunction over the row indices of Gamma's character table;
+    ``labels`` lists them in the order of ``enumerate_types``.  Its value
+    at a type rho is computed one cycle (r, c) of rho at a time: remove
+    an r-rim hook from some lam(gamma), with factor
+    (-1)^height gamma(c), memoised on (lam, remaining cycles).
+
+    ``values[i][t]`` is chi^{labels[i]} at the class ``ctx.types[t]``,
+    as m integers: the coefficients of 1, x, ..., x^{m-1} in
+    Z[x]/(x^m - 1) with x = zeta_m, m (``modulus``) the least common
+    conductor of Gamma's character values; a rational table has m = 1.
+    """
+
+    def __init__(self, ctx):
+        rows = [row.values for row in ctx.group.character_table.rows]
+        m = 1
+        for row in rows:
+            for v in row:
+                if isinstance(v, Cyc):
+                    m = lcm(m, v.m)
+        gamma = [[_lift(v, m) for v in row] for row in rows]
+        one = (1,) + (0,) * (m - 1)
+        memo = {}
+
+        def chi(lam, cycles):
+            if not cycles:
+                return one
+            key = (lam, cycles)
+            value = memo.get(key)
+            if value is None:
+                (r, c), rest = cycles[0], cycles[1:]
+                acc = [0] * m
+                for i, parts in enumerate(lam):
+                    g = gamma[i][c]
+                    for left, height in _rim_hooks(parts, r):
+                        sub = chi(lam[:i] + (left,) + lam[i + 1:], rest)
+                        sign = -1 if height % 2 else 1
+                        for a, ga in enumerate(g):
+                            if ga:
+                                for b, sb in enumerate(sub):
+                                    if sb:
+                                        acc[(a + b) % m] += sign * ga * sb
+                value = memo[key] = tuple(acc)
+            return value
+
+        self.ctx = ctx
+        self.modulus = m
+        self.labels = enumerate_types(ctx.group, ctx.n)
+        cycles = [
+            tuple(sorted(((r, c) for c, lam in rho.items for r in lam.parts), reverse=True))
+            for rho in ctx.types
+        ]
+        self.values = []
+        for label in self.labels:
+            lam = tuple(label.partition(i).parts for i in range(len(rows)))
+            self.values.append([chi(lam, cyc) for cyc in cycles])
+        self._prepare_rows()
+
+    def _reduce(self, poly):
+        """The value at zeta_m of a polynomial of degree < m, as phi(m)
+        integers on the power basis (its canonical form)."""
+        return tuple(sum(map(mul, poly, col)) for col in _cyclotomic_reduction(self.modulus))
+
+    def degrees(self):
+        """chi(1) for each label, checked to divide |Gamma_n|."""
+        ident = self.ctx.type_index[TypeFunction().pad_to(self.ctx.n)]
+        out = []
+        for row in self.values:
+            value = self._reduce(row[ident])
+            if any(value[1:]) or value[0] <= 0 or self.ctx.order % value[0]:
+                raise ArithmeticError(f"character degree {value} does not divide |Gamma_n|")
+            out.append(value[0])
+        return out
+
+    def _prepare_rows(self):
+        """The packed columns, weights and linear-character signatures
+        that ``_row`` reads."""
+        ctx, m = self.ctx, self.modulus
+        classes = range(len(ctx.types))
+        degrees = self.degrees()
+        self._weights = [ctx.order // d for d in degrees]
+        self._sizes = ctx.class_sizes()
+        self._inverse = [ctx.type_index[rho.inverse(ctx.group)] for rho in ctx.types]
+        # every digit of a packed sum of triple products stays below 2^(bits-1)
+        bound = sum(
+            w * max(sum(map(abs, v)) for v in row) ** 3
+            for w, row in zip(self._weights, self.values)
+        )
+        self._bits = bound.bit_length() + 2
+        self._packed = [
+            [sum(c << (self._bits * i) for i, c in enumerate(row[t])) for row in self.values]
+            for t in classes
+        ]
+        # a linear character takes values +-x^e = zeta_{2m}^a, a = 2e (+ m)
+        roots = {}
+        for e in range(m):
+            for sign, shift in ((1, 0), (-1, m)):
+                poly = [0] * m
+                poly[e] = sign
+                roots.setdefault(self._reduce(poly), (2 * e + shift) % (2 * m))
+        self._root_exponents = [
+            [roots[self._reduce(row[t])] for t in classes]
+            for row, d in zip(self.values, degrees)
+            if d == 1
+        ]
+        self._by_signature = {}
+        for t in classes:
+            sig = tuple(psi[t] for psi in self._root_exponents)
+            self._by_signature.setdefault(sig, []).append(t)
+
+    def _value(self, packed):
+        """The value at zeta_m of a packed polynomial of degree < 3m - 2:
+        its signed base-2^bits digits, folded by x^m = 1, then reduced."""
+        m, bits = self.modulus, self._bits
+        mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+        folded = [0] * m
+        for i in range(3 * m - 3):
+            d = packed & mask
+            if d >= half:
+                d -= base
+            folded[i % m] += d
+            packed = (packed - d) >> bits
+        folded[(3 * m - 3) % m] += packed
+        return self._reduce(folded)
+
+    def _row(self, r, s):
+        """N[r][s][t] = |C_r||C_s|/|Gamma_n|^2
+        sum_lam |Gamma_n|/chi(1) chi(r) chi(s) chi(t^{-1}), in integers.
+
+        Only the t on which every linear character psi of Gamma_n
+        takes the value psi(r) psi(s) are computed; every other entry
+        is 0.  An entry that is not a nonnegative integer raises
+        ArithmeticError.
+        """
+        ctx = self.ctx
+        sig = tuple((psi[r] + psi[s]) % (2 * self.modulus) for psi in self._root_exponents)
+        pr, ps = self._packed[r], self._packed[s]
+        weighted = [w * a * b for w, a, b in zip(self._weights, pr, ps)]
+        scale = self._sizes[r] * self._sizes[s]
+        square = ctx.order**2
+        row = [0] * len(ctx.types)
+        for t in self._by_signature.get(sig, ()):
+            column = self._packed[self._inverse[t]]
+            value = self._value(sum(map(mul, weighted, column)))
+            if any(value[1:]):
+                raise ArithmeticError(
+                    f"class-table entry ({r}, {s}, {t}) at n={ctx.n} is not rational"
+                )
+            entry, rem = divmod(value[0] * scale, square)
+            if rem or entry < 0:
+                raise ArithmeticError(
+                    f"class-table entry ({r}, {s}, {t}) at n={ctx.n} is "
+                    f"{Fraction(value[0] * scale, square)}, not a nonnegative integer"
+                )
+            row[t] = entry
+        return row

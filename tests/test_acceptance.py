@@ -19,7 +19,11 @@ from classalg.fock import (
     virasoro_L,
 )
 from classalg.groups import load_group, unit_g
-from classalg.stable import check_stability, verify_forgetful
+from classalg.stable import (
+    check_stability,
+    stable_structure_constants,
+    verify_forgetful,
+)
 from classalg.winf import (
     p_l_polynomial,
     verify_vo,
@@ -110,10 +114,11 @@ def test_criterion_08_level_one_realization():
 
 def test_criterion_09_stable_structure_constants():
     failures = []
-    failures += check_stability(load_group("trivial"), 3, [6, 7])
-    failures += check_stability(load_group("cyclic2"), 2, [4, 5])
-    failures += verify_forgetful(load_group("trivial"), 3, 6)
-    failures += verify_forgetful(load_group("cyclic2"), 2, 4)
+    for name, cap in (("trivial", 3), ("cyclic2", 2)):
+        g = load_group(name)
+        stable = stable_structure_constants(g, cap)
+        failures += check_stability(g, cap, [2 * cap, 2 * cap + 1], stable)
+        failures += verify_forgetful(g, cap, 2 * cap, stable)
     report(9, "stability and integrality of structure constants", failures == [])
 
 

@@ -1,9 +1,17 @@
+import gc
+import json
 import random
+import weakref
 
 import pytest
 
-from classalg.groups import load_group
-from classalg.partitions import class_size, enumerate_types
+import classalg.wreath as wreath
+from classalg.algebra import convolve_n, k_class
+from classalg.cli import run
+from classalg.fock import verify_covcomm, xi_class_function
+from classalg.groups import PRESETS, load_group, unit_g
+from classalg.partitions import TypeFunction, class_size, enumerate_types
+from classalg.scalars import zeta
 from classalg.wreath import (
     ResourceCapError,
     WreathContext,
@@ -97,12 +105,12 @@ def test_structure_constants_row_sums():
     # sum_t N[r][s][t] |C_t| = |C_r| |C_s|
     g = load_group("cyclic2")
     ctx = WreathContext.get(g, 3)
-    table = ctx.structure_constants()
     sizes = ctx.class_sizes()
     k = len(ctx.types)
     for r in range(k):
         for s in range(k):
-            total = sum(table[r][s][t] * sizes[t] for t in range(k))
+            row = ctx.structure_constants(r, s)
+            total = sum(row[t] * sizes[t] for t in range(k))
             assert total == sizes[r] * sizes[s]
 
 
@@ -120,3 +128,126 @@ def test_resource_cap():
 def test_num_classes_z2_level2():
     g = load_group("cyclic2")
     assert len(enumerate_types(g, 2)) == 5
+
+
+def _levels_up_to(limit):
+    """(preset, n) for every preset and every n with |Gamma_n| <= limit."""
+    for name in PRESETS:
+        group = load_group(name)
+        n = 0
+        while wreath_order(group, n) <= limit:
+            yield name, n
+            n += 1
+
+
+@pytest.mark.parametrize("name, n", list(_levels_up_to(4000)))
+def test_character_rows_match_enumerated_table(name, n):
+    ctx = WreathContext(load_group(name), n)  # fresh: no row cached yet
+    table = ctx._enumerated_structure_constants()
+    k = len(ctx.types)
+    for r in range(k):
+        for s in range(k):
+            assert ctx.structure_constants(r, s) == table[r][s], (r, s)
+
+
+def _scalar(chars, i, t):
+    """The character value chars.values[i][t] as an exact scalar."""
+    value = chars.values[i][t]
+    total = value[0]
+    for k in range(1, chars.modulus):
+        total = total + value[k] * zeta(chars.modulus, k)
+    return total
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("trivial", 10), ("cyclic2", 6), ("sym3", 4), ("cyclic3", 3), ("quaternion8", 2)],
+)
+def test_character_table_relations(name, n):
+    ctx = WreathContext(load_group(name), n)
+    chars = ctx.characters()
+    k = len(ctx.types)
+    assert len(chars.labels) == k
+    x = [[_scalar(chars, i, t) for t in range(k)] for i in range(k)]
+    sizes = ctx.class_sizes()
+    inv = [ctx.type_index[rho.inverse(ctx.group)] for rho in ctx.types]
+    assert sum(d * d for d in chars.degrees()) == ctx.order
+    for i in range(k):
+        for j in range(k):
+            total = sum(sizes[t] * x[i][t] * x[j][inv[t]] for t in range(k))
+            assert total == (ctx.order if i == j else 0), (i, j)
+    for t in range(k):
+        for u in range(k):
+            total = sum(x[i][t] * x[i][inv[u]] for i in range(k))
+            assert total == (ctx.order // sizes[t] if t == u else 0), (t, u)
+
+
+def test_contexts_live_and_die_with_the_group(tmp_path):
+    path = tmp_path / "c2.txt"
+    path.write_text("order 2\n0 1\n1 0\ncharacters\n1, 1\n1, -1\n")
+    groups = [load_group(str(path)) for _ in range(5)]
+    for g in groups:
+        WreathContext.get(g, 2)
+        WreathContext.get(g, 3)
+        assert sorted(g.wreath_contexts) == [2, 3]
+    assert not any(isinstance(v, dict) for v in vars(WreathContext).values())
+    g = groups[0]
+    rho = TypeFunction.from_label("c1:[2,1]")
+    convolve_n(k_class(g, 3, rho), k_class(g, 3, rho))
+    xi_class_function(g, 3, 2, unit_g(g))
+    ref = weakref.ref(g)
+    del g, groups
+    gc.collect()
+    assert ref() is None
+
+
+def test_class_table_does_not_enumerate(monkeypatch):
+    g = load_group("cyclic2")
+    monkeypatch.setattr(g, "wreath_contexts", {})
+
+    def refuse(group, n, cap=None):
+        raise AssertionError(f"Gamma_{n} enumerated")
+
+    monkeypatch.setattr(wreath, "enumerate_group", refuse)
+    rho = TypeFunction.from_label("c0:[2,1]|c1:[2]")
+    sigma = TypeFunction.from_label("c1:[3,1,1]")
+    product = convolve_n(k_class(g, 5, rho), k_class(g, 5, sigma))
+    mass = sum(v * class_size(nu, g, 5) for nu, v in product.coeffs.items())
+    assert mass == class_size(rho, g, 5) * class_size(sigma, g, 5)
+    assert verify_covcomm(g, 3, 4) == []
+
+
+def _flip_rim_hook_sign(monkeypatch, target):
+    """Give every hook of the (parts, r) target the wrong sign, in fresh
+    contexts for cyclic2."""
+    monkeypatch.setattr(load_group("cyclic2"), "wreath_contexts", {})
+    original = wreath._rim_hooks
+
+    def hooks(parts, r):
+        out = original(parts, r)
+        if (parts, r) == target:
+            return tuple((left, height + 1) for left, height in out)
+        return out
+
+    monkeypatch.setattr(wreath, "_rim_hooks", hooks)
+
+
+def test_covcomm_catches_flipped_rim_hook_sign(monkeypatch, capsys):
+    _flip_rim_hook_sign(monkeypatch, ((5,), 5))
+    code = run(["fock", "verify", "covcomm", "--group", "cyclic2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [2, 0, 0, "TypeFunction(c0:[4])"] in report["failures"]
+
+
+def test_non_integral_class_table_entry_is_a_failure(monkeypatch, capsys):
+    _flip_rim_hook_sign(monkeypatch, ((2,), 2))
+    code = run(["fock", "verify", "covcomm", "--group", "cyclic2", "--level", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["failures"] == [[
+        "exception",
+        "ArithmeticError",
+        "class-table entry (10, 3, 1) at n=4 is 5/2, not a nonnegative integer",
+    ]]
