@@ -8,9 +8,9 @@ component(n) gives the level-n part as a class function for the
 convolution product of R(Gamma_n).
 
 Creation and annihilation operators act by exact closed formulas on
-that basis; independent slower constructions (induction by averaging
-over the big group, and the adjoint characterization through the
-bilinear form) are provided as cross-check oracles.
+that basis; the tests compare them with independent slower
+constructions (induction from the big group, averaging over S_n, and
+the adjoint characterization through the bilinear form).
 
 On top of the Heisenberg operators sit the convolution operators
 O^k(alpha) built from Jucys-Murphy power sums, normally ordered powers
@@ -32,25 +32,16 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import (
-    GroupAlgebraElement,
     SparseVector,
     WreathClassFunction,
     bilinear_form_n as fock_inner,
     convolve_n,
-    to_class_function,
     xi_power_sum,
 )
 from .groups import k_basis, pushforward_tauk, unit_g
-from .partitions import EMPTY_TYPE, enumerate_types, single_cycle_type
+from .partitions import EMPTY_TYPE, enumerate_types
 from .series import HbarSeries
-from .wreath import (
-    WreathContext,
-    WreathElement,
-    type_of,
-    wreath_inv,
-    wreath_mul,
-    wreath_order,
-)
+from .wreath import WreathContext
 
 
 class FockVector(SparseVector):
@@ -172,117 +163,6 @@ def heis(group, m, alpha, vec):
 
 def heis_op(group, m, alpha):
     return FockOperator(group, lambda v: heis(group, m, alpha, v))
-
-
-# -- Heisenberg oracles ------------------------------------------------
-
-
-def sigma_class(group, r, alpha):
-    """The level-r class function supported on single r-cycles.
-
-    Its value on the class of r-cycles with cycle product in class c
-    is r * alpha(c).
-    """
-    coeffs = {}
-    for cid, a in enumerate(alpha.values):
-        if a:
-            coeffs[single_cycle_type(r, cid)] = r * a
-    return WreathClassFunction(group, r, coeffs)
-
-
-def induce_product(f, g):
-    """Induction of f (x) g from Gamma_n x Gamma_m to Gamma_{n+m}.
-
-    Oracle-grade: evaluates (1/|H|) sum_{y} F(y^{-1} x y) on every
-    class representative by brute force over the big group.
-    """
-    if f.group is not g.group:
-        raise ValueError("group mismatch")
-    group = f.group
-    n, m = f.n, g.n
-    total = n + m
-    ctx = WreathContext.get(group, total)
-    sub_order = wreath_order(group, n) * wreath_order(group, m)
-    first = set(range(n))
-    coeffs = {}
-    for rho, x in zip(ctx.types, ctx.reps):
-        acc = 0
-        for y, _ in ctx._elements_with_types():
-            z = wreath_mul(group, wreath_inv(group, y), wreath_mul(group, x, y))
-            if any((z.sigma[i] in first) != (i in first) for i in range(total)):
-                continue
-            left = WreathElement(z.g[:n], z.sigma[:n])
-            right = WreathElement(
-                z.g[n:], tuple(s - n for s in z.sigma[n:])
-            )
-            vl = f.coeffs.get(type_of(group, left))
-            if not vl:
-                continue
-            vr = g.coeffs.get(type_of(group, right))
-            if not vr:
-                continue
-            acc = acc + vl * vr
-        if acc:
-            coeffs[rho] = acc * Fraction(1, sub_order)
-    return WreathClassFunction(group, total, coeffs)
-
-
-def heis_create_bigsum(group, r, alpha, vec):
-    """p_{-r}(alpha) computed through the induction definition."""
-    sig = sigma_class(group, r, alpha)
-    out = {}
-    for n in vec.levels():
-        out.update(induce_product(sig, vec.component(n)).coeffs)
-    return FockVector(group, out)
-
-
-def heis_create_avg(group, gamma, vec):
-    """p_{-1}(gamma) by averaging ad g (y (x) gamma) over S_n."""
-    import itertools
-
-    out = {}
-    for m in vec.levels():
-        n = m + 1
-        y = vec.component(m).to_group_algebra()
-        terms = {}
-        for w, v in y.coeffs.items():
-            for cid, members in enumerate(group.classes):
-                gv = gamma.values[cid]
-                if not gv:
-                    continue
-                for a in members:
-                    elem = WreathElement(w.g + (a,), w.sigma + (m,))
-                    terms[elem] = terms.get(elem, 0) + v * gv
-        tensor = GroupAlgebraElement(group, n, terms)
-        acc = GroupAlgebraElement(group, n, {})
-        for perm in itertools.permutations(range(n)):
-            p = WreathElement((group.identity,) * n, perm)
-            pinv = wreath_inv(group, p)
-            conj = {}
-            for w, v in tensor.coeffs.items():
-                z = wreath_mul(group, p, wreath_mul(group, w, pinv))
-                conj[z] = conj.get(z, 0) + v
-            acc = acc + GroupAlgebraElement(group, n, conj)
-        acc = acc.scale(Fraction(1, factorial(m)))
-        out.update(to_class_function(acc).coeffs)
-    return FockVector(group, out)
-
-
-def heis_annihilate_adjoint(group, r, alpha, vec):
-    """p_r(alpha) (r > 0) characterized as the adjoint of p_{-r}(alpha).
-
-    Coefficient of K^nu in the image is Z_nu * <vec, p_{-r}(alpha) K^{nu^{-1}}>.
-    """
-    if r <= 0:
-        raise ValueError("adjoint oracle needs r > 0")
-    out = {}
-    for n in vec.levels():
-        if n < r:
-            continue
-        for nu in enumerate_types(group, n - r):
-            probe = heis(group, -r, alpha, basis_state(group, nu.inverse(group)))
-            out[nu] = fock_inner(vec, probe) * nu.centralizer_order(group)
-    return FockVector(group, out)
 
 
 # -- convolution operators O^k ----------------------------------------

@@ -109,7 +109,7 @@ class TypeFunction:
     over class ids and partitions) for deterministic output.
     """
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "_hash")
 
     def __init__(self, mapping=()):
         if isinstance(mapping, dict):
@@ -121,6 +121,7 @@ class TypeFunction:
         if len(set(cids)) != len(cids):
             raise ValueError("duplicate class id in type function")
         object.__setattr__(self, "items", items)
+        object.__setattr__(self, "_hash", hash(items))
 
     def __setattr__(self, *a):
         raise AttributeError("TypeFunction is immutable")
@@ -207,7 +208,7 @@ class TypeFunction:
         return self.sort_key() <= other.sort_key()
 
     def __hash__(self):
-        return hash(self.items)
+        return self._hash
 
     def label(self):
         """Compact deterministic string label, e.g. 'c0:[2,1]|c1:[1]'."""

@@ -11,6 +11,12 @@ The orbit-sum structure constants are independent of n and are
 nonnegative integers; the forgetful map (Y, a) -> a carries orbit sums
 to binomial multiples of class sums, matching the images of the
 creation-operator monomials applied to the vacuum.
+
+Two independent routes give them: stable_coefficient counts the
+factorizations of one canonical element, and orbit_product_table
+multiplies out whole orbit sums at a level n as products of full
+elements of Gamma_n.  Each class of Gamma_k that they run over is
+enumerated once per group and kept in the group's level-k context.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from .algebra import (
     k_class,
     to_class_function,
 )
-from .partitions import class_size, enumerate_types_upto
+from .partitions import Partition, TypeFunction, class_size, enumerate_types_upto
 from .wreath import (
+    WreathContext,
     WreathElement,
     canonical_representative,
     enumerate_class,
@@ -76,17 +83,6 @@ def minimal_support(group, elem, positions):
     )
 
 
-def pp_mul(group, y1, a1, y2, a2):
-    """Product of partial permutations (supports are sorted tuples)."""
-    union = tuple(sorted(set(y1) | set(y2)))
-    prod = wreath_mul(
-        group,
-        embed_support(group, a1, y1, union),
-        embed_support(group, a2, y2, union),
-    )
-    return union, prod
-
-
 def orbit_size(group, rho, n):
     """|C_rho(n)| = binom(n, ||rho||) times the class size at ||rho||."""
     k = rho.norm
@@ -95,11 +91,20 @@ def orbit_size(group, rho, n):
     return comb(n, k) * class_size(rho, group, k)
 
 
+def _class_members(group, rho):
+    """The elements of type rho in Gamma_{||rho||}, enumerated once and
+    kept in the group's context for that level."""
+    members = WreathContext.get(group, rho.norm).class_members
+    if rho not in members:
+        members[rho] = tuple(enumerate_class(group, rho, rho.norm))
+    return members[rho]
+
+
 def enumerate_orbit(group, rho, n):
     """All partial permutations of type rho at level n."""
-    k = rho.norm
-    for y in itertools.combinations(range(n), k):
-        for a in enumerate_class(group, rho, k):
+    members = _class_members(group, rho)
+    for y in itertools.combinations(range(n), rho.norm):
+        for a in members:
             yield y, a
 
 
@@ -118,10 +123,11 @@ def stable_coefficient(group, rho, sigma, nu):
         return 0
     y_nu = tuple(range(k))
     x_nu = canonical_representative(group, nu, k)
+    members = _class_members(group, rho)
     count = 0
     for y1 in itertools.combinations(range(k), rho.norm):
         complement = frozenset(y_nu) - frozenset(y1)
-        for a1 in enumerate_class(group, rho, rho.norm):
+        for a1 in members:
             a1_full = embed_support(group, a1, y1, y_nu)
             a2_full = wreath_mul(group, wreath_inv(group, a1_full), x_nu)
             mandatory = minimal_support(group, a2_full, y_nu) | complement
@@ -159,20 +165,36 @@ def orbit_product_table(group, cap, n):
     full orbit sums in the algebra of partial permutations and dividing
     each orbit's total mass by the orbit size (exactness checked).
 
+    Each orbit element (Y, a) is embedded into {0..n-1} once, as the
+    bit mask of Y and a extended by fixed points.  The product of two
+    such elements is a1 a2 on Y1 u Y2 plus n - |Y1 u Y2| identity
+    1-cycles, which are removed from its type before the division.
+
     This is the level-dependent oracle: agreement across levels and with
     the factorization count is the stability statement.
     """
     types = [rho for rho in enumerate_types_upto(group, cap) if rho.norm <= n]
-    orbits = {rho: list(enumerate_orbit(group, rho, n)) for rho in types}
+    positions = tuple(range(n))
+    orbits = {
+        rho: [
+            (sum(1 << p for p in y), embed_support(group, a, y, positions))
+            for y, a in enumerate_orbit(group, rho, n)
+        ]
+        for rho in types
+    }
+    identity = group.class_of[group.identity]
     table = {}
     for rho in types:
         for sigma in types:
-            mass = {}
+            counts = {}
             for y1, a1 in orbits[rho]:
                 for y2, a2 in orbits[sigma]:
-                    union, prod = pp_mul(group, y1, a1, y2, a2)
-                    nu = type_of(group, prod)
-                    mass[nu] = mass.get(nu, 0) + 1
+                    key = (type_of(group, wreath_mul(group, a1, a2)), (y1 | y2).bit_count())
+                    counts[key] = counts.get(key, 0) + 1
+            mass = {}
+            for (full, k), total in counts.items():
+                nu = _drop_fixed_points(full, n - k, identity)
+                mass[nu] = mass.get(nu, 0) + total
             row = {}
             for nu, total in mass.items():
                 size = orbit_size(group, nu, n)
@@ -183,6 +205,18 @@ def orbit_product_table(group, cap, n):
                 row[nu] = total // size
             table[(rho, sigma)] = row
     return table
+
+
+def _drop_fixed_points(rho, m, cid):
+    """rho with m of its 1-cycles on the class cid removed."""
+    if not m:
+        return rho
+    lam = rho.partition(cid)
+    if lam.multiplicity(1) < m:
+        raise ValueError(f"{rho.label()} has fewer than {m} 1-cycles on class {cid}")
+    data = dict(rho.items)
+    data[cid] = Partition(lam.parts[:-m])
+    return TypeFunction(data)
 
 
 def unnormalized_constant(group, rho, sigma, nu, d_tilde):

@@ -74,15 +74,18 @@ def _perm_inverse(sigma):
 
 
 def wreath_mul(group, x, y):
-    """(g, sigma)(h, tau) = (g . sigma(h), sigma tau)."""
-    if x.n != y.n:
+    """(g, sigma)(h, tau) = (g . sigma(h), sigma tau), in one pass:
+    the product's entry at sigma(i) is g_{sigma(i)} h_i."""
+    xg, xs = x.g, x.sigma
+    n = len(xg)
+    if len(y.g) != n:
         raise ValueError("level mismatch in wreath multiplication")
-    sigma_inv = _perm_inverse(x.sigma)
-    g = tuple(
-        group.mul[x.g[i]][y.g[sigma_inv[i]]] for i in range(x.n)
-    )
-    sigma = tuple(x.sigma[y.sigma[i]] for i in range(x.n))
-    return WreathElement(g, sigma)
+    mul = group.mul
+    g = [0] * n
+    for i, h in enumerate(y.g):
+        j = xs[i]
+        g[j] = mul[xg[j]][h]
+    return WreathElement(tuple(g), tuple(map(xs.__getitem__, y.sigma)))
 
 
 def wreath_inv(group, x):
@@ -92,42 +95,38 @@ def wreath_inv(group, x):
     return WreathElement(g, sigma_inv)
 
 
-def permutation_cycles(sigma):
-    """Cycles of sigma, each starting at its least element, sorted."""
+def type_of(group, x):
+    """The conjugacy type of x in Gamma_n.
+
+    One walk over the cycles of sigma, each from its least point i_1,
+    multiplies the cycle product g_{i_k} ... g_{i_1} on the way; the
+    sorted (class id, length) pairs then name the type.
+    """
+    g, sigma = x.g, x.sigma
+    mul, class_of = group.mul, group.class_of
     seen = [False] * len(sigma)
-    cycles = []
-    for start in range(len(sigma)):
+    key = []
+    for start, j in enumerate(sigma):
         if seen[start]:
             continue
-        cyc = [start]
-        seen[start] = True
-        j = sigma[start]
+        prod = g[start]
+        length = 1
         while j != start:
-            cyc.append(j)
             seen[j] = True
+            prod = mul[g[j]][prod]
+            length += 1
             j = sigma[j]
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
+        key.append((class_of[prod], length))
+    key.sort()
+    return _type_from_key(tuple(key))
 
 
-def cycle_product(group, x, cycle):
-    """Class id of g_{i_k} g_{i_{k-1}} ... g_{i_1} for cycle (i_1 ... i_k)."""
-    for idx, i in enumerate(cycle):
-        expected = cycle[(idx + 1) % len(cycle)]
-        if x.sigma[i] != expected:
-            raise ValueError(f"{cycle} is not a cycle of the permutation")
-    prod = group.identity
-    for i in cycle:
-        prod = group.mul[x.g[i]][prod]
-    return group.class_of[prod]
-
-
-def type_of(group, x):
-    """The conjugacy type of x in Gamma_n."""
+@lru_cache(maxsize=None)
+def _type_from_key(key):
+    """The TypeFunction of sorted (class id, cycle length) pairs."""
     data = {}
-    for cyc in permutation_cycles(x.sigma):
-        c = cycle_product(group, x, cyc)
-        data.setdefault(c, []).append(len(cyc))
+    for c, r in key:
+        data.setdefault(c, []).append(r)
     return TypeFunction({c: Partition(parts) for c, parts in data.items()})
 
 
@@ -189,7 +188,8 @@ def enumerate_class(group, rho, n=None):
 
 class WreathContext:
     """Caches per (group, n): types, representatives, characters, the
-    rows of the class table and the Xi_n^k(K^c) of fock.
+    rows of the class table, the Xi_n^k(K^c) of fock and the class
+    members of stable.
 
     The contexts of a group live in ``group.wreath_contexts``, keyed on
     n, so they are freed with the group; :meth:`get` is the entry point.
@@ -210,6 +210,7 @@ class WreathContext:
         self.reps = [canonical_representative(group, rho, n) for rho in self.types]
         self.order = wreath_order(group, n)
         self.xi_classes = {}  # (k, class id) -> Xi_n^k(K^c), filled by fock
+        self.class_members = {}  # type -> its elements, filled by stable
         self._rows = {}
         self._characters = None
         self._structure = None

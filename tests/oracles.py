@@ -1,0 +1,248 @@
+"""Slow, independent constructions that the tests compare the library
+against.  Nothing under src/ imports this module.
+
+- The wreath-element kernel: ``type_of`` by listing the cycles of sigma
+  and multiplying each cycle product separately, and ``wreath_mul``
+  through the inverse permutation.
+- The level-n orbit-product table, multiplying each pair of partial
+  permutations on the union of their supports.
+- The Heisenberg operators by induction from the big group, by
+  averaging over S_n, and as adjoints through the bilinear form.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import factorial
+
+from classalg.algebra import (
+    GroupAlgebraElement,
+    WreathClassFunction,
+    bilinear_form_n as fock_inner,
+    to_class_function,
+)
+from classalg.fock import FockVector, basis_state, heis
+from classalg.partitions import (
+    Partition,
+    TypeFunction,
+    enumerate_types,
+    enumerate_types_upto,
+    single_cycle_type,
+)
+from classalg.stable import embed_support, enumerate_orbit, orbit_size
+from classalg.wreath import (
+    WreathContext,
+    WreathElement,
+    type_of,
+    wreath_inv,
+    wreath_mul,
+    wreath_order,
+)
+
+
+# -- the wreath-element kernel -------------------------------------------
+
+
+def permutation_cycles(sigma):
+    """Cycles of sigma, each starting at its least element, sorted."""
+    seen = [False] * len(sigma)
+    cycles = []
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        j = sigma[start]
+        while j != start:
+            cyc.append(j)
+            seen[j] = True
+            j = sigma[j]
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
+def cycle_product(group, x, cycle):
+    """Class id of g_{i_k} g_{i_{k-1}} ... g_{i_1} for cycle (i_1 ... i_k)."""
+    for idx, i in enumerate(cycle):
+        expected = cycle[(idx + 1) % len(cycle)]
+        if x.sigma[i] != expected:
+            raise ValueError(f"{cycle} is not a cycle of the permutation")
+    prod = group.identity
+    for i in cycle:
+        prod = group.mul[x.g[i]][prod]
+    return group.class_of[prod]
+
+
+def oracle_type_of(group, x):
+    """The conjugacy type of x in Gamma_n, one cycle at a time."""
+    data = {}
+    for cyc in permutation_cycles(x.sigma):
+        c = cycle_product(group, x, cyc)
+        data.setdefault(c, []).append(len(cyc))
+    return TypeFunction({c: Partition(parts) for c, parts in data.items()})
+
+
+def oracle_wreath_mul(group, x, y):
+    """(g, sigma)(h, tau) = (g . sigma(h), sigma tau), with
+    sigma(h)_i = h_{sigma^{-1}(i)}."""
+    if x.n != y.n:
+        raise ValueError("level mismatch in wreath multiplication")
+    sigma_inv = [0] * x.n
+    for i, v in enumerate(x.sigma):
+        sigma_inv[v] = i
+    g = tuple(
+        group.mul[x.g[i]][y.g[sigma_inv[i]]] for i in range(x.n)
+    )
+    sigma = tuple(x.sigma[y.sigma[i]] for i in range(x.n))
+    return WreathElement(g, sigma)
+
+
+# -- the level-n orbit products ------------------------------------------
+
+
+def pp_mul(group, y1, a1, y2, a2):
+    """Product of partial permutations (supports are sorted tuples)."""
+    union = tuple(sorted(set(y1) | set(y2)))
+    prod = oracle_wreath_mul(
+        group,
+        embed_support(group, a1, y1, union),
+        embed_support(group, a2, y2, union),
+    )
+    return union, prod
+
+
+def oracle_orbit_product_table(group, cap, n):
+    """The structure constants at level n: every pair of orbit elements
+    multiplied on the union of their supports, each orbit's mass divided
+    by its size (exactness checked)."""
+    types = [rho for rho in enumerate_types_upto(group, cap) if rho.norm <= n]
+    orbits = {rho: list(enumerate_orbit(group, rho, n)) for rho in types}
+    table = {}
+    for rho in types:
+        for sigma in types:
+            mass = {}
+            for y1, a1 in orbits[rho]:
+                for y2, a2 in orbits[sigma]:
+                    _, prod = pp_mul(group, y1, a1, y2, a2)
+                    nu = oracle_type_of(group, prod)
+                    mass[nu] = mass.get(nu, 0) + 1
+            row = {}
+            for nu, total in mass.items():
+                size = orbit_size(group, nu, n)
+                if total % size:
+                    raise ArithmeticError(
+                        f"orbit mass {total} not divisible by orbit size {size}"
+                    )
+                row[nu] = total // size
+            table[(rho, sigma)] = row
+    return table
+
+
+# -- the Heisenberg operators --------------------------------------------
+
+
+def sigma_class(group, r, alpha):
+    """The level-r class function supported on single r-cycles.
+
+    Its value on the class of r-cycles with cycle product in class c
+    is r * alpha(c).
+    """
+    coeffs = {}
+    for cid, a in enumerate(alpha.values):
+        if a:
+            coeffs[single_cycle_type(r, cid)] = r * a
+    return WreathClassFunction(group, r, coeffs)
+
+
+def induce_product(f, g):
+    """Induction of f (x) g from Gamma_n x Gamma_m to Gamma_{n+m}.
+
+    Oracle-grade: evaluates (1/|H|) sum_{y} F(y^{-1} x y) on every
+    class representative by brute force over the big group.
+    """
+    if f.group is not g.group:
+        raise ValueError("group mismatch")
+    group = f.group
+    n, m = f.n, g.n
+    total = n + m
+    ctx = WreathContext.get(group, total)
+    sub_order = wreath_order(group, n) * wreath_order(group, m)
+    first = set(range(n))
+    coeffs = {}
+    for rho, x in zip(ctx.types, ctx.reps):
+        acc = 0
+        for y, _ in ctx._elements_with_types():
+            z = wreath_mul(group, wreath_inv(group, y), wreath_mul(group, x, y))
+            if any((z.sigma[i] in first) != (i in first) for i in range(total)):
+                continue
+            left = WreathElement(z.g[:n], z.sigma[:n])
+            right = WreathElement(
+                z.g[n:], tuple(s - n for s in z.sigma[n:])
+            )
+            vl = f.coeffs.get(type_of(group, left))
+            if not vl:
+                continue
+            vr = g.coeffs.get(type_of(group, right))
+            if not vr:
+                continue
+            acc = acc + vl * vr
+        if acc:
+            coeffs[rho] = acc * Fraction(1, sub_order)
+    return WreathClassFunction(group, total, coeffs)
+
+
+def heis_create_bigsum(group, r, alpha, vec):
+    """p_{-r}(alpha) computed through the induction definition."""
+    sig = sigma_class(group, r, alpha)
+    out = {}
+    for n in vec.levels():
+        out.update(induce_product(sig, vec.component(n)).coeffs)
+    return FockVector(group, out)
+
+
+def heis_create_avg(group, gamma, vec):
+    """p_{-1}(gamma) by averaging ad g (y (x) gamma) over S_n."""
+    out = {}
+    for m in vec.levels():
+        n = m + 1
+        y = vec.component(m).to_group_algebra()
+        terms = {}
+        for w, v in y.coeffs.items():
+            for cid, members in enumerate(group.classes):
+                gv = gamma.values[cid]
+                if not gv:
+                    continue
+                for a in members:
+                    elem = WreathElement(w.g + (a,), w.sigma + (m,))
+                    terms[elem] = terms.get(elem, 0) + v * gv
+        tensor = GroupAlgebraElement(group, n, terms)
+        acc = GroupAlgebraElement(group, n, {})
+        for perm in itertools.permutations(range(n)):
+            p = WreathElement((group.identity,) * n, perm)
+            pinv = wreath_inv(group, p)
+            conj = {}
+            for w, v in tensor.coeffs.items():
+                z = wreath_mul(group, p, wreath_mul(group, w, pinv))
+                conj[z] = conj.get(z, 0) + v
+            acc = acc + GroupAlgebraElement(group, n, conj)
+        acc = acc.scale(Fraction(1, factorial(m)))
+        out.update(to_class_function(acc).coeffs)
+    return FockVector(group, out)
+
+
+def heis_annihilate_adjoint(group, r, alpha, vec):
+    """p_r(alpha) (r > 0) characterized as the adjoint of p_{-r}(alpha).
+
+    Coefficient of K^nu in the image is Z_nu * <vec, p_{-r}(alpha) K^{nu^{-1}}>.
+    """
+    if r <= 0:
+        raise ValueError("adjoint oracle needs r > 0")
+    out = {}
+    for n in vec.levels():
+        if n < r:
+            continue
+        for nu in enumerate_types(group, n - r):
+            probe = heis(group, -r, alpha, basis_state(group, nu.inverse(group)))
+            out[nu] = fock_inner(vec, probe) * nu.centralizer_order(group)
+    return FockVector(group, out)

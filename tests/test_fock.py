@@ -18,9 +18,6 @@ from classalg.fock import (
     domain_types,
     fock_inner,
     heis,
-    heis_annihilate_adjoint,
-    heis_create_avg,
-    heis_create_bigsum,
     heis_op,
     op_b,
     op_O,
@@ -48,6 +45,7 @@ from classalg.groups import (
 from classalg.partitions import TypeFunction, enumerate_types
 from classalg.scalars import Cyc
 from classalg.winf import realize_J_mode, realize_J_op
+from oracles import heis_annihilate_adjoint, heis_create_avg, heis_create_bigsum
 
 
 def test_vacuum_and_basis():

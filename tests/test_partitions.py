@@ -115,3 +115,8 @@ def test_partition_ordering_canonical():
     assert lam.parts == (3, 3, 2, 1)
     with pytest.raises(ValueError):
         Partition([0])
+
+
+def test_type_hash_is_the_hash_of_its_items():
+    for rho in (TypeFunction(), TypeFunction.from_label("c0:[2,1]|c2:[3]")):
+        assert hash(rho) == hash(rho.items)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import classalg.stable as stable
 from classalg.cli import run
 from classalg.groups import load_group
@@ -20,6 +22,7 @@ from classalg.stable import (
     verify_forgetful,
 )
 from classalg.wreath import canonical_representative, type_of
+from oracles import oracle_orbit_product_table
 
 
 def lab(s):
@@ -139,3 +142,51 @@ def test_stable_verify_catches_wrong_coefficient(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert "level 3: c0:[2] * c0:[2] mismatch" in report["failures"]
+
+
+@pytest.mark.parametrize(
+    "name,cap,n", [("trivial", 2, 4), ("cyclic2", 2, 3), ("sym3", 1, 3)]
+)
+def test_orbit_product_table_matches_oracle(name, cap, n):
+    g = load_group(name)
+    assert orbit_product_table(g, cap, n) == oracle_orbit_product_table(g, cap, n)
+
+
+def test_drop_fixed_points():
+    rho = lab("c0:[2,1,1]|c1:[1]")
+    assert stable._drop_fixed_points(rho, 0, 0) is rho
+    assert stable._drop_fixed_points(rho, 2, 0) == lab("c0:[2]|c1:[1]")
+    assert stable._drop_fixed_points(lab("c0:[1]"), 1, 0) == lab("empty")
+    with pytest.raises(ValueError):
+        stable._drop_fixed_points(rho, 3, 0)
+
+
+def test_stable_verify_catches_kept_fixed_point(monkeypatch, capsys):
+    # an off-by-one: the last identity 1-cycle outside the support is kept
+    original = stable._drop_fixed_points
+
+    def drop(rho, m, cid):
+        return rho if m == 1 else original(rho, m, cid)
+
+    monkeypatch.setattr(stable, "_drop_fixed_points", drop)
+    code = run(["stable", "verify", "--group", "trivial", "--cap", "2", "--n", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert "level 3: empty * c0:[1,1] mismatch" in report["failures"]
+
+
+def test_each_class_enumerated_once(monkeypatch):
+    calls = []
+    original = stable.enumerate_class
+
+    def counted(group, rho, n=None):
+        calls.append(rho)
+        return original(group, rho, n)
+
+    monkeypatch.setattr(stable, "enumerate_class", counted)
+    g = load_group("cyclic2")
+    monkeypatch.setattr(g, "wreath_contexts", {})
+    table = stable_structure_constants(g, 2)
+    assert len(calls) == len(set(calls)) == len(enumerate_types_upto(g, 2))
+    assert stable_structure_constants(g, 2) == table
+    assert len(calls) == len(enumerate_types_upto(g, 2))

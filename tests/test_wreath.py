@@ -15,16 +15,17 @@ from classalg.scalars import zeta
 from classalg.wreath import (
     ResourceCapError,
     WreathContext,
+    WreathElement,
     canonical_representative,
     enumerate_class,
     enumerate_group,
-    permutation_cycles,
     type_of,
     wreath_identity,
     wreath_inv,
     wreath_mul,
     wreath_order,
 )
+from oracles import oracle_type_of, oracle_wreath_mul, permutation_cycles
 
 
 def random_element(group, n, rng):
@@ -117,6 +118,49 @@ def test_structure_constants_row_sums():
 def test_cycle_structure():
     cycles = permutation_cycles((1, 2, 0, 4, 3, 5))
     assert cycles == ((0, 1, 2), (3, 4), (5,))
+
+
+KERNEL_LEVELS = (
+    [("trivial", n) for n in range(6)]
+    + [("cyclic2", n) for n in range(5)]
+    + [("sym3", n) for n in range(4)]
+    + [("quaternion8", n) for n in range(3)]
+)
+
+
+def _kernel_mismatches(group, n, mul):
+    """Where type_of, or ``mul`` on an element of Gamma_n and a class
+    representative (either order), differs from its oracle."""
+    reps = WreathContext.get(group, n).reps
+    out = []
+    for x in enumerate_group(group, n):
+        if type_of(group, x) != oracle_type_of(group, x):
+            out.append(("type_of", x))
+        for r in reps:
+            for a, b in ((x, r), (r, x)):
+                if mul(group, a, b) != oracle_wreath_mul(group, a, b):
+                    out.append(("wreath_mul", a, b))
+    return out
+
+
+@pytest.mark.parametrize("name,n", KERNEL_LEVELS)
+def test_kernel_matches_oracles(name, n):
+    assert _kernel_mismatches(load_group(name), n, wreath_mul) == []
+
+
+def test_kernel_comparison_catches_swapped_permutation():
+    # sigma^{-1} where sigma belongs: (g . sigma(h))_i taken as g_i h_{sigma(i)}
+    def swapped(group, x, y):
+        g = tuple(group.mul[a][y.g[s]] for a, s in zip(x.g, x.sigma))
+        return WreathElement(g, tuple(x.sigma[t] for t in y.sigma))
+
+    assert _kernel_mismatches(load_group("sym3"), 3, swapped)
+
+
+def test_wreath_mul_level_mismatch():
+    g = load_group("cyclic2")
+    with pytest.raises(ValueError, match="level mismatch"):
+        wreath_mul(g, wreath_identity(g, 2), wreath_identity(g, 3))
 
 
 def test_resource_cap():
