@@ -38,7 +38,7 @@ from .algebra import (
     convolve_n,
     xi_power_sum,
 )
-from .groups import k_basis, pushforward_tauk, unit_g
+from .groups import k_basis, pushforward_tauk, require_character_table, unit_g
 from .partitions import EMPTY_TYPE, enumerate_types
 from .series import HbarSeries
 from .wreath import WreathContext
@@ -373,6 +373,57 @@ def characteristic_map(group, p):
 
 def characteristic_inverse(group, vec):
     return {rho: v * Fraction(1, rho.ztilde()) for rho, v in vec.coeffs.items()}
+
+
+# -- the basis of monomials in the p_{-r}(gamma) -----------------------
+#
+# With gamma running over the irreducible characters of Gamma, the
+# monomials prod p_{-r}(gamma)|0> form a basis indexed by types on
+# Irr(Gamma): the type encodes an r-part at colour gamma for each factor
+# p_{-r}(gamma).  The irreducibles are orthonormal, so
+# [p_m(gamma), p_n(gamma')] = m delta_{m,-n} delta_{gamma gamma'} and
+# each p_m(gamma) edits one colour with a rational factor.
+
+
+def _p_image(group, rho):
+    """K^rho in the p basis, as a map monomial type -> coefficient; kept
+    in the group's level-||rho|| context.
+
+    K^rho = ztilde_rho^{-1} prod p_{-r}(K^c)|0> over the parts (r, c) of
+    rho (the characteristic map), and column orthogonality gives
+    p_{-r}(K^c) = sum_gamma gamma(c^{-1}) / zeta_c p_{-r}(gamma).
+    """
+    cache = WreathContext.get(group, rho.norm).p_images
+    image = cache.get(rho)
+    if image is None:
+        rows = require_character_table(group).rows
+        image = {EMPTY_TYPE: Fraction(1, rho.ztilde())}
+        for cid, lam in rho.items:
+            scale = Fraction(1, group.zeta[cid])
+            src = group.inv_class[cid]
+            weights = [
+                (gi, row.values[src] * scale)
+                for gi, row in enumerate(rows)
+                if row.values[src]
+            ]
+            for r in lam.parts:
+                grown = {}
+                for mono, v in image.items():
+                    for gi, w in weights:
+                        key = mono.add_part(r, gi)
+                        grown[key] = grown.get(key, 0) + v * w
+                image = {mono: v for mono, v in grown.items() if v}
+        cache[rho] = image
+    return image
+
+
+def to_p_basis(group, vec):
+    """The change of basis from the K^rho to the p-monomials."""
+    out = {}
+    for rho, v in vec.coeffs.items():
+        for mono, w in _p_image(group, rho).items():
+            out[mono] = out.get(mono, 0) + v * w
+    return FockVector(group, out)
 
 
 # -- generators ---------------------------------------------------------

@@ -106,10 +106,12 @@ class TypeFunction:
     """A map class id -> Partition with empty partitions never stored.
 
     Hashable and totally ordered (by total size, then lexicographically
-    over class ids and partitions) for deterministic output.
+    over class ids and partitions) for deterministic output.  norm is
+    ||rho||, the sum of all part sizes over all classes, kept like the
+    hash because the type is immutable.
     """
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ("items", "_hash", "norm")
 
     def __init__(self, mapping=()):
         if isinstance(mapping, dict):
@@ -122,6 +124,7 @@ class TypeFunction:
             raise ValueError("duplicate class id in type function")
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "_hash", hash(items))
+        object.__setattr__(self, "norm", sum(lam.size for _, lam in items))
 
     def __setattr__(self, *a):
         raise AttributeError("TypeFunction is immutable")
@@ -131,11 +134,6 @@ class TypeFunction:
             if c == cid:
                 return lam
         return EMPTY_PARTITION
-
-    @property
-    def norm(self):
-        """||rho|| = sum of all part sizes over all classes."""
-        return sum(lam.size for _, lam in self.items)
 
     def ztilde(self):
         """z~_rho = prod_c z_{rho(c)}."""

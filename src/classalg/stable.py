@@ -235,15 +235,22 @@ def check_stability(group, cap, levels, stable):
     ``stable_structure_constants(group, cap)``); check integrality and
     nonnegativity in both normalizations and the support filtration.
 
+    A level whose orbit table raises ArithmeticError or ValueError is
+    reported as one failure, and the other levels are still compared.
     Returns a list of failure descriptions (empty = pass).
     """
     failures = []
-    per_level = {n: orbit_product_table(group, cap, n) for n in levels}
+    per_level = {}
+    for n in levels:
+        try:
+            per_level[n] = orbit_product_table(group, cap, n)
+        except (ArithmeticError, ValueError) as exc:
+            failures.append(f"level {n}: {exc}")
     types = enumerate_types_upto(group, cap)
     for rho in types:
         for sigma in types:
             reference = stable[(rho, sigma)]
-            for n in levels:
+            for n in per_level:
                 observed = per_level[n][(rho, sigma)]
                 expected = {
                     nu: d for nu, d in reference.items() if nu.norm <= n

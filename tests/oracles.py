@@ -8,6 +8,9 @@ against.  Nothing under src/ imports this module.
   permutations on the union of their supports.
 - The Heisenberg operators by induction from the big group, by
   averaging over S_n, and as adjoints through the bilinear form.
+- The level-one J-modes of the W-algebra in the K^rho basis, through
+  the Heisenberg operators of the irreducible characters and every
+  mode tuple whose annihilation total fits the level.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from classalg.algebra import (
     bilinear_form_n as fock_inner,
     to_class_function,
 )
-from classalg.fock import FockVector, basis_state, heis
+from classalg.fock import FockVector, _mode_tuples, basis_state, heis
+from classalg.groups import require_character_table
 from classalg.partitions import (
     Partition,
     TypeFunction,
@@ -31,6 +35,7 @@ from classalg.partitions import (
     single_cycle_type,
 )
 from classalg.stable import embed_support, enumerate_orbit, orbit_size
+import classalg.winf as winf
 from classalg.wreath import (
     WreathContext,
     WreathElement,
@@ -246,3 +251,37 @@ def heis_annihilate_adjoint(group, r, alpha, vec):
             probe = heis(group, -r, alpha, basis_state(group, nu.inverse(group)))
             out[nu] = fock_inner(vec, probe) * nu.centralizer_order(group)
     return FockVector(group, out)
+
+
+# -- the level-one J-modes -----------------------------------------------
+
+
+def oracle_realize_J_mode(group, l, k, gamma_index, vec):
+    """The realized J^l_k on an idempotent, via P_{l+1} mode extraction,
+    on a vector in the K^rho basis.
+
+    The degree-zero mode of the basic field acts as 0; the other modes
+    act by the Heisenberg operators attached to the irreducible
+    character itself.  The field modes come from classalg.winf, read
+    through the module so that a patched factor reaches both paths.
+    """
+    gam = require_character_table(group).irreducible(gamma_index)
+    level = vec.max_level()
+    out = FockVector(group)
+    if level < 0:
+        return out
+    for word, kappa in winf.p_l_polynomial(l + 1).items():
+        for modes in _mode_tuples(len(word), k, level):
+            coeff = kappa
+            for a, m in zip(word, modes):
+                coeff *= winf._derivative_mode_factor(a, m)
+            if not coeff:
+                continue
+            w = vec
+            for m in sorted(modes, reverse=True):
+                w = heis(group, m, gam, w)
+                if w.is_zero():
+                    break
+            else:
+                out = out + w.scale(coeff)
+    return out.scale(Fraction(1, l + 1))

@@ -120,3 +120,15 @@ def test_partition_ordering_canonical():
 def test_type_hash_is_the_hash_of_its_items():
     for rho in (TypeFunction(), TypeFunction.from_label("c0:[2,1]|c2:[3]")):
         assert hash(rho) == hash(rho.items)
+
+
+def test_norm_is_the_sum_of_the_part_sizes():
+    g = load_group("cyclic3")
+    for rho in enumerate_types_upto(g, 3):
+        assert rho.norm == sum(sum(lam.parts) for _, lam in rho.items)
+    rho = TypeFunction.from_label("c0:[2,1]|c2:[3]")
+    assert rho.norm == 6
+    assert rho.add_part(4, 1).norm == 10
+    assert rho.remove_part(3, 2).norm == 3
+    with pytest.raises(AttributeError):
+        rho.norm = 7

@@ -175,6 +175,27 @@ def test_stable_verify_catches_kept_fixed_point(monkeypatch, capsys):
     assert "level 3: empty * c0:[1,1] mismatch" in report["failures"]
 
 
+def test_stable_verify_reports_every_level(monkeypatch, capsys):
+    # one identity 1-cycle too many is dropped wherever there is one to
+    # spare: level 3 mismatches, and level 4 cannot divide an orbit mass;
+    # the level-4 error must not hide the level-3 cells
+    original = stable._drop_fixed_points
+
+    def drop(rho, m, cid):
+        spare = m and rho.partition(cid).multiplicity(1) > m
+        return original(rho, m + 1 if spare else m, cid)
+
+    monkeypatch.setattr(stable, "_drop_fixed_points", drop)
+    code = run(["stable", "verify", "--group", "trivial", "--cap", "2", "--n", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failures = report["failures"]
+    assert "level 4: orbit mass 6 not divisible by orbit size 4" in failures
+    assert "level 3: c0:[2] * c0:[2] mismatch" in failures
+    assert "level 3: empty * c0:[1] mismatch" in failures
+    assert not any(f.startswith("level 4:") and "mismatch" in f for f in failures)
+
+
 def test_each_class_enumerated_once(monkeypatch):
     calls = []
     original = stable.enumerate_class

@@ -6,7 +6,10 @@ import pytest
 import classalg.fock as fock
 import classalg.winf as winf
 from classalg.cli import run
+from classalg.fock import basis_state, domain_types, to_p_basis
 from classalg.groups import CharacterTableError, load_group
+from classalg.partitions import TypeFunction
+from classalg.scalars import Cyc
 from classalg.winf import (
     DiffOpElement,
     basis_J,
@@ -23,12 +26,14 @@ from classalg.winf import (
     poly_to_falling,
     psi_scalar,
     realize,
+    realize_J_mode,
     verify_bracket_laws,
     verify_convdiff,
     verify_vo,
     verify_winf_level_one,
     winf_bracket,
 )
+from oracles import oracle_realize_J_mode
 
 
 def test_poly_helpers():
@@ -201,3 +206,120 @@ def test_bracket_catches_wrong_cocycle(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert ["antisymmetry", 8] in report["failures"]
+
+
+@pytest.mark.parametrize(
+    "name, level",
+    [("trivial", 3), ("cyclic2", 3), ("cyclic3", 2), ("quaternion8", 2), ("sym3", 2)],
+)
+def test_J_modes_match_the_K_basis_oracle(name, level):
+    # realize_J_mode on the p-image of K^rho is the p-image of the
+    # K-basis realization, for every l <= 2, |k| <= 2, gamma and K^rho
+    g = load_group(name)
+    for rho in domain_types(g, level):
+        v = basis_state(g, rho)
+        image = to_p_basis(g, v)
+        for gi in range(g.num_classes):
+            for l in range(3):
+                for k in range(-2, 3):
+                    expected = to_p_basis(g, oracle_realize_J_mode(g, l, k, gi, v))
+                    assert realize_J_mode(g, l, k, gi, image) == expected, (
+                        l, k, gi, rho.label()
+                    )
+
+
+def test_p_basis_heisenberg_algebra():
+    # p_{-r}(gamma) adds an r-part at colour gamma with factor 1 and
+    # p_r(gamma) removes one with factor r times its multiplicity; the
+    # mode k of P_1, the basic field itself, is p_k(gamma)
+    g = load_group("cyclic3")
+    mono = TypeFunction.from_label("c1:[2,2,1]|c2:[1]")
+    v = basis_state(g, mono)
+    assert realize_J_mode(g, 0, -3, 1, v) == basis_state(
+        g, TypeFunction.from_label("c1:[3,2,2,1]|c2:[1]")
+    )
+    assert realize_J_mode(g, 0, 2, 1, v) == basis_state(
+        g, TypeFunction.from_label("c1:[2,1]|c2:[1]")
+    ).scale(4)
+    assert realize_J_mode(g, 0, 2, 2, v).is_zero()
+
+
+def test_change_of_basis_on_a_one_part_state():
+    # K^{(r, c)} = r^{-1} sum_gamma gamma(c^{-1}) / zeta_c p_{-r}(gamma)|0>
+    g = load_group("cyclic3")
+    rows = g.character_table.rows
+    for cid in range(g.num_classes):
+        rho = TypeFunction.from_label(f"c{cid}:[2]")
+        expected = {
+            TypeFunction.from_label(f"c{gi}:[2]"): row.values[g.inv_class[cid]]
+            * Fraction(1, 2 * g.zeta[cid])
+            for gi, row in enumerate(rows)
+        }
+        assert to_p_basis(g, basis_state(g, rho)).coeffs == expected
+
+
+def test_level_one_catches_wrong_annihilation_factor(monkeypatch, capsys):
+    # p_r(gamma) scaled by the multiplicity alone: only 2-parts move
+    monkeypatch.setattr(winf, "_annihilation_factor", lambda r, m: m)
+    code = run(["winf", "verify", "level-one", "--group", "cyclic3", "--level", "2"])
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert code == 1
+    assert [0, 0, "c0:[2]"] in failures
+    # pair 1 breaks on colour 2 only, which the image of K^{c0:[1]}
+    # reaches; the p-monomial of the same label lies on colour 0
+    assert [1, "c0:[1]"] in failures
+    g = load_group("cyclic3")
+    k_cells = winf.verify_winf_level_one(g, 2, 20, 0)
+    monkeypatch.setattr(winf, "to_p_basis", lambda group, vec: vec)
+    p_cells = winf.verify_winf_level_one(g, 2, 20, 0)
+    assert (1, "c0:[1]") in k_cells
+    assert (1, "c0:[1]") not in p_cells
+
+
+def test_level_one_runs_without_cyclotomic_arithmetic(monkeypatch):
+    g = load_group("cyclic3")
+    calls = []
+    for name in ("__mul__", "__add__", "__radd__", "__rmul__"):
+        original = getattr(Cyc, name)
+
+        def counted(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Cyc, name, counted)
+    assert verify_winf_level_one(g, 2, 4) == []
+    assert calls == []
+    # the counters see the arithmetic that the change of basis does
+    to_p_basis(g, basis_state(g, TypeFunction.from_label("c1:[1]")))
+    assert calls
+
+
+def test_mode_terms_annihilate_only_the_parts_present():
+    word = p_l_polynomial(3)  # words of length 1 to 3
+    for parts in ((), (1,), (2, 1), (2, 2, 1)):
+        for w in word:
+            for k in range(-2, 3):
+                for removed, created in winf._mode_terms(w, k, parts):
+                    rest = list(parts)
+                    for r in removed:
+                        rest.remove(r)  # raises if r is not a part left
+                    assert sum(removed) - sum(created) == k
+                    assert len(removed) + len(created) == len(w)
+    assert winf._mode_terms((0, 0), 1, ()) == {}
+
+
+def test_failure_cells_match_the_K_basis_path(monkeypatch):
+    # under a fault shared by both paths, the p-basis checks name the
+    # same K^rho cells as the checks run wholly in the K basis
+    original = winf._derivative_mode_factor
+    monkeypatch.setattr(
+        winf,
+        "_derivative_mode_factor",
+        lambda a, m: original(a, m) + (1 if (a, m) == (1, 1) else 0),
+    )
+    g = load_group("cyclic3")
+    cells = (verify_winf_level_one(g, 2, 12), verify_convdiff(g, 2, 1))
+    assert cells[0] and cells[1]
+    monkeypatch.setattr(winf, "realize_J_mode", oracle_realize_J_mode)
+    monkeypatch.setattr(winf, "to_p_basis", lambda group, vec: vec)
+    assert cells == (verify_winf_level_one(g, 2, 12), verify_convdiff(g, 2, 1))
