@@ -18,12 +18,19 @@ of the generating field applied to diagonal pushforwards (giving the
 Virasoro operators and the cubic operator), and the polynomial model
 related to the level picture by the characteristic map.
 
+The normally ordered powers are expanded one basis state at a time:
+their annihilators remove only parts that the state has, so no term
+that vanishes is enumerated.  The tests compare them with the unpruned
+enumeration of mode tuples (tests/oracles.py).
+
 Every such operator is linear, so the verification routines apply it
 through a FockOperator: its column on a basis state K^rho is computed
-once, by the code of the direct function (heis, op_O, virasoro_L,
-cubic_zero_mode), and kept for the operator's lifetime; a vector's
-image is the coefficient-weighted sum of cached columns.  The direct
-functions take whole vectors and stay the oracle for the operators.
+once, by the code of the direct function (heis_k, heis, op_O,
+virasoro_L, cubic_zero_mode), and kept for the operator's lifetime; a
+vector's image is the coefficient-weighted sum of cached columns.
+compose and commutator build operators from operators, their columns
+read off the cached columns of their factors, so the identity checks
+share products and iterated commutators across their cells.
 """
 
 from __future__ import annotations
@@ -38,7 +45,13 @@ from .algebra import (
     convolve_n,
     xi_power_sum,
 )
-from .groups import k_basis, pushforward_tauk, require_character_table, unit_g
+from .groups import (
+    TensorClassFunction,
+    k_basis,
+    pushforward_tauk,
+    require_character_table,
+    unit_g,
+)
 from .partitions import EMPTY_TYPE, enumerate_types
 from .series import HbarSeries
 from .wreath import WreathContext
@@ -112,8 +125,12 @@ class FockOperator:
     def __call__(self, vec):
         out = {}
         for rho, v in vec.coeffs.items():
-            for sigma, w in self.column(rho).coeffs.items():
-                out[sigma] = out.get(sigma, 0) + v * w
+            column = self.column(rho).coeffs.items()
+            if v != 1:
+                column = [(sigma, v * w) for sigma, w in column]
+            for sigma, w in column:
+                prev = out.get(sigma)
+                out[sigma] = w if prev is None else prev + w
         return FockVector(self.group, out)
 
 
@@ -219,8 +236,14 @@ def op_O_hbar(group, alpha, vec, order):
 # -- operator calculus helpers -----------------------------------------
 
 
+def compose(f, g):
+    """The operator f g, its columns read off the cached columns of f and g."""
+    return FockOperator(f.group, lambda v: f(g(v)))
+
+
 def commutator(f, g):
-    return lambda v: f(g(v)) - g(f(v))
+    """The operator [f, g] = f g - g f, on cached columns like compose."""
+    return FockOperator(f.group, lambda v: f(g(v)) - g(f(v)))
 
 
 def operator_difference_cells(group, op1, op2, max_level):
@@ -235,39 +258,56 @@ def operator_difference_cells(group, op1, op2, max_level):
 
 
 # -- normally ordered powers and Virasoro ------------------------------
+#
+# In : p^k :_mode the annihilators stand to the right of the creators,
+# and on K^rho an annihilator p_r(K^c) only removes an r-part that rho
+# has at the inverse class.  So each term of the normal power is found
+# by choosing the annihilation slots, a degree for each of them among
+# the parts the state has, and an ordered composition of the remaining
+# degree for the creation slots; no term that vanishes is enumerated.
 
 
-def _mode_tuples(k, mode, level):
-    """All k-tuples of nonzero integers summing to mode.
+def _annihilations(group, slots, memo):
+    """(state, degree removed, denominator) for each way the annihilation
+    slots, a tuple of class ids c, remove an r-part at the inverse class
+    of c; each removal contributes zeta_c to the denominator.
 
-    Positive entries are annihilation degrees and are bounded in total
-    by the input level (a term with larger total annihilation kills any
-    vector of that level); negative entries are then bounded through
-    the fixed sum.
+    memo maps () to [(rho, 0, 1)] for the state rho and keeps the result
+    for every tuple of slots, each extending the one without its last
+    slot.
     """
-    neg_bound = level + abs(mode)
+    out = memo.get(slots)
+    if out is None:
+        cid = slots[-1]
+        src = group.inv_class[cid]
+        zeta = group.zeta[cid]
+        out = memo[slots] = [
+            (state.remove_part(r, src), total + r, den * zeta)
+            for state, total, den in _annihilations(group, slots[:-1], memo)
+            for r in dict.fromkeys(state.partition(src).parts)
+        ]
+    return out
 
-    def rec(pos, target, budget):
-        # budget: annihilation degree still available in total
-        if pos == k:
-            if target == 0:
-                yield ()
-            return
-        rest = k - pos - 1
-        for m in range(-neg_bound, budget + 1):
-            if m == 0:
-                continue
-            new_budget = budget - m if m > 0 else budget
-            s = target - m
-            if rest == 0:
-                if s == 0:
-                    yield (m,)
-                continue
-            if -rest * neg_bound <= s <= new_budget:
-                for tail in rec(pos + 1, s, new_budget):
-                    yield (m,) + tail
 
-    yield from rec(0, mode, level)
+def _creations(slots, degree, rho):
+    """(state, numerator) for each ordered composition of degree into
+    one positive part per creation slot; adding an r-part at class c
+    contributes r * (multiplicity + 1) to the numerator."""
+    out = [(rho, degree, 1)]
+    for i, cid in enumerate(slots):
+        after = len(slots) - 1 - i  # slots still to fill, one degree each
+        grown = []
+        for state, rest, num in out:
+            for r in range(1, rest - after + 1) if after else (rest,):
+                grown.append(
+                    (
+                        state.add_part(r, cid),
+                        rest - r,
+                        num * r * (state.multiplicity(r, cid) + 1),
+                    )
+                )
+        out = grown
+    return [(state, num) for state, _, num in out]
 
 
 def normal_power_apply(group, k, tensor, mode, vec):
@@ -275,52 +315,77 @@ def normal_power_apply(group, k, tensor, mode, vec):
     with class-function slots given by an arity-k tensor.
 
     Factors are ordered with smaller Heisenberg degree to the left
-    (creation before annihilation); p_0 terms vanish.
+    (creation before annihilation); p_0 terms vanish.  Each basis state
+    of vec is expanded on its own, and each term's factor is built as
+    one Fraction from an integer numerator and denominator.
     """
     if tensor.arity != k:
         raise ValueError("tensor arity mismatch")
-    level = vec.max_level()
-    out = FockVector(group)
-    if level < 0:
-        return out
-    for key, coeff in tensor.terms:
-        for modes in _mode_tuples(k, mode, level):
-            pairs = sorted(zip(modes, key), key=lambda p: p[0])
-            w = vec
-            for m, cid in reversed(pairs):
-                w = heis_k(group, m, cid, w)
-                if w.is_zero():
-                    break
-            else:
-                out = out + w.scale(coeff)
-    return out
+    out = {}
+    splits = [
+        (
+            [i for i in range(k) if mask >> i & 1],
+            [i for i in range(k) if not mask >> i & 1],
+        )
+        for mask in range(1 << k)
+    ]
+    for rho, v in vec.coeffs.items():
+        removed = {(): [(rho, 0, 1)]}
+        for key, coeff in tensor.terms:
+            scalar = coeff * v
+            # a rational scalar joins the integer factor; a cyclotomic
+            # one multiplies each term
+            top, bottom = 1, 1
+            if isinstance(scalar, Fraction):
+                top, bottom, scalar = scalar.numerator, scalar.denominator, None
+            for ann, cre in splits:
+                created = [key[i] for i in cre]
+                for state, total, den in _annihilations(
+                    group, tuple(key[i] for i in ann), removed
+                ):
+                    degree = total - mode
+                    if degree < len(created) or (degree and not created):
+                        continue
+                    for sigma, num in _creations(created, degree, state):
+                        term = Fraction(top * num, bottom * den)
+                        if scalar is not None:
+                            term *= scalar
+                        prev = out.get(sigma)
+                        out[sigma] = term if prev is None else prev + term
+    return FockVector(group, out)
+
+
+def _scaled_pushforward(beta, k, s):
+    """s tau_{k*} beta, the normal power's factor folded into its terms."""
+    tensor = pushforward_tauk(beta, k)
+    return TensorClassFunction(
+        tensor.group, k, tuple((key, coeff * s) for key, coeff in tensor.terms)
+    )
 
 
 def virasoro_L(group, n, beta, vec):
     """L_n(beta) = 1/2 : p^2 :_n applied through tau_{2*} beta."""
-    tensor = pushforward_tauk(beta, 2)
-    return normal_power_apply(group, 2, tensor, n, vec).scale(Fraction(1, 2))
+    tensor = _scaled_pushforward(beta, 2, Fraction(1, 2))
+    return normal_power_apply(group, 2, tensor, n, vec)
 
 
 def virasoro_op(group, n, beta):
-    tensor = pushforward_tauk(beta, 2)
+    tensor = _scaled_pushforward(beta, 2, Fraction(1, 2))
     return FockOperator(
-        group,
-        lambda v: normal_power_apply(group, 2, tensor, n, v).scale(Fraction(1, 2)),
+        group, lambda v: normal_power_apply(group, 2, tensor, n, v)
     )
 
 
 def cubic_zero_mode(group, beta, vec):
     """(1/6) : p^3 :_0 applied through tau_{3*} beta."""
-    tensor = pushforward_tauk(beta, 3)
-    return normal_power_apply(group, 3, tensor, 0, vec).scale(Fraction(1, 6))
+    tensor = _scaled_pushforward(beta, 3, Fraction(1, 6))
+    return normal_power_apply(group, 3, tensor, 0, vec)
 
 
 def cubic_op(group, beta):
-    tensor = pushforward_tauk(beta, 3)
+    tensor = _scaled_pushforward(beta, 3, Fraction(1, 6))
     return FockOperator(
-        group,
-        lambda v: normal_power_apply(group, 3, tensor, 0, v).scale(Fraction(1, 6)),
+        group, lambda v: normal_power_apply(group, 3, tensor, 0, v)
     )
 
 
@@ -480,36 +545,55 @@ def verify_generators(group, n):
 def verify_heisenberg(group, max_level, max_mode=3):
     """[p_m(K^b), p_n(K^c)] = m delta_{m,-n} <K^b, K^c> id, exactly.
 
+    Each p_m(K^c) is a FockOperator over heis_k, read through the module
+    at call time, so each column is computed once for all the cells.
     Returns the list of failing (m, n, b, c, rho) cells.
     """
     failures = []
     k = group.num_classes
     basis = domain_types(group, max_level)
-    for m in range(-max_mode, max_mode + 1):
-        for n in range(-max_mode, max_mode + 1):
+    modes = range(-max_mode, max_mode + 1)
+    ops = {
+        (m, c): FockOperator(
+            group, lambda v, m=m, c=c: heis_k(group, m, c, v)
+        )
+        for m in modes
+        for c in range(k)
+    }
+    for m in modes:
+        for n in modes:
             for b in range(k):
                 for c in range(k):
                     expected = Fraction(0)
                     if m == -n and c == group.inv_class[b] and m != 0:
                         expected = m * Fraction(1, group.zeta[b])
+                    p, q = ops[m, b], ops[n, c]
                     for rho in basis:
-                        v = basis_state(group, rho)
-                        lhs = heis_k(group, m, b, heis_k(group, n, c, v)) - heis_k(
-                            group, n, c, heis_k(group, m, b, v)
-                        )
-                        rhs = v.scale(expected)
-                        if lhs != rhs:
+                        pq, qp = p(q.column(rho)), q(p.column(rho))
+                        if expected:
+                            holds = pq - qp == FockVector(group, {rho: expected})
+                        else:
+                            holds = pq == qp
+                        if not holds:
                             failures.append((m, n, b, c, rho.label()))
     return failures
 
 
 def verify_virasoro(group, max_level, max_mode=2):
-    """Virasoro bracket with central term over the K basis of R(Gamma)."""
+    """Virasoro bracket with central term over the K basis of R(Gamma).
+
+    The cells (n, m, b, c) and (m, n, c, b) read the same two products
+    L_n(K^b) L_m(K^c) and L_m(K^c) L_n(K^b), so the modes are visited as
+    unordered pairs {n, m} whose products are dropped once both cells
+    are done.  Returns the failing (n, m, b, c, rho) cells in the order
+    of n, m, b, c and the basis.
+    """
     from .groups import convolve_g, euler_class, trace_g
 
-    failures = []
     chi = euler_class(group)
-    k = group.num_classes
+    classes = range(group.num_classes)
+    basis = domain_types(group, max_level)
+    modes = range(-max_mode, max_mode + 1)
     ops = {}
 
     def virasoro(j, beta):
@@ -518,28 +602,43 @@ def verify_virasoro(group, max_level, max_mode=2):
             op = ops[(j, beta)] = virasoro_op(group, j, beta)
         return op
 
-    for n in range(-max_mode, max_mode + 1):
-        for m in range(-max_mode, max_mode + 1):
-            for b in range(k):
-                for c in range(k):
-                    beta = k_basis(group, b)
-                    gamma = k_basis(group, c)
-                    bg = convolve_g(beta, gamma)
-                    lhs = commutator(virasoro(n, beta), virasoro(m, gamma))
-                    central = Fraction(0)
-                    if n == -m:
-                        central = Fraction(n**3 - n, 12) * trace_g(
-                            convolve_g(chi, bg)
-                        )
+    def product(j1, c1, j2, c2, products):
+        """L_{j1}(K^{c1}) L_{j2}(K^{c2}), kept in products."""
+        key = (j1, c1, j2, c2)
+        if key not in products:
+            products[key] = compose(
+                virasoro(j1, k_basis(group, c1)), virasoro(j2, k_basis(group, c2))
+            )
+        return products[key]
 
-                    def rhs(v, n=n, m=m, op=virasoro(n + m, bg), central=central):
-                        return op(v).scale(n - m) + v.scale(central)
+    def cells(n, m, b, c, products):
+        """The failing (n, m, b, c, basis index, rho) of one cell."""
+        bg = convolve_g(k_basis(group, b), k_basis(group, c))
+        central = Fraction(0)
+        if n == -m:
+            central = Fraction(n**3 - n, 12) * trace_g(convolve_g(chi, bg))
+        nm = product(n, b, m, c, products)
+        mn = product(m, c, n, b, products)
+        op = virasoro(n + m, bg)
+        for i, rho in enumerate(basis):
+            lhs = nm.column(rho) - mn.column(rho)
+            rhs = op.column(rho).scale(n - m) + basis_state(group, rho).scale(central)
+            if lhs != rhs:
+                yield (n, m, b, c, i, rho)
 
-                    bad = operator_difference_cells(group, lhs, rhs, max_level)
-                    failures.extend(
-                        (n, m, b, c, rho.label()) for rho in bad
-                    )
-    return failures
+    found = []
+    for n in modes:
+        for m in modes:
+            if m < n:
+                continue
+            products = {}  # dropped once both orders of {n, m} are done
+            for b in classes:
+                for c in classes:
+                    found.extend(cells(n, m, b, c, products))
+                    if m != n:
+                        found.extend(cells(m, n, c, b, products))
+    found.sort(key=lambda cell: cell[:5])
+    return [(n, m, b, c, rho.label()) for n, m, b, c, _, rho in found]
 
 
 def verify_cubic(group, max_level):
@@ -559,7 +658,9 @@ def verify_covcomm(group, max_k, max_level):
     1 <= k <= max_k and all classes b, c, with b = O^1(1).
 
     Each operator is built once and shares its cached columns across
-    the cells that use it.  Returns the failing (k, b, c, rho) cells.
+    the cells that use it; (ad b)^k f is the commutator of b with
+    (ad b)^{k-1} f, whose columns are already cached.  Returns the
+    failing (k, b, c, rho) cells.
     """
     from .groups import convolve_g
 
@@ -567,7 +668,7 @@ def verify_covcomm(group, max_k, max_level):
     basis = [k_basis(group, c) for c in classes]
     b_op = op_b(group)
     create = [heis_op(group, -1, alpha) for alpha in basis]
-    create_product = {
+    ad_chain = {
         (b, c): heis_op(group, -1, convolve_g(basis[b], basis[c]))
         for b in classes
         for c in classes
@@ -578,7 +679,7 @@ def verify_covcomm(group, max_k, max_level):
             conv = op_O_op(group, k, basis[b])
             for c in classes:
                 lhs = commutator(conv, create[c])
-                rhs = ad_power(b_op, create_product[b, c], k)
+                rhs = ad_chain[b, c] = commutator(b_op, ad_chain[b, c])
                 bad = operator_difference_cells(group, lhs, rhs, max_level)
                 failures.extend((k, b, c, rho) for rho in bad)
     return failures

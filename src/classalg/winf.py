@@ -437,10 +437,24 @@ def verify_convdiff(group, max_level, max_k=3):
 # -- vertex operator zero mode -----------------------------------------
 
 
-def _partition_weight_factor(lam, coeff_of_part, order):
-    out = HbarSeries.const(Fraction(1), order)
+@lru_cache(maxsize=None)
+def _partition_weight(lam, sign, exponent_scale, order):
+    """prod over the parts k of lam of weight(k)^{m_k} / m_k!, where
+    weight(k) is (Q^k - 1)/k for sign +1 (the creation half) and
+    (1 - Q^{-k})/k for sign -1 (the annihilation half), with
+    Q = exp(exponent_scale * hbar) truncated at the given order.
+
+    Kept for the process: the arguments are all the weight depends on,
+    and HbarSeries is immutable.
+    """
+    one = HbarSeries.const(Fraction(1), order)
+    out = one
     for part, mult in lam.multiplicities().items():
-        base = coeff_of_part(part)
+        if sign > 0:
+            base = HbarSeries.exp_hbar(part * exponent_scale, order) - one
+        else:
+            base = one - HbarSeries.exp_hbar(-part * exponent_scale, order)
+        base = base * Fraction(1, part)
         for _ in range(mult):
             out = out * base
         out = out * Fraction(1, factorial(mult))
@@ -459,19 +473,6 @@ def vertex_zero_mode(group, gamma, vec, order, exponent_scale):
     out = FockVector(group)
     if level < 0:
         return out
-
-    def create_weight(k):
-        return (
-            HbarSeries.exp_hbar(k * exponent_scale, order)
-            - HbarSeries.const(Fraction(1), order)
-        ) * Fraction(1, k)
-
-    def annihilate_weight(k):
-        return (
-            HbarSeries.const(Fraction(1), order)
-            - HbarSeries.exp_hbar(-k * exponent_scale, order)
-        ) * Fraction(1, k)
-
     for w in range(level + 1):
         for lam_b in partitions_of(w):
             annihilated = vec
@@ -481,13 +482,13 @@ def vertex_zero_mode(group, gamma, vec, order, exponent_scale):
                     break
             if w and annihilated.is_zero():
                 continue
-            weight_b = _partition_weight_factor(lam_b, annihilate_weight, order)
+            weight_b = _partition_weight(lam_b, -1, exponent_scale, order)
             for lam_a in partitions_of(w):
                 piece = annihilated
                 for part in lam_a:
                     piece = heis(group, -part, gamma, piece)
-                weight = weight_b * _partition_weight_factor(
-                    lam_a, create_weight, order
+                weight = weight_b * _partition_weight(
+                    lam_a, 1, exponent_scale, order
                 )
                 out = out + piece.scale(weight)
     return out

@@ -8,8 +8,9 @@ against.  Nothing under src/ imports this module.
   permutations on the union of their supports.
 - The Heisenberg operators by induction from the big group, by
   averaging over S_n, and as adjoints through the bilinear form.
-- The level-one J-modes of the W-algebra in the K^rho basis, through
-  the Heisenberg operators of the irreducible characters and every
+- The normally ordered powers of the Heisenberg field in the K^rho
+  basis (the Virasoro and cubic operators), and the level-one J-modes
+  of the W-algebra there, through the Heisenberg operators and every
   mode tuple whose annihilation total fits the level.
 """
 
@@ -25,7 +26,8 @@ from classalg.algebra import (
     bilinear_form_n as fock_inner,
     to_class_function,
 )
-from classalg.fock import FockVector, _mode_tuples, basis_state, heis
+import classalg.fock as fock
+from classalg.fock import FockVector, basis_state, heis
 from classalg.groups import require_character_table
 from classalg.partitions import (
     Partition,
@@ -251,6 +253,130 @@ def heis_annihilate_adjoint(group, r, alpha, vec):
             probe = heis(group, -r, alpha, basis_state(group, nu.inverse(group)))
             out[nu] = fock_inner(vec, probe) * nu.centralizer_order(group)
     return FockVector(group, out)
+
+
+# -- normally ordered powers of the Heisenberg field --------------------
+
+
+def _mode_tuples(k, mode, level):
+    """All k-tuples of nonzero integers summing to mode.
+
+    Positive entries are annihilation degrees and are bounded in total
+    by the input level (a term with larger total annihilation kills any
+    vector of that level); negative entries are then bounded through
+    the fixed sum.
+    """
+    neg_bound = level + abs(mode)
+
+    def rec(pos, target, budget):
+        # budget: annihilation degree still available in total
+        if pos == k:
+            if target == 0:
+                yield ()
+            return
+        rest = k - pos - 1
+        for m in range(-neg_bound, budget + 1):
+            if m == 0:
+                continue
+            new_budget = budget - m if m > 0 else budget
+            s = target - m
+            if rest == 0:
+                if s == 0:
+                    yield (m,)
+                continue
+            if -rest * neg_bound <= s <= new_budget:
+                for tail in rec(pos + 1, s, new_budget):
+                    yield (m,) + tail
+
+    yield from rec(0, mode, level)
+
+
+def oracle_normal_power_apply(group, k, tensor, mode, vec):
+    """Mode `mode` of the normally ordered k-th power of the field,
+    with class-function slots given by an arity-k tensor, on a whole
+    vector: every mode tuple whose annihilation total fits the level,
+    each applied as a product of closed-form heis_k.
+
+    Factors are ordered with smaller Heisenberg degree to the left
+    (creation before annihilation); p_0 terms vanish.
+    """
+    if tensor.arity != k:
+        raise ValueError("tensor arity mismatch")
+    level = vec.max_level()
+    out = FockVector(group)
+    if level < 0:
+        return out
+    for key, coeff in tensor.terms:
+        for modes in _mode_tuples(k, mode, level):
+            pairs = sorted(zip(modes, key), key=lambda p: p[0])
+            w = vec
+            for m, cid in reversed(pairs):
+                w = fock.heis_k(group, m, cid, w)
+                if w.is_zero():
+                    break
+            else:
+                out = out + w.scale(coeff)
+    return out
+
+
+def oracle_virasoro_L(group, n, beta, vec):
+    """L_n(beta) = 1/2 : p^2 :_n through tau_{2*} beta, read through
+    classalg.fock so that a patched pushforward reaches both paths."""
+    tensor = fock.pushforward_tauk(beta, 2)
+    return oracle_normal_power_apply(group, 2, tensor, n, vec).scale(Fraction(1, 2))
+
+
+def oracle_cubic_zero_mode(group, beta, vec):
+    """(1/6) : p^3 :_0 through tau_{3*} beta, as oracle_virasoro_L."""
+    tensor = fock.pushforward_tauk(beta, 3)
+    return oracle_normal_power_apply(group, 3, tensor, 0, vec).scale(Fraction(1, 6))
+
+
+def oracle_verify_virasoro(group, max_level, max_mode=2):
+    """The Virasoro check on the oracle operators, one cell (n, m, b, c)
+    at a time with both products recomputed in each cell."""
+    from classalg.groups import convolve_g, euler_class, k_basis, trace_g
+
+    failures = []
+    chi = euler_class(group)
+    for n in range(-max_mode, max_mode + 1):
+        for m in range(-max_mode, max_mode + 1):
+            for b in range(group.num_classes):
+                for c in range(group.num_classes):
+                    beta, gamma = k_basis(group, b), k_basis(group, c)
+                    bg = convolve_g(beta, gamma)
+                    central = Fraction(0)
+                    if n == -m:
+                        central = Fraction(n**3 - n, 12) * trace_g(
+                            convolve_g(chi, bg)
+                        )
+                    for rho in fock.domain_types(group, max_level):
+                        v = basis_state(group, rho)
+                        lhs = oracle_virasoro_L(
+                            group, n, beta, oracle_virasoro_L(group, m, gamma, v)
+                        ) - oracle_virasoro_L(
+                            group, m, gamma, oracle_virasoro_L(group, n, beta, v)
+                        )
+                        rhs = oracle_virasoro_L(group, n + m, bg, v).scale(
+                            n - m
+                        ) + v.scale(central)
+                        if lhs != rhs:
+                            failures.append((n, m, b, c, rho.label()))
+    return failures
+
+
+def oracle_verify_cubic(group, max_level):
+    """The cubic check on the oracle operator."""
+    from classalg.groups import k_basis
+
+    failures = []
+    for c in range(group.num_classes):
+        beta = k_basis(group, c)
+        for rho in fock.domain_types(group, max_level):
+            v = basis_state(group, rho)
+            if fock.op_O(group, 1, beta, v) != oracle_cubic_zero_mode(group, beta, v):
+                failures.append((c, rho.label()))
+    return failures
 
 
 # -- the level-one J-modes -----------------------------------------------

@@ -13,6 +13,7 @@ from classalg.fock import (
     characteristic_inverse,
     characteristic_map,
     commutator,
+    compose,
     cubic_op,
     cubic_zero_mode,
     domain_types,
@@ -45,7 +46,15 @@ from classalg.groups import (
 from classalg.partitions import TypeFunction, enumerate_types
 from classalg.scalars import Cyc
 from classalg.winf import realize_J_mode, realize_J_op
-from oracles import heis_annihilate_adjoint, heis_create_avg, heis_create_bigsum
+from oracles import (
+    heis_annihilate_adjoint,
+    heis_create_avg,
+    heis_create_bigsum,
+    oracle_cubic_zero_mode,
+    oracle_verify_cubic,
+    oracle_verify_virasoro,
+    oracle_virasoro_L,
+)
 
 
 def test_vacuum_and_basis():
@@ -280,6 +289,99 @@ def test_cached_operators_match_direct_functions(name):
         # the second application reads only cached columns
         op.column_of = _no_recompute
         assert [op(v) for v in (spread, cancelling)] == expected, label
+
+
+# -- the pruned normal-power kernel against the unpruned oracle ----------
+
+
+@pytest.mark.parametrize(
+    "name", ["trivial", "cyclic2", "cyclic3", "sym3", "quaternion8"]
+)
+def test_normal_powers_match_oracle(name):
+    # the last irreducible (cyclotomic on cyclic3), on every K^rho up to
+    # level 3
+    g = load_group(name)
+    beta = require_character_table(g).irreducible(g.num_classes - 1)
+    for rho in domain_types(g, 3):
+        v = basis_state(g, rho)
+        for n in range(-3, 4):
+            assert virasoro_L(g, n, beta, v) == oracle_virasoro_L(
+                g, n, beta, v
+            ), (n, rho.label())
+        assert cubic_zero_mode(g, beta, v) == oracle_cubic_zero_mode(
+            g, beta, v
+        ), rho.label()
+
+
+def test_faulty_pushforward_fails_the_same_cells_as_oracle(monkeypatch):
+    g = load_group("trivial")
+    original = fock.pushforward_tauk
+    monkeypatch.setattr(
+        fock, "pushforward_tauk", lambda f, k: _bump_first_term(original(f, k))
+    )
+    # the shared products and the pair order still report every cell of
+    # the cell-by-cell loop, in its (n, m, b, c, rho) order
+    cells = verify_virasoro(g, 3, 2)
+    assert len(cells) == 98
+    assert cells == oracle_verify_virasoro(g, 3, 2)
+    cubic = verify_cubic(g, 3)
+    assert len(cubic) == 5
+    assert cubic == oracle_verify_cubic(g, 3)
+
+
+def _count_heis_k(monkeypatch):
+    """Wrap fock.heis_k; the counts are keyed on (m, class, state) for a
+    basis-state argument and on None otherwise."""
+    counts = {}
+    original = fock.heis_k
+
+    def counted(grp, m, cid, vec):
+        (rho, v), = vec.coeffs.items() if len(vec.coeffs) == 1 else ((None, 0),)
+        key = (m, cid, rho) if v == 1 else None
+        counts[key] = counts.get(key, 0) + 1
+        return original(grp, m, cid, vec)
+
+    monkeypatch.setattr(fock, "heis_k", counted)
+    return counts
+
+
+def test_normal_powers_call_no_heis_k(monkeypatch):
+    counts = _count_heis_k(monkeypatch)
+    g = load_group("cyclic2")
+    assert verify_virasoro(g, 3, 2) == []
+    assert verify_cubic(g, 3) == []
+    assert counts == {}
+
+
+def test_heisenberg_computes_each_column_once(monkeypatch):
+    counts = _count_heis_k(monkeypatch)
+    g = load_group("cyclic2")
+    assert verify_heisenberg(g, 3, 3) == []
+    assert None not in counts
+    assert counts and max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("build", [compose, commutator])
+def test_composite_operators_read_cached_columns(build):
+    g = load_group("cyclic2")
+    alpha = k_basis(g, 1)
+    f = virasoro_op(g, 1, alpha)
+    h = heis_op(g, -2, alpha)
+    op = build(f, h)
+    spread = _vector(g, SPREAD_VECTORS["cyclic2"])
+    vectors = [spread] + [basis_state(g, rho) for rho in domain_types(g, 2)]
+
+    def direct(v):
+        fh = virasoro_L(g, 1, alpha, heis(g, -2, alpha, v))
+        if build is compose:
+            return fh
+        return fh - heis(g, -2, alpha, virasoro_L(g, 1, alpha, v))
+
+    expected = [direct(v) for v in vectors]
+    assert [op(v) for v in vectors] == expected
+    # the second application reads only cached columns
+    op.column_of = _no_recompute
+    assert [op(v) for v in vectors] == expected
 
 
 # -- fault injection: a wrong coefficient makes each suite fail ----------
