@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import TypeFunction, class_size
+from .groups import ClassFunctionG, k_basis, unit_g
+from .partitions import TypeFunction, class_size, enumerate_types
 from .scalars import inverse as scalar_inverse
 from .wreath import (
     WreathContext,
@@ -430,9 +431,6 @@ def verify_jm(group, n):
 
     Returns a list of failure descriptions (empty = pass).
     """
-    from .groups import ClassFunctionG, k_basis, unit_g
-    from .partitions import enumerate_types
-
     failures = []
     elems = [jm_element(group, j, n) for j in range(1, n + 1)]
     for i in range(1, n + 1):

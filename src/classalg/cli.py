@@ -1,5 +1,6 @@
 """Command-line entry point: group loading, verification-suite
-orchestration, and table emission.
+orchestration, and table emission.  The suites are the entries of
+SUITES, and run_suite builds every report.
 
 Exit codes: 0 all requested suites pass, 1 verification failure,
 2 usage or configuration error.  A ValueError or ArithmeticError raised
@@ -16,11 +17,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
-from fractions import Fraction
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .groups import CharacterTableError, load_group, require_character_table
-from .wreath import ResourceCapError
+from . import algebra, fock, stable, winf, wreath
+from .groups import CharacterTableError, k_basis, load_group, require_character_table
+from .partitions import class_size, enumerate_types
 from .scalars import scalar_to_string
 
 USAGE_ERROR = 2
@@ -47,14 +49,34 @@ class RunConfig:
     explicit: frozenset = frozenset()
 
 
+# Every RunConfig field but `explicit`: its flag's type and help text.
+FLAGS = {
+    "group": (str, "group preset name or table file"),
+    "level": (int, "truncation level L"),
+    "order": (int, "series truncation order N"),
+    "cap": (int, "norm cap for stable constants"),
+    "n": (int, "wreath level n"),
+    "k": (int, "maximum power-sum exponent"),
+    "l": (int, "index of the normally ordered polynomial"),
+    "pairs": (int, "number of sampled pairs"),
+    "triples": (int, "number of sampled triples"),
+    "seed": (int, "seed for sampled checks"),
+    "format": (str, "output format: json or csv"),
+    "out": (str, "write the report to this path"),
+}
+
+
 class ConfigError(ValueError):
     pass
 
 
 def build_config(args):
-    """Merge defaults < --config file < explicit flags."""
+    """Merge defaults < --config file < explicit flags.
+
+    A config value must have its flag's type exactly (so `true` is not
+    an int and `null` is no value at all).
+    """
     values = {}
-    explicit = set()
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -64,20 +86,19 @@ def build_config(args):
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in data.items():
-            if key not in {f.name for f in fields(RunConfig)} or key == "explicit":
+            if key not in FLAGS:
                 raise ConfigError(f"unknown config key: {key}")
+            typ = FLAGS[key][0]
+            if type(value) is not typ:
+                raise ConfigError(f"config key {key} must be of type {typ.__name__}")
             values[key] = value
-            explicit.add(key)
-    for f in fields(RunConfig):
-        if f.name == "explicit":
-            continue
-        flag = getattr(args, f.name, None)
+    for name in FLAGS:
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[f.name] = flag
-            explicit.add(f.name)
+            values[name] = flag
     if values.get("format", "json") not in ("json", "csv"):
         raise ConfigError("format must be json or csv")
-    return RunConfig(**values, explicit=frozenset(explicit))
+    return RunConfig(**values, explicit=frozenset(values))
 
 
 # -- report plumbing -----------------------------------------------------
@@ -90,33 +111,30 @@ def _stringify(value):
         return {str(k): _stringify(v) for k, v in value.items()}
     if isinstance(value, (int, str)):
         return value
-    if isinstance(value, Fraction):
-        return scalar_to_string(value)
-    try:
-        return scalar_to_string(value)
-    except Exception:
-        return str(value)
+    return scalar_to_string(value)
 
 
-def make_report(suite, parameters, failures, wall_time):
-    print(f"# {suite}: {wall_time:.2f}s", file=sys.stderr)
-    return {
-        "suite": suite,
-        "parameters": _stringify(parameters),
-        "status": "pass" if not failures else "fail",
-        "failures": _stringify(list(failures)),
-    }
+def run_suite(name, group, cfg):
+    """Run the suite SUITES[name] and build its report.
 
-
-def run_suite(suite, parameters, fn):
+    A ValueError or ArithmeticError raised by the check is its one
+    failure; a missing character table stays a usage error.
+    """
+    parameters, check = SUITES[name].setup(group, cfg)
     start = time.monotonic()
     try:
-        failures = fn()
+        failures = check()
     except CharacterTableError:
-        raise  # the group file lacks a table: a usage error
+        raise
     except (ValueError, ArithmeticError) as exc:
         failures = [("exception", type(exc).__name__, str(exc))]
-    return make_report(suite, parameters, failures, time.monotonic() - start)
+    print(f"# {name}: {time.monotonic() - start:.2f}s", file=sys.stderr)
+    return {
+        "suite": name,
+        "parameters": _stringify({"group": group.name, **parameters}),
+        "status": "fail" if failures else "pass",
+        "failures": _stringify(list(failures)),
+    }
 
 
 def emit(payload, cfg):
@@ -143,187 +161,147 @@ def exit_code(reports):
 
 
 # -- suites ---------------------------------------------------------------
+#
+# Each setup takes (group, cfg) and returns the report parameters (the
+# group is added by run_suite) and a thunk that runs the check and
+# returns its failures.
+
+JM_MAX_ELEMENTS = 20000  # jm checks only the levels n with |Gamma_n| <= this
 
 
-def suite_heisenberg(group, cfg):
-    from .fock import verify_heisenberg
-
-    params = {"group": group.name, "level": cfg.level, "max_mode": 3}
-    return run_suite(
-        "heisenberg", params, lambda: verify_heisenberg(group, cfg.level, 3)
-    )
+def _heisenberg(group, cfg):
+    params = {"level": cfg.level, "max_mode": 3}
+    return params, lambda: fock.verify_heisenberg(group, cfg.level, 3)
 
 
-def suite_virasoro(group, cfg):
-    from .fock import verify_virasoro
-
-    params = {"group": group.name, "level": cfg.level, "max_mode": 2}
-    return run_suite(
-        "virasoro", params, lambda: verify_virasoro(group, cfg.level, 2)
-    )
-
-
-def suite_cubic(group, cfg):
-    from .fock import verify_cubic
-
-    params = {"group": group.name, "level": cfg.level}
-    return run_suite("cubic", params, lambda: verify_cubic(group, cfg.level))
-
-
-def suite_covcomm(group, cfg):
-    from .fock import verify_covcomm
-
-    params = {"group": group.name, "level": cfg.level, "max_k": cfg.k}
-    return run_suite(
-        "covcomm", params, lambda: verify_covcomm(group, cfg.k, cfg.level)
-    )
-
-
-def suite_dictionary(group, cfg):
-    from .fock import verify_dictionary
-
-    params = {"group": group.name, "degree": cfg.level}
-    return run_suite(
-        "dictionary", params, lambda: verify_dictionary(group, cfg.level)
-    )
-
-
-def suite_jm(group, cfg, max_elements=20000):
-    from .algebra import verify_jm
-    from .wreath import wreath_order
-
+def _jm(group, cfg):
     levels = [
         n
         for n in range(1, cfg.level + 1)
-        if wreath_order(group, n) <= max_elements
+        if wreath.wreath_order(group, n) <= JM_MAX_ELEMENTS
     ]
-    params = {"group": group.name, "levels": levels}
-
-    def run():
-        failures = []
-        for n in levels:
-            failures.extend(verify_jm(group, n))
-        return failures
-
-    return run_suite("jm", params, run)
+    return {"levels": levels}, lambda: [
+        f for n in levels for f in algebra.verify_jm(group, n)
+    ]
 
 
-def suite_vo(group, cfg):
-    from .winf import verify_vo
+def _virasoro(group, cfg):
+    params = {"level": cfg.level, "max_mode": 2}
+    return params, lambda: fock.verify_virasoro(group, cfg.level, 2)
 
+
+def _cubic(group, cfg):
+    return {"level": cfg.level}, lambda: fock.verify_cubic(group, cfg.level)
+
+
+def _covcomm(group, cfg):
+    # a covcomm cell names its type by its repr, as its reports always have
+    return {"level": cfg.level, "max_k": cfg.k}, lambda: [
+        (k, b, c, repr(rho))
+        for k, b, c, rho in fock.verify_covcomm(group, cfg.k, cfg.level)
+    ]
+
+
+def _dictionary(group, cfg):
+    return {"degree": cfg.level}, lambda: fock.verify_dictionary(group, cfg.level)
+
+
+def _vo(group, cfg):
     level = min(cfg.level, 3)
     params = {
-        "group": group.name,
         "level": level,
         "series_order": cfg.order,
         "irreducibles": group.num_classes,  # a character table is square
     }
 
-    def run():
+    def check():
         table = require_character_table(group)
-        failures = []
-        for gi in range(len(table.rows)):
-            failures.extend(verify_vo(group, gi, level, cfg.order))
-        return failures
+        return [
+            f
+            for gi in range(len(table.rows))
+            for f in winf.verify_vo(group, gi, level, cfg.order)
+        ]
 
-    return run_suite("vo", params, run)
-
-
-def suite_level_one(group, cfg):
-    from .winf import verify_convdiff, verify_winf_level_one
-
-    level = min(cfg.level, 3)
-    params = {
-        "group": group.name,
-        "level": level,
-        "pairs": cfg.pairs,
-        "seed": cfg.seed,
-        "max_k": min(cfg.k, 3),
-    }
-
-    def run():
-        failures = list(
-            verify_winf_level_one(group, level, cfg.pairs, cfg.seed)
-        )
-        failures.extend(verify_convdiff(group, level, min(cfg.k, 3)))
-        return failures
-
-    return run_suite("level-one", params, run)
+    return params, check
 
 
-def suite_bracket(group, cfg):
-    from .winf import lemma_variable_residuals, verify_bracket_laws
+def _level_one(group, cfg):
+    level, max_k = min(cfg.level, 3), min(cfg.k, 3)
+    params = {"level": level, "pairs": cfg.pairs, "seed": cfg.seed, "max_k": max_k}
+    return params, lambda: [
+        *winf.verify_winf_level_one(group, level, cfg.pairs, cfg.seed),
+        *winf.verify_convdiff(group, level, max_k),
+    ]
 
-    params = {"group": group.name, "triples": cfg.triples, "seed": cfg.seed}
 
-    def run():
-        failures = list(verify_bracket_laws(group, cfg.triples, cfg.seed))
-        failures.extend(
+def _bracket(group, cfg):
+    return {"triples": cfg.triples, "seed": cfg.seed}, lambda: [
+        *winf.verify_bracket_laws(group, cfg.triples, cfg.seed),
+        *(
             ("finite-difference residual", i)
-            for i, r in enumerate(lemma_variable_residuals(cfg.order + 2))
+            for i, r in enumerate(winf.lemma_variable_residuals(cfg.order + 2))
             if not r.is_zero()
-        )
-        return failures
-
-    return run_suite("bracket", params, run)
+        ),
+    ]
 
 
-def _stable_cap(group, cfg):
-    if "cap" in cfg.explicit:
-        return cfg.cap
-    return cfg.cap if group.order == 1 else min(cfg.cap, 2)
-
-
-def suite_stable(group, cfg):
-    from .stable import (
-        check_stability,
-        stable_structure_constants,
-        verify_forgetful,
-    )
-
-    cap = _stable_cap(group, cfg)
+def _stable(group, cfg):
+    # off the trivial group an unset cap is at most 2
+    cap = cfg.cap
+    if "cap" not in cfg.explicit and group.order != 1:
+        cap = min(cap, 2)
     levels = [2 * cap, 2 * cap + 1] if cfg.n is None else [cfg.n, cfg.n + 1]
-    params = {"group": group.name, "cap": cap, "levels": levels}
 
-    def run():
-        stable = stable_structure_constants(group, cap)
-        failures = list(check_stability(group, cap, levels, stable))
-        failures.extend(verify_forgetful(group, cap, levels[0], stable))
-        return failures
+    def check():
+        table = stable.stable_structure_constants(group, cap)
+        return [
+            *stable.check_stability(group, cap, levels, table),
+            *stable.verify_forgetful(group, cap, levels[0], table),
+        ]
 
-    return run_suite("stable", params, run)
+    return {"cap": cap, "levels": levels}, check
 
 
-def suite_generators(group, cfg):
-    from .fock import verify_generators
-
+def _generators(group, cfg):
     n = cfg.n if cfg.n is not None else (4 if group.order == 1 else 3)
-    params = {"group": group.name, "n": n}
 
-    def run():
-        dims, expected = verify_generators(group, n)
+    def check():
+        dims, expected = fock.verify_generators(group, n)
         return [
             (family, dim, "expected", expected)
             for family, dim in zip(("power-sum", "creation"), dims)
             if dim != expected
         ]
 
-    return run_suite("generators", params, run)
+    return {"n": n}, check
 
 
-ALL_SUITES = (
-    suite_heisenberg,
-    suite_jm,
-    suite_virasoro,
-    suite_cubic,
-    suite_covcomm,
-    suite_dictionary,
-    suite_vo,
-    suite_level_one,
-    suite_bracket,
-    suite_stable,
-    suite_generators,
-)
+class Suite(NamedTuple):
+    command: str | None  # the command that runs this suite alone
+    setup: Callable
+
+
+# The suites in the order of `all`.  `fock verify <name>` and `winf
+# verify <name>` run a suite of their command, `stable verify` and
+# `generators` the suite named after the command; jm runs in `all` only.
+SUITES = {
+    "heisenberg": Suite("fock", _heisenberg),
+    "jm": Suite(None, _jm),
+    "virasoro": Suite("fock", _virasoro),
+    "cubic": Suite("fock", _cubic),
+    "covcomm": Suite("fock", _covcomm),
+    "dictionary": Suite("fock", _dictionary),
+    "vo": Suite("winf", _vo),
+    "level-one": Suite("winf", _level_one),
+    "bracket": Suite("winf", _bracket),
+    "stable": Suite("stable", _stable),
+    "generators": Suite("generators", _generators),
+}
+
+
+def _suites_of(command):
+    """The suites that `<command> verify` can run, in the order of `all`."""
+    return [name for name, suite in SUITES.items() if suite.command == command]
 
 
 # -- table emission --------------------------------------------------------
@@ -355,8 +333,6 @@ def table_group_info(group, cfg):
 
 
 def table_wreath_classes(group, cfg):
-    from .partitions import class_size, enumerate_types
-
     n = cfg.n if cfg.n is not None else cfg.level
     return [
         {
@@ -369,18 +345,15 @@ def table_wreath_classes(group, cfg):
 
 
 def table_jm(group, cfg):
-    from .algebra import jm_element, xi_power_sum
-    from .groups import k_basis
-
     n = cfg.n if cfg.n is not None else cfg.level
     out = {"group": group.name, "n": n, "xi": [], "power_sums": []}
     for j in range(1, n + 1):
         out["xi"].append(
-            {"j": j, "support": jm_element(group, j, n).support_size()}
+            {"j": j, "support": algebra.jm_element(group, j, n).support_size()}
         )
     for k in range(cfg.k + 1):
         for c in range(group.num_classes):
-            f = xi_power_sum(group, n, k, k_basis(group, c))
+            f = algebra.xi_power_sum(group, n, k, k_basis(group, c))
             out["power_sums"].append(
                 {
                     "k": k,
@@ -397,16 +370,10 @@ def table_jm(group, cfg):
 
 
 def table_stable_constants(group, cfg):
-    from .stable import (
-        orbit_product_table,
-        stable_structure_constants,
-        unnormalized_constant,
-    )
-
     if cfg.n is None:
-        table = stable_structure_constants(group, cfg.cap)
+        table = stable.stable_structure_constants(group, cfg.cap)
     else:
-        table = orbit_product_table(group, cfg.cap, cfg.n)
+        table = stable.orbit_product_table(group, cfg.cap, cfg.n)
     pairs = []
     for (rho, sigma), row in sorted(
         table.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
@@ -416,7 +383,7 @@ def table_stable_constants(group, cfg):
                 "nu": nu.label(),
                 "dtilde": d,
                 "d": scalar_to_string(
-                    unnormalized_constant(group, rho, sigma, nu, d)
+                    stable.unnormalized_constant(group, rho, sigma, nu, d)
                 ),
             }
             for nu, d in sorted(row.items(), key=lambda kv: kv[0].sort_key())
@@ -425,32 +392,26 @@ def table_stable_constants(group, cfg):
     return {"group": group.name, "cap": cfg.cap, "n": cfg.n, "pairs": pairs}
 
 
-def table_pl(cfg):
-    from .winf import p_l_string
+def table_pl(group, cfg):
+    return {"l": cfg.l, "P_l": winf.p_l_string(cfg.l)}
 
-    return {"l": cfg.l, "P_l": p_l_string(cfg.l)}
+
+# (command, action) -> the table it emits
+TABLES = {
+    ("group", "info"): table_group_info,
+    ("wreath", "classes"): table_wreath_classes,
+    ("jm", "table"): table_jm,
+    ("winf", "pl"): table_pl,
+    ("stable", "constants"): table_stable_constants,
+}
 
 
 # -- argument parsing -------------------------------------------------------
 
 
 def _add_common(parser, *names):
-    flags = {
-        "group": (str, "group preset name or table file"),
-        "level": (int, "truncation level L"),
-        "order": (int, "series truncation order N"),
-        "cap": (int, "norm cap for stable constants"),
-        "n": (int, "wreath level n"),
-        "k": (int, "maximum power-sum exponent"),
-        "l": (int, "index of the normally ordered polynomial"),
-        "pairs": (int, "number of sampled pairs"),
-        "triples": (int, "number of sampled triples"),
-        "seed": (int, "seed for sampled checks"),
-        "format": (str, "output format: json or csv"),
-        "out": (str, "write the report to this path"),
-    }
     for name in names:
-        typ, help_text = flags[name]
+        typ, help_text = FLAGS[name]
         parser.add_argument(f"--{name}", type=typ, default=None, help=help_text)
     parser.add_argument(
         "--config", default=argparse.SUPPRESS, help="JSON file of run options"
@@ -483,16 +444,13 @@ def build_parser():
     p = sub.add_parser("fock", help="Fock-space identity suites")
     fs = p.add_subparsers(dest="action", required=True)
     fp = fs.add_parser("verify", help="verify an operator identity")
-    fp.add_argument(
-        "identity",
-        choices=["heisenberg", "virasoro", "cubic", "covcomm", "dictionary"],
-    )
+    fp.add_argument("identity", choices=_suites_of("fock"))
     _add_common(fp, "group", "level", "k", "format", "out")
 
     p = sub.add_parser("winf", help="W-algebra suites")
     ns = p.add_subparsers(dest="action", required=True)
     np_ = ns.add_parser("verify", help="verify a W-algebra identity")
-    np_.add_argument("identity", choices=["bracket", "vo", "level-one"])
+    np_.add_argument("identity", choices=_suites_of("winf"))
     _add_common(
         np_, "group", "level", "order", "k", "pairs", "triples", "seed",
         "format", "out",
@@ -519,8 +477,7 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
         group = load_group(cfg.group)
@@ -528,60 +485,21 @@ def run(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    command = args.command
     try:
-        if command == "group":
-            emit(table_group_info(group, cfg), cfg)
+        table = TABLES.get((args.command, getattr(args, "action", None)))
+        if table is not None:
+            emit(table(group, cfg), cfg)
             return 0
-        if command == "wreath":
-            emit(table_wreath_classes(group, cfg), cfg)
-            return 0
-        if command == "jm":
-            emit(table_jm(group, cfg), cfg)
-            return 0
-        if command == "fock":
-            suites = {
-                "heisenberg": suite_heisenberg,
-                "virasoro": suite_virasoro,
-                "cubic": suite_cubic,
-                "covcomm": suite_covcomm,
-                "dictionary": suite_dictionary,
-            }
-            report = suites[args.identity](group, cfg)
-            emit(report, cfg)
-            return exit_code(report)
-        if command == "winf":
-            if args.action == "pl":
-                emit(table_pl(cfg), cfg)
-                return 0
-            suites = {
-                "bracket": suite_bracket,
-                "vo": suite_vo,
-                "level-one": suite_level_one,
-            }
-            report = suites[args.identity](group, cfg)
-            emit(report, cfg)
-            return exit_code(report)
-        if command == "stable":
-            if args.action == "constants":
-                emit(table_stable_constants(group, cfg), cfg)
-                return 0
-            report = suite_stable(group, cfg)
-            emit(report, cfg)
-            return exit_code(report)
-        if command == "generators":
-            report = suite_generators(group, cfg)
-            emit(report, cfg)
-            return exit_code(report)
-        if command == "all":
+        if args.command == "all":
             require_character_table(group)  # vo, level-one and bracket need it
-            reports = [suite(group, cfg) for suite in ALL_SUITES]
-            emit(reports, cfg)
-            return exit_code(reports)
-    except (ValueError, ResourceCapError) as exc:
+            report = [run_suite(name, group, cfg) for name in SUITES]
+        else:  # a verify command, or generators
+            report = run_suite(getattr(args, "identity", args.command), group, cfg)
+        emit(report, cfg)
+        return exit_code(report)
+    except (ValueError, wreath.ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    raise AssertionError(f"unhandled command {command}")
 
 
 def main():

@@ -43,13 +43,17 @@ from .algebra import (
     WreathClassFunction,
     bilinear_form_n as fock_inner,
     convolve_n,
+    subalgebra_generated,
     xi_power_sum,
 )
 from .groups import (
     TensorClassFunction,
+    convolve_g,
+    euler_class,
     k_basis,
     pushforward_tauk,
     require_character_table,
+    trace_g,
     unit_g,
 )
 from .partitions import EMPTY_TYPE, enumerate_types
@@ -519,8 +523,6 @@ def verify_generators(group, n):
 
     Returns ((dim_xi, dim_p), expected_dimension).
     """
-    from .algebra import subalgebra_generated
-
     expected = len(WreathContext.get(group, n).types)
     family_xi = [
         xi_power_sum(group, n, i, k_basis(group, c))
@@ -588,8 +590,6 @@ def verify_virasoro(group, max_level, max_mode=2):
     are done.  Returns the failing (n, m, b, c, rho) cells in the order
     of n, m, b, c and the basis.
     """
-    from .groups import convolve_g, euler_class, trace_g
-
     chi = euler_class(group)
     classes = range(group.num_classes)
     basis = domain_types(group, max_level)
@@ -662,8 +662,6 @@ def verify_covcomm(group, max_k, max_level):
     (ad b)^{k-1} f, whose columns are already cached.  Returns the
     failing (k, b, c, rho) cells.
     """
-    from .groups import convolve_g
-
     classes = range(group.num_classes)
     basis = [k_basis(group, c) for c in classes]
     b_op = op_b(group)

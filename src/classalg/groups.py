@@ -11,6 +11,7 @@ tau_{k*}, and the Euler class.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -422,8 +423,6 @@ def _perm_mul(p, q):
 
 
 def _sym3_group():
-    import itertools
-
     elems = sorted(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(elems)}
     mul = [[index[_perm_mul(p, q)] for q in elems] for p in elems]

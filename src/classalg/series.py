@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .scalars import inverse as scalar_inverse
+
 POLE_BOUND = 2
 
 
@@ -167,8 +169,6 @@ class HbarSeries:
         if hi < lo:
             raise SeriesError("no known coefficients in quotient window")
         lead = other.coeff(val)
-        from .scalars import inverse as scalar_inverse
-
         lead_inv = scalar_inverse(lead)
         out = []
         for j in range(lo, hi + 1):

@@ -32,6 +32,8 @@ from .algebra import (
     k_class,
     to_class_function,
 )
+from .fock import heis, vacuum
+from .groups import k_basis
 from .partitions import Partition, TypeFunction, class_size, enumerate_types_upto
 from .wreath import (
     WreathContext,
@@ -301,9 +303,6 @@ def padded_class_multiple(group, rho, n):
 def p_rho_vector(group, rho, n):
     """The creation-monomial image z(rho)^{-1} 1_{-(n-||rho||)}
     prod 𝔭_{-r}(K^c) |0> at level n, as a class function."""
-    from .fock import heis, vacuum
-    from .groups import k_basis
-
     if rho.norm > n:
         return WreathClassFunction(group, n, {})
     vec = vacuum(group)

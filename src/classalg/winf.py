@@ -24,11 +24,22 @@ K-basis realization is the oracle in tests/oracles.py.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .fock import FockOperator, FockVector, heis, op_O, to_p_basis
+from .algebra import SparseVector
+from .fock import (
+    FockOperator,
+    FockVector,
+    basis_state,
+    domain_types,
+    heis,
+    op_O,
+    op_O_hbar,
+    to_p_basis,
+)
 from .groups import require_character_table
 from .partitions import partitions_of
 from .scalars import poly_add, poly_mul, poly_scale, poly_trim
@@ -79,56 +90,47 @@ def poly_to_falling(a):
 # -- algebra elements ---------------------------------------------------
 
 
-class DiffOpElement:
+CENTRAL = "central"  # the basis key of the central element
+
+
+class DiffOpElement(SparseVector):
     """A sum of t^r f(D) (x) e_gamma terms plus a central scalar.
 
-    terms maps (r, gamma_index) to the polynomial f; gamma_index runs
-    over the irreducible characters of the group.
+    coeffs maps (r, gamma_index, j) to the coefficient of t^r D^j (x)
+    e_gamma, and CENTRAL to the central scalar; gamma_index runs over
+    the irreducible characters of the group.  The constructor takes the
+    polynomials f of the terms keyed by (r, gamma_index), which the
+    read-only view `terms` gives back.
     """
 
-    __slots__ = ("group", "terms", "central")
+    __slots__ = ()
 
     def __init__(self, group, terms=None, central=Fraction(0)):
         require_character_table(group)
-        self.group = group
-        self.terms = {k: poly_trim(f) for k, f in (terms or {}).items() if poly_trim(f)}
-        self.central = central
+        coeffs = {
+            (r, gi, j): c
+            for (r, gi), f in (terms or {}).items()
+            for j, c in enumerate(f)
+        }
+        coeffs[CENTRAL] = central
+        super().__init__(group, coeffs)
 
-    def _check(self, other):
-        if self.group is not other.group:
-            raise ValueError("elements over different groups")
+    @property
+    def terms(self):
+        """(r, gamma_index) -> the polynomial f, lowest degree first."""
+        monomials = {}
+        for key, c in self.coeffs.items():
+            if key != CENTRAL:
+                r, gi, j = key
+                monomials.setdefault((r, gi), {})[j] = c
+        return {
+            key: tuple(f.get(j, 0) for j in range(max(f) + 1))
+            for key, f in monomials.items()
+        }
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, f in other.terms.items():
-            s = poly_add(out.get(k, ()), f)
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return DiffOpElement(self.group, out, self.central + other.central)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        return DiffOpElement(
-            self.group,
-            {k: poly_scale(f, s) for k, f in self.terms.items()},
-            s * self.central,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiffOpElement)
-            and self.group is other.group
-            and self.terms == other.terms
-            and self.central == other.central
-        )
-
-    def is_zero(self):
-        return not self.terms and not self.central
+    @property
+    def central(self):
+        return self.coeffs.get(CENTRAL, 0)
 
     def __repr__(self):
         bits = [
@@ -173,8 +175,9 @@ def winf_bracket(x, y):
     x._check(y)
     out = {}
     central = Fraction(0)
+    y_terms = y.terms.items()
     for (r, gi), f in x.terms.items():
-        for (s, gj), g in y.terms.items():
+        for (s, gj), g in y_terms:
             if gi != gj:
                 continue  # orthogonal idempotents
             poly = poly_add(
@@ -348,8 +351,10 @@ def realize(group, x, j_ops=None):
                     j_ops[key] = realize_J_op(group, l, k, gi)
                 terms.append((j_ops[key], -c))
 
+    central = x.central
+
     def run(vec):
-        out = vec.scale(x.central) if x.central else FockVector(group)
+        out = vec.scale(central) if central else FockVector(group)
         for op, c in terms:
             out = out + op(vec).scale(c)
         return out
@@ -416,8 +421,6 @@ def verify_convdiff(group, max_level, max_k=3):
 
     Both sides are compared in the p basis on the image of each K^rho,
     and a failure names the K^rho."""
-    from .fock import basis_state, domain_types
-
     ct = require_character_table(group)
     failures = []
     j_ops = {}
@@ -523,8 +526,6 @@ def vo_rhs(group, gamma_index, vec, order, corrected=True):
 
 def verify_vo(group, gamma_index, max_level, order, corrected=True):
     """Compare O_hbar on every basis state with the vertex-operator side."""
-    from .fock import basis_state, domain_types, op_O_hbar
-
     ct = require_character_table(group)
     gam = ct.irreducible(gamma_index)
     failures = []
@@ -567,10 +568,6 @@ def verify_winf_level_one(group, max_level, num_pairs, seed=0):
     it holds there exactly when it holds on the K^rho.  Only a pair that
     fails is applied to the image of each K^rho, so that a failure
     names a K^rho."""
-    import random
-
-    from .fock import basis_state, domain_types
-
     rng = random.Random(seed)
     pool = sample_elements(group, rng)
     pairs = [
@@ -601,8 +598,6 @@ def verify_winf_level_one(group, max_level, num_pairs, seed=0):
 def verify_bracket_laws(group, num_triples, seed=0):
     """Antisymmetry and the Jacobi identity (including the central
     cocycle contributions) on seeded random triples; exact."""
-    import random
-
     rng = random.Random(seed)
     pool = sample_elements(group, rng)
     failures = []

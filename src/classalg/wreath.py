@@ -24,6 +24,7 @@ so they are freed with the group.
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -43,8 +44,6 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 def enumeration_cap():
     """The active enumeration cap (environment override honored)."""
-    import os
-
     value = os.environ.get("CLASSALG_ENUM_CAP")
     return int(value) if value else DEFAULT_ENUMERATION_CAP
 

@@ -1,8 +1,13 @@
+import contextlib
+import functools
+import io
 import json
+
+import pytest
 
 import classalg.algebra as algebra
 import classalg.fock as fock
-from classalg.cli import RunConfig, run
+from classalg.cli import SUITES, RunConfig, run
 from classalg.wreath import ResourceCapError
 
 
@@ -249,3 +254,60 @@ def test_all_without_character_table_runs_no_suite(tmp_path, capsys):
     assert out == ""
     assert "# heisenberg:" not in err
     assert "character table required" in err
+
+
+@pytest.mark.parametrize(
+    "config", [{"level": "3"}, {"group": 3}, {"seed": None}, {"level": True}]
+)
+def test_config_value_of_wrong_type_exit_2(config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = capture(
+        capsys, ["fock", "verify", "cubic", "--level", "1", "--config", str(path)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config key")
+
+
+# Each single-suite command with the flags of ALL_FLAGS that it takes.
+ALL_FLAGS = ["--level", "2", "--cap", "1", "--pairs", "3", "--triples", "5"]
+FOCK_FLAGS = ALL_FLAGS[:2]
+WINF_FLAGS = FOCK_FLAGS + ALL_FLAGS[4:]
+SINGLE_SUITE_COMMANDS = {
+    "heisenberg": ["fock", "verify", "heisenberg", *FOCK_FLAGS],
+    "virasoro": ["fock", "verify", "virasoro", *FOCK_FLAGS],
+    "cubic": ["fock", "verify", "cubic", *FOCK_FLAGS],
+    "covcomm": ["fock", "verify", "covcomm", *FOCK_FLAGS],
+    "dictionary": ["fock", "verify", "dictionary", *FOCK_FLAGS],
+    "vo": ["winf", "verify", "vo", *WINF_FLAGS],
+    "level-one": ["winf", "verify", "level-one", *WINF_FLAGS],
+    "bracket": ["winf", "verify", "bracket", *WINF_FLAGS],
+    "stable": ["stable", "verify", "--cap", "1"],
+    "generators": ["generators"],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _battery(group):
+    """The reports of `all` by suite name."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["all", "--group", group, *ALL_FLAGS]) == 0
+    return {r["suite"]: r for r in json.loads(out.getvalue())}
+
+
+def test_every_suite_but_jm_has_a_single_suite_command():
+    assert set(SINGLE_SUITE_COMMANDS) == set(SUITES) - {"jm"}
+    assert list(_battery("trivial")) == list(SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(SINGLE_SUITE_COMMANDS))
+@pytest.mark.parametrize("group", ["trivial", "cyclic2"])
+def test_single_suite_command_prints_the_battery_report(group, suite, capsys):
+    code, out, err = capture(
+        capsys, [*SINGLE_SUITE_COMMANDS[suite], "--group", group]
+    )
+    assert code == 0
+    assert out == json.dumps(_battery(group)[suite], indent=2) + "\n"
+    assert err.startswith(f"# {suite}: ")
