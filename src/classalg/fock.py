@@ -393,14 +393,6 @@ def cubic_op(group, beta):
     )
 
 
-def ad_power(a, f, k):
-    """(ad a)^k f for operators."""
-    out = f
-    for _ in range(k):
-        out = commutator(a, out)
-    return out
-
-
 # -- the polynomial model and the characteristic map -------------------
 #
 # A symbolic vector is a polynomial in commuting variables x_{r,c},
@@ -438,10 +430,6 @@ def sym_annihilate(group, r, cid, p):
 def characteristic_map(group, p):
     """The monomial of type rho maps to ztilde_rho K^rho at level ||rho||."""
     return FockVector(group, {rho: v * rho.ztilde() for rho, v in p.items()})
-
-
-def characteristic_inverse(group, vec):
-    return {rho: v * Fraction(1, rho.ztilde()) for rho, v in vec.coeffs.items()}
 
 
 # -- the basis of monomials in the p_{-r}(gamma) -----------------------

@@ -282,9 +282,6 @@ class TensorClassFunction:
                 raise ValueError("tensor key arity mismatch")
         return TensorClassFunction(group, arity, terms)
 
-    def as_dict(self):
-        return dict(self.terms)
-
 
 def pushforward_tau2(f):
     """tau_{2*} f, adjoint to convolution under the bilinear form.
@@ -336,13 +333,6 @@ def euler_class(group):
     for (a, b), coeff in t2.terms:
         out = out + convolve_g(k_basis(group, a), k_basis(group, b)).scale(coeff)
     return out
-
-
-def euler_number(group):
-    val = trace_g(euler_class(group))
-    if val.denominator != 1:
-        raise ArithmeticError("Euler number is not an integer")
-    return int(val)
 
 
 class CharacterTable:

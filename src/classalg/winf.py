@@ -148,11 +148,6 @@ def basis_J(group, l, k, gamma_index):
     )
 
 
-def basis_L(group, l, k, gamma_index):
-    """L^l_k = -t^k D^l (x) e_gamma."""
-    return DiffOpElement(group, {(k, gamma_index): (0,) * l + (-1,)})
-
-
 def heis_dict_element(group, m, gamma_index):
     """The Heisenberg generator of degree m on the idempotent side: J^0_m."""
     return basis_J(group, 0, m, gamma_index)

@@ -6,6 +6,8 @@ against.  Nothing under src/ imports this module.
   through the inverse permutation.
 - The level-n orbit-product table, multiplying each pair of partial
   permutations on the union of their supports.
+- The stable structure constants, by counting the factorizations of one
+  canonical element of each target type.
 - The Heisenberg operators by induction from the big group, by
   averaging over S_n, and as adjoints through the bilinear form.
 - The normally ordered powers of the Heisenberg field in the K^rho
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from classalg.algebra import (
     GroupAlgebraElement,
@@ -41,6 +43,7 @@ import classalg.winf as winf
 from classalg.wreath import (
     WreathContext,
     WreathElement,
+    canonical_representative,
     type_of,
     wreath_inv,
     wreath_mul,
@@ -142,6 +145,80 @@ def oracle_orbit_product_table(group, cap, n):
                         f"orbit mass {total} not divisible by orbit size {size}"
                     )
                 row[nu] = total // size
+            table[(rho, sigma)] = row
+    return table
+
+
+# -- the stable structure constants by counting factorizations -----------
+
+
+def restrict_support(group, elem, source, target):
+    """Restrict an element on positions `source` to the sub-support
+    `target`; requires every point outside `target` to be fixed."""
+    pos = {p: i for i, p in enumerate(source)}
+    keep = [pos[p] for p in target]
+    for i in range(len(source)):
+        if i not in keep and (
+            elem.sigma[i] != i or elem.g[i] != group.identity
+        ):
+            raise ValueError("element does not fix the removed points")
+    g = tuple(elem.g[i] for i in keep)
+    sigma = tuple(keep.index(elem.sigma[i]) for i in keep)
+    return WreathElement(g, sigma)
+
+
+def minimal_support(group, elem, positions):
+    """The points of `positions` genuinely moved or marked by elem."""
+    return frozenset(
+        p
+        for i, p in enumerate(positions)
+        if elem.sigma[i] != i or elem.g[i] != group.identity
+    )
+
+
+def oracle_stable_coefficient(group, rho, sigma, nu):
+    """The orbit-sum structure constant d~: the number of factorizations
+    of the canonical element of type nu into a type-rho and a type-sigma
+    partial permutation with union of supports the canonical support.
+
+    Independent of the ambient level by construction.
+    """
+    k = nu.norm
+    if rho.norm > k or sigma.norm > k or k > rho.norm + sigma.norm:
+        return 0
+    y_nu = tuple(range(k))
+    x_nu = canonical_representative(group, nu, k)
+    members = [a for _, a in enumerate_orbit(group, rho, rho.norm)]
+    count = 0
+    for y1 in itertools.combinations(range(k), rho.norm):
+        complement = frozenset(y_nu) - frozenset(y1)
+        for a1 in members:
+            a1_full = embed_support(group, a1, y1, y_nu)
+            a2_full = wreath_mul(group, wreath_inv(group, a1_full), x_nu)
+            mandatory = minimal_support(group, a2_full, y_nu) | complement
+            extra = sigma.norm - len(mandatory)
+            if extra < 0:
+                continue
+            base = tuple(sorted(mandatory))
+            a2 = restrict_support(group, a2_full, y_nu, base)
+            if type_of(group, a2).pad_to(sigma.norm) == sigma:
+                count += comb(k - len(mandatory), extra)
+    return count
+
+
+def oracle_stable_structure_constants(group, cap):
+    """All d~[(rho, sigma)][nu] with ||rho||, ||sigma|| <= cap, each by
+    the factorization count; zero entries are left out."""
+    types = enumerate_types_upto(group, cap)
+    targets = enumerate_types_upto(group, 2 * cap)
+    table = {}
+    for rho in types:
+        for sigma in types:
+            row = {}
+            for nu in targets:
+                d = oracle_stable_coefficient(group, rho, sigma, nu)
+                if d:
+                    row[nu] = d
             table[(rho, sigma)] = row
     return table
 

@@ -8,9 +8,7 @@ from classalg.algebra import WreathClassFunction
 from classalg.cli import run
 from classalg.fock import (
     FockVector,
-    ad_power,
     basis_state,
-    characteristic_inverse,
     characteristic_map,
     commutator,
     compose,
@@ -157,6 +155,18 @@ def test_cubic_small():
 def test_covcomm_small():
     for name in ("trivial", "cyclic2"):
         assert verify_covcomm(load_group(name), 2, 3) == []
+
+
+def characteristic_inverse(group, vec):
+    return {rho: v * Fraction(1, rho.ztilde()) for rho, v in vec.coeffs.items()}
+
+
+def ad_power(a, f, k):
+    """(ad a)^k f for operators."""
+    out = f
+    for _ in range(k):
+        out = commutator(a, out)
+    return out
 
 
 def test_characteristic_map_basics():

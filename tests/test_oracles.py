@@ -1,0 +1,34 @@
+"""The oracles stay on the test side: no library module imports them."""
+
+import ast
+from pathlib import Path
+
+import classalg
+
+SOURCES = sorted(Path(classalg.__file__).parent.glob("*.py"))
+
+
+def imported_modules(tree):
+    """Every module name an import statement in the tree names, with the
+    names a ``from`` import brings in."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module
+            yield from (alias.name for alias in node.names)
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"stable.py", "wreath.py", "fock.py"}
+
+
+def test_no_library_module_imports_oracles():
+    offenders = [
+        f"{path.name}: {name}"
+        for path in SOURCES
+        for name in imported_modules(ast.parse(path.read_text(), str(path)))
+        if "oracles" in name.split(".")
+    ]
+    assert offenders == []

@@ -4,7 +4,7 @@ import pytest
 
 import classalg.stable as stable
 from classalg.cli import run
-from classalg.groups import load_group
+from classalg.groups import PRESETS, load_group
 from classalg.partitions import TypeFunction, enumerate_types_upto
 from classalg.stable import (
     check_stability,
@@ -15,14 +15,17 @@ from classalg.stable import (
     orbit_size,
     padded_class_multiple,
     p_rho_vector,
-    restrict_support,
     stable_coefficient,
     stable_structure_constants,
     unnormalized_constant,
     verify_forgetful,
 )
 from classalg.wreath import canonical_representative, type_of
-from oracles import oracle_orbit_product_table
+from oracles import (
+    oracle_orbit_product_table,
+    oracle_stable_structure_constants,
+    restrict_support,
+)
 
 
 def lab(s):
@@ -52,8 +55,18 @@ def test_signed_point_square_constants():
     }
 
 
+@pytest.mark.parametrize(
+    "name,cap",
+    [(name, 1) for name in PRESETS]
+    + [("trivial", 4), ("cyclic2", 2), ("cyclic3", 2), ("sym3", 2)],
+)
+def test_stable_table_matches_factorization_count(name, cap):
+    g = load_group(name)
+    assert stable_structure_constants(g, cap) == oracle_stable_structure_constants(g, cap)
+
+
 def test_dual_route_agreement():
-    # the factorization count equals the orbit-product oracle at a level
+    # the level-table route equals the orbit-product oracle at a level
     g = load_group("trivial")
     cap, n = 2, 5
     stable = stable_structure_constants(g, cap)
@@ -123,19 +136,21 @@ def test_coefficient_support_filtration():
     # products only hit targets within the expected norm window
     g = load_group("trivial")
     rho, sigma = lab("c0:[2]"), lab("c0:[3]")
-    for nu in enumerate_types_upto(g, 6):
-        d = stable_coefficient(g, rho, sigma, nu)
-        if d:
-            assert max(rho.norm, sigma.norm) <= nu.norm <= rho.norm + sigma.norm
+    row = stable_coefficient(g, rho, sigma)
+    assert row
+    for nu, d in row.items():
+        assert d > 0
+        assert max(rho.norm, sigma.norm) <= nu.norm <= rho.norm + sigma.norm
 
 
 def test_stable_verify_catches_wrong_coefficient(monkeypatch, capsys):
     original = stable.stable_coefficient
-    bumped = ("c0:[2]", "c0:[2]", "c0:[3]")
 
-    def coefficient(group, rho, sigma, nu):
-        d = original(group, rho, sigma, nu)
-        return d + 1 if (rho.label(), sigma.label(), nu.label()) == bumped else d
+    def coefficient(group, rho, sigma):
+        row = original(group, rho, sigma)
+        if rho.label() == sigma.label() == "c0:[2]":
+            row[lab("c0:[3]")] += 1
+        return row
 
     monkeypatch.setattr(stable, "stable_coefficient", coefficient)
     code = run(["stable", "verify", "--group", "trivial", "--cap", "2", "--n", "3"])
@@ -207,7 +222,8 @@ def test_each_class_enumerated_once(monkeypatch):
     monkeypatch.setattr(stable, "enumerate_class", counted)
     g = load_group("cyclic2")
     monkeypatch.setattr(g, "wreath_contexts", {})
-    table = stable_structure_constants(g, 2)
+    table = orbit_product_table(g, 2, 3)
     assert len(calls) == len(set(calls)) == len(enumerate_types_upto(g, 2))
-    assert stable_structure_constants(g, 2) == table
+    assert orbit_product_table(g, 2, 3) == table
+    orbit_product_table(g, 2, 4)
     assert len(calls) == len(enumerate_types_upto(g, 2))

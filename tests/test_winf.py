@@ -13,7 +13,6 @@ from classalg.scalars import Cyc
 from classalg.winf import (
     DiffOpElement,
     basis_J,
-    basis_L,
     convdiff_poly,
     falling_factorial_poly,
     heis_dict_element,
@@ -88,6 +87,11 @@ def test_bracket_orthogonal_idempotents():
     a = basis_J(g, 1, 1, 0)
     b = basis_J(g, 1, -1, 1)
     assert winf_bracket(a, b).is_zero()
+
+
+def basis_L(group, l, k, gamma_index):
+    """L^l_k = -t^k D^l (x) e_gamma."""
+    return DiffOpElement(group, {(k, gamma_index): (0,) * l + (-1,)})
 
 
 def test_bracket_virasoro_relation():
