@@ -203,26 +203,24 @@ def to_class_function(a):
 
 def convolve_n(f, g):
     """Product in R(Gamma_n) through the rows of the class table
-    (WreathContext.structure_constants)."""
+    (WreathContext.structure_constants), over the nonzero coefficients
+    of each factor in type-index order."""
     f._check(g)
     ctx = WreathContext.get(f.group, f.n)
-    k = len(ctx.types)
-    out = [0] * k
-    fv = f.vector(ctx)
-    gv = g.vector(ctx)
-    for r in range(k):
-        if not fv[r]:
-            continue
-        for s in range(k):
-            if not gv[s]:
-                continue
-            prod = fv[r] * gv[s]
-            row = ctx.structure_constants(r, s)
-            for t in range(k):
-                if row[t]:
-                    out[t] = out[t] + prod * row[t]
+
+    def indexed(h):
+        return sorted((ctx.type_index[rho], v) for rho, v in h.coeffs.items())
+
+    out = {}
+    gs = indexed(g)
+    for r, u in indexed(f):
+        for s, v in gs:
+            prod = u * v
+            for t, c in enumerate(ctx.structure_constants(r, s)):
+                if c:
+                    out[t] = out.get(t, 0) + prod * c
     return WreathClassFunction(
-        f.group, f.n, {ctx.types[t]: out[t] for t in range(k) if out[t]}
+        f.group, f.n, {ctx.types[t]: out[t] for t in sorted(out)}
     )
 
 

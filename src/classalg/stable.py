@@ -14,9 +14,11 @@ creation-operator monomials applied to the vacuum.
 
 stable_coefficient reads them off the class tables of Gamma_n at the
 levels a product reaches, by inverting that binomial relation.  The
-independent check, orbit_product_table, multiplies out whole orbit sums
-at a level n as products of full elements of Gamma_n; each class of
-Gamma_k it runs over is enumerated once per group.
+independent check, orbit_product_table, works at a level n with full
+elements of Gamma_n: it multiplies one representative of each orbit by
+every element of the other orbit and scales the count by the orbit
+size, which conjugation invariance allows; each class of Gamma_k it runs
+over is enumerated once per group.
 """
 
 from __future__ import annotations
@@ -133,14 +135,19 @@ def stable_structure_constants(group, cap):
 
 
 def orbit_product_table(group, cap, n):
-    """Structure constants at a concrete level n, by multiplying out the
-    full orbit sums in the algebra of partial permutations and dividing
-    each orbit's total mass by the orbit size (exactness checked).
+    """Structure constants at a concrete level n, from the orbit sums
+    in the algebra of partial permutations, dividing each orbit's total
+    mass by the orbit size (exactness checked).
 
     Each orbit element (Y, a) is embedded into {0..n-1} once, as the
     bit mask of Y and a extended by fixed points.  The product of two
     such elements is a1 a2 on Y1 u Y2 plus n - |Y1 u Y2| identity
     1-cycles, which are removed from its type before the division.
+    Gamma_n acts on O_rho transitively and keeps the type of a product
+    and the size of its support, so the mass of O_rho * O_sigma is
+    |O_rho| times the count over y in O_sigma for one x0 in O_rho: a
+    row costs |O_sigma| products, not |O_rho| |O_sigma|.  The product
+    of every pair is tests/oracles.oracle_orbit_product_table.
 
     This is the level-dependent oracle: agreement across levels and with
     the constants read off the class tables is the stability statement.
@@ -157,16 +164,19 @@ def orbit_product_table(group, cap, n):
     identity = group.class_of[group.identity]
     table = {}
     for rho in types:
+        # x0 = orbits[rho][0]; an empty orbit, which only a fault
+        # produces, gives empty rows
+        representative = orbits[rho][:1]
         for sigma in types:
             counts = {}
-            for y1, a1 in orbits[rho]:
+            for y1, a1 in representative:
                 for y2, a2 in orbits[sigma]:
                     key = (type_of(group, wreath_mul(group, a1, a2)), (y1 | y2).bit_count())
                     counts[key] = counts.get(key, 0) + 1
             mass = {}
             for (full, k), total in counts.items():
                 nu = _drop_fixed_points(full, n - k, identity)
-                mass[nu] = mass.get(nu, 0) + total
+                mass[nu] = mass.get(nu, 0) + total * len(orbits[rho])
             row = {}
             for nu, total in mass.items():
                 size = orbit_size(group, nu, n)
@@ -202,8 +212,9 @@ def unnormalized_constant(group, rho, sigma, nu, d_tilde):
 
 
 def check_stability(group, cap, levels, stable):
-    """Compare the brute-force level-n orbit products, which share no
-    code with the class tables, across the given levels and against
+    """Compare the level-n orbit products (one orbit representative
+    times a whole orbit), which share no code with the class tables,
+    across the given levels and against
     ``stable = stable_structure_constants(group, cap)``; check
     integrality and nonnegativity in both normalizations and the support
     filtration.

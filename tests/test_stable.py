@@ -160,7 +160,15 @@ def test_stable_verify_catches_wrong_coefficient(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "name,cap,n", [("trivial", 2, 4), ("cyclic2", 2, 3), ("sym3", 1, 3)]
+    "name,cap,n",
+    [
+        ("trivial", 2, 4),
+        ("cyclic2", 2, 3),
+        ("sym3", 1, 3),
+        ("cyclic3", 2, 3),
+        ("sym3", 2, 3),
+        ("quaternion8", 1, 3),
+    ],
 )
 def test_orbit_product_table_matches_oracle(name, cap, n):
     g = load_group(name)
@@ -227,3 +235,59 @@ def test_each_class_enumerated_once(monkeypatch):
     assert orbit_product_table(g, 2, 3) == table
     orbit_product_table(g, 2, 4)
     assert len(calls) == len(enumerate_types_upto(g, 2))
+
+
+@pytest.mark.parametrize("n,expected", [(7, 1820), (8, 2807)])
+def test_orbit_product_table_multiplies_one_representative(monkeypatch, n, expected):
+    # one product per (rho, y in O_sigma): |types| * sum_sigma |O_sigma|
+    calls = []
+    original = stable.wreath_mul
+
+    def counted(group, a, b):
+        calls.append(None)
+        return original(group, a, b)
+
+    monkeypatch.setattr(stable, "wreath_mul", counted)
+    g = load_group("trivial")
+    orbit_product_table(g, 3, n)
+    types = enumerate_types_upto(g, 3)
+    assert len(calls) == expected == len(types) * sum(
+        orbit_size(g, sigma, n) for sigma in types
+    )
+
+
+def _check_with_class_cut(monkeypatch, name, cap, levels, label, keep):
+    # the orbit tables see a class of Gamma_k with members dropped, and
+    # the level tables, filled before the patch, do not
+    original = stable.enumerate_class
+
+    def patched(group, rho, n=None):
+        members = list(original(group, rho, n))
+        return keep(members) if rho.label() == label else members
+
+    g = load_group(name)
+    table = stable_structure_constants(g, cap)
+    monkeypatch.setattr(stable, "enumerate_class", patched)
+    monkeypatch.setattr(g, "wreath_contexts", {})
+    return check_stability(g, cap, levels, table)
+
+
+def test_stable_check_catches_orbit_missing_a_member(monkeypatch):
+    # O_rho is no longer an orbit, so its representative does not speak
+    # for it; the masses still fail to divide
+    failures = _check_with_class_cut(
+        monkeypatch, "trivial", 3, [6, 7], "c0:[3]", lambda m: m[1:]
+    )
+    assert failures == [
+        "level 6: orbit mass 20 not divisible by orbit size 40",
+        "level 7: orbit mass 35 not divisible by orbit size 70",
+    ]
+
+
+def test_stable_check_catches_empty_orbit(monkeypatch):
+    # an empty orbit gives empty rows, each a mismatch, not an IndexError
+    failures = _check_with_class_cut(
+        monkeypatch, "cyclic2", 2, [2, 3], "c1:[1,1]", lambda m: []
+    )
+    assert len(failures) == 30
+    assert all("c1:[1,1]" in f and f.endswith("mismatch") for f in failures)
