@@ -19,7 +19,7 @@ from .fock import (
     op_b,
     vacuum,
     verify_generators,
-    virasoro_L,
+    virasoro_op,
 )
 from .groups import (
     ClassFunctionG,
@@ -76,7 +76,7 @@ __all__ = [
     "verify_jm",
     "verify_vo",
     "verify_winf_level_one",
-    "virasoro_L",
+    "virasoro_op",
     "winf_bracket",
     "wreath_mul",
     "xi_power_sum",

@@ -380,33 +380,27 @@ class _RowSpace:
 def subalgebra_generated(gens, group, n):
     """Dimension and basis of the unital subalgebra generated by gens.
 
-    Exact Gaussian elimination in the K^rho basis; closure under
-    convolution, iterated to stability (at most dim R(Gamma_n) rounds).
+    Exact Gaussian elimination in the K^rho basis.  The basis starts
+    with the unit and the generators, and each of its elements, those
+    added on the way included, is multiplied by every generator once:
+    the span then holds 1 and is closed under multiplication by the
+    generators.  The walk ends because the basis has at most
+    dim R(Gamma_n) elements.
     """
     ctx = WreathContext.get(group, n)
-    dim = len(ctx.types)
-    space = _RowSpace(dim)
+    space = _RowSpace(len(ctx.types))
     basis_elems = []
 
     def add(f):
         if space.insert(f.vector(ctx)):
             basis_elems.append(f)
-            return True
-        return False
 
     add(unit_class(group, n))
     for g in gens:
         add(g)
-    changed = True
-    rounds = 0
-    while changed and rounds <= dim:
-        changed = False
-        rounds += 1
-        snapshot = list(basis_elems)
-        for f in snapshot:
-            for g in gens:
-                if add(convolve_n(f, g)):
-                    changed = True
+    for f in basis_elems:  # grows while it is walked
+        for g in gens:
+            add(convolve_n(f, g))
     return space.dimension, basis_elems
 
 

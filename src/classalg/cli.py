@@ -74,7 +74,8 @@ def build_config(args):
     """Merge defaults < --config file < explicit flags.
 
     A config value must have its flag's type exactly (so `true` is not
-    an int and `null` is no value at all).
+    an int and `null` is no value at all), and a count, level or cap
+    must not be negative.
     """
     values = {}
     if getattr(args, "config", None):
@@ -98,6 +99,9 @@ def build_config(args):
             values[name] = flag
     if values.get("format", "json") not in ("json", "csv"):
         raise ConfigError("format must be json or csv")
+    for name in ("level", "order", "cap", "n", "k", "pairs", "triples"):
+        if values.get(name, 0) < 0:
+            raise ConfigError(f"{name} must not be negative")
     return RunConfig(**values, explicit=frozenset(values))
 
 

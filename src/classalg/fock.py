@@ -25,9 +25,10 @@ enumeration of mode tuples (tests/oracles.py).
 
 Every such operator is linear, so the verification routines apply it
 through a FockOperator: its column on a basis state K^rho is computed
-once, by the code of the direct function (heis_k, heis, op_O,
-virasoro_L, cubic_zero_mode), and kept for the operator's lifetime; a
-vector's image is the coefficient-weighted sum of cached columns.
+once, by a direct function (heis_k, heis, op_O, normal_power_apply),
+and kept for the operator's lifetime; a vector's image is the
+coefficient-weighted sum of cached columns.  The Virasoro and cubic
+operators exist only in that form (virasoro_op, cubic_op).
 compose and commutator build operators from operators, their columns
 read off the cached columns of their factors, so the identity checks
 share products and iterated commutators across their cells.
@@ -367,26 +368,16 @@ def _scaled_pushforward(beta, k, s):
     )
 
 
-def virasoro_L(group, n, beta, vec):
-    """L_n(beta) = 1/2 : p^2 :_n applied through tau_{2*} beta."""
-    tensor = _scaled_pushforward(beta, 2, Fraction(1, 2))
-    return normal_power_apply(group, 2, tensor, n, vec)
-
-
 def virasoro_op(group, n, beta):
+    """L_n(beta) = 1/2 : p^2 :_n through tau_{2*} beta."""
     tensor = _scaled_pushforward(beta, 2, Fraction(1, 2))
     return FockOperator(
         group, lambda v: normal_power_apply(group, 2, tensor, n, v)
     )
 
 
-def cubic_zero_mode(group, beta, vec):
-    """(1/6) : p^3 :_0 applied through tau_{3*} beta."""
-    tensor = _scaled_pushforward(beta, 3, Fraction(1, 6))
-    return normal_power_apply(group, 3, tensor, 0, vec)
-
-
 def cubic_op(group, beta):
+    """(1/6) : p^3 :_0 through tau_{3*} beta."""
     tensor = _scaled_pushforward(beta, 3, Fraction(1, 6))
     return FockOperator(
         group, lambda v: normal_power_apply(group, 3, tensor, 0, v)
@@ -398,10 +389,6 @@ def cubic_op(group, beta):
 # A symbolic vector is a polynomial in commuting variables x_{r,c},
 # encoded as a dict TypeFunction -> coefficient: the type rho encodes
 # the monomial with exponent m_r(rho(c)) on x_{r,c}.
-
-
-def sym_from_type(rho):
-    return {rho: Fraction(1)}
 
 
 def sym_create(group, r, cid, p):
@@ -676,7 +663,7 @@ def verify_dictionary(group, max_degree):
     with the closed-form Heisenberg operators, monomial by monomial."""
     failures = []
     for rho in domain_types(group, max_degree):
-        p = sym_from_type(rho)
+        p = {rho: Fraction(1)}
         image = characteristic_map(group, p)
         for r in range(1, max_degree + 1):
             for cid in range(group.num_classes):

@@ -3,11 +3,13 @@ R(Gamma), its 2-cocycle, and its realization on the Fock space.
 
 Elements are finite sums of t^r f(D) (x) e_gamma (D = t d/dt, e_gamma
 the normalized idempotent attached to an irreducible character) plus a
-central scalar.  The bracket carries the polynomial part
+central scalar, stored in the monomials t^r D^j (x) e_gamma.  The
+bracket carries the polynomial part
 
     t^{r+s} (f(D+s) g(D) - f(D) g(D+r)) (x) e_gamma
 
-on matching idempotents plus the 2-cocycle times the central element.
+on matching idempotents plus the 2-cocycle times the central element,
+both in closed form per pair of monomials.
 
 The realization on the Fock space sends the degree-zero modes of the
 basic field to the Heisenberg operators and extends to all of the
@@ -27,7 +29,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .algebra import SparseVector
 from .fock import (
@@ -42,21 +44,10 @@ from .fock import (
 )
 from .groups import require_character_table
 from .partitions import partitions_of
-from .scalars import poly_add, poly_mul, poly_scale, poly_trim
+from .scalars import poly_add, poly_mul, poly_scale
 from .series import HbarSeries
 
 # -- exact polynomials in D, on the kernel of scalars ------------------
-
-
-def poly_shift(a, s):
-    """f(D) -> f(D + s)."""
-    out = ()
-    power = (1,)
-    shift = (s, 1)
-    for coef in a:
-        out = poly_add(out, poly_scale(power, coef))
-        power = poly_mul(power, shift)
-    return out
 
 
 def poly_eval(a, x):
@@ -74,17 +65,14 @@ def falling_factorial_poly(l):
     return out
 
 
-def poly_to_falling(a):
-    """Coefficients c_l with f(D) = sum_l c_l [D]_l (Newton differences)."""
-    values = [poly_eval(a, j) for j in range(len(a) or 1)]
-    coeffs = []
-    row = values
-    l = 0
-    while row:
-        coeffs.append(row[0] * Fraction(1, factorial(l)))
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        l += 1
-    return poly_trim(coeffs)
+@lru_cache(maxsize=None)
+def _stirling_row(j):
+    """The Stirling numbers S(j, l) of the second kind, 0 <= l <= j:
+    D^j = sum_l S(j, l) [D]_l."""
+    if j == 0:
+        return (1,)
+    prev = _stirling_row(j - 1) + (0,)
+    return tuple(l * prev[l] + (prev[l - 1] if l else 0) for l in range(j + 1))
 
 
 # -- algebra elements ---------------------------------------------------
@@ -94,100 +82,77 @@ CENTRAL = "central"  # the basis key of the central element
 
 
 class DiffOpElement(SparseVector):
-    """A sum of t^r f(D) (x) e_gamma terms plus a central scalar.
+    """A sum of t^r D^j (x) e_gamma monomials plus a central scalar.
 
     coeffs maps (r, gamma_index, j) to the coefficient of t^r D^j (x)
     e_gamma, and CENTRAL to the central scalar; gamma_index runs over
-    the irreducible characters of the group.  The constructor takes the
-    polynomials f of the terms keyed by (r, gamma_index), which the
-    read-only view `terms` gives back.
+    the irreducible characters of the group.
     """
 
     __slots__ = ()
 
-    def __init__(self, group, terms=None, central=Fraction(0)):
+    def __init__(self, group, coeffs=None):
         require_character_table(group)
-        coeffs = {
-            (r, gi, j): c
-            for (r, gi), f in (terms or {}).items()
-            for j, c in enumerate(f)
-        }
-        coeffs[CENTRAL] = central
         super().__init__(group, coeffs)
-
-    @property
-    def terms(self):
-        """(r, gamma_index) -> the polynomial f, lowest degree first."""
-        monomials = {}
-        for key, c in self.coeffs.items():
-            if key != CENTRAL:
-                r, gi, j = key
-                monomials.setdefault((r, gi), {})[j] = c
-        return {
-            key: tuple(f.get(j, 0) for j in range(max(f) + 1))
-            for key, f in monomials.items()
-        }
 
     @property
     def central(self):
         return self.coeffs.get(CENTRAL, 0)
 
+    def monomials(self):
+        """(r, gamma_index, j, coefficient) of each t^r D^j (x) e_gamma."""
+        return [(*key, c) for key, c in self.coeffs.items() if key != CENTRAL]
+
     def __repr__(self):
-        bits = [
-            f"t^{r} {list(f)} (x) e[{g}]" for (r, g), f in sorted(self.terms.items())
-        ]
+        bits = [f"{c} t^{r} D^{j} (x) e[{g}]" for r, g, j, c in sorted(self.monomials())]
         if self.central:
             bits.append(f"{self.central} C")
         return "DiffOpElement(" + (" + ".join(bits) or "0") + ")"
 
 
+def _diffop(group, r, gamma_index, f):
+    """t^r f(D) (x) e_gamma for a polynomial f, lowest degree first."""
+    return DiffOpElement(group, {(r, gamma_index, j): c for j, c in enumerate(f)})
+
+
 def basis_J(group, l, k, gamma_index):
     """J^l_k = -t^k [D]_l (x) e_gamma."""
-    return DiffOpElement(
-        group, {(k, gamma_index): poly_scale(falling_factorial_poly(l), -1)}
-    )
+    return _diffop(group, k, gamma_index, poly_scale(falling_factorial_poly(l), -1))
 
 
-def heis_dict_element(group, m, gamma_index):
-    """The Heisenberg generator of degree m on the idempotent side: J^0_m."""
-    return basis_J(group, 0, m, gamma_index)
-
-
-def psi_scalar(r, f, s, g):
-    """Cocycle value on (t^r f(D), t^s g(D)) per matching idempotent."""
+def psi_scalar(r, i, s, j):
+    """Cocycle value on (t^r D^i, t^s D^j) per matching idempotent:
+    sum_{m=-r}^{-1} m^i (m+r)^j when s = -r > 0, antisymmetric."""
     if r + s != 0:
-        return Fraction(0)
+        return 0
     if r < 0:
-        return -psi_scalar(s, g, r, f)
-    total = Fraction(0)
-    for j in range(-r, 0):
-        total = total + poly_eval(f, j) * poly_eval(g, j + r)
-    return total
+        return -psi_scalar(s, j, r, i)
+    return sum(m**i * (m + r) ** j for m in range(-r, 0))
 
 
 def winf_bracket(x, y):
-    """The Lie bracket; the cocycle contributes to the central part."""
+    """The Lie bracket; the cocycle contributes to the central part.
+
+    On matching idempotents [t^r D^i, t^s D^j] is
+    t^{r+s} ((D+s)^i D^j - D^i (D+r)^j), each shifted power expanded by
+    the binomial theorem.
+    """
     x._check(y)
     out = {}
-    central = Fraction(0)
-    y_terms = y.terms.items()
-    for (r, gi), f in x.terms.items():
-        for (s, gj), g in y_terms:
+    y_terms = y.monomials()
+    for r, gi, i, a in x.monomials():
+        for s, gj, j, b in y_terms:
             if gi != gj:
                 continue  # orthogonal idempotents
-            poly = poly_add(
-                poly_mul(poly_shift(f, s), g),
-                poly_scale(poly_mul(f, poly_shift(g, r)), -1),
-            )
-            if poly:
-                key = (r + s, gi)
-                acc = poly_add(out.get(key, ()), poly)
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-            central = central + psi_scalar(r, f, s, g)
-    return DiffOpElement(x.group, out, central)
+            ab, rs = a * b, r + s
+            for e in range(i + 1):
+                t = (rs, gi, e + j)
+                out[t] = out.get(t, 0) + ab * comb(i, e) * s ** (i - e)
+            for e in range(j + 1):
+                t = (rs, gi, i + e)
+                out[t] = out.get(t, 0) - ab * comb(j, e) * r ** (j - e)
+            out[CENTRAL] = out.get(CENTRAL, 0) + ab * psi_scalar(r, i, s, j)
+    return DiffOpElement(x.group, out)
 
 
 # -- normally ordered polynomials P_l ----------------------------------
@@ -320,31 +285,28 @@ def realize_J_mode(group, l, k, gamma_index, vec):
     return FockVector(group, out)
 
 
-def realize_J_op(group, l, k, gamma_index):
-    """The realized J^l_k on an idempotent as a cached-column operator
-    on the p basis."""
-    return FockOperator(
-        group, lambda v: realize_J_mode(group, l, k, gamma_index, v)
-    )
-
-
 def realize(group, x, j_ops=None):
     """The level-one action of a DiffOpElement (central element -> id)
-    on the p basis.
+    on the p basis: t^k D^j (x) e_gamma acts as
+    -sum_l S(j, l) J^l_k(gamma).
 
     j_ops maps (l, k, gamma_index) to the J-mode operator; realizations
     that share it share the cached columns.  A fresh dict by default.
     """
     if j_ops is None:
         j_ops = {}
+    weights = {}
+    for k, gi, j, c in x.monomials():
+        for l, s in enumerate(_stirling_row(j)):
+            weights[l, k, gi] = weights.get((l, k, gi), 0) - c * s
     terms = []
-    for (k, gi), f in x.terms.items():
-        for l, c in enumerate(poly_to_falling(f)):
-            if c:
-                key = (l, k, gi)
-                if key not in j_ops:
-                    j_ops[key] = realize_J_op(group, l, k, gi)
-                terms.append((j_ops[key], -c))
+    for key, c in weights.items():
+        if c:
+            if key not in j_ops:
+                j_ops[key] = FockOperator(
+                    group, lambda v, key=key: realize_J_mode(group, *key, v)
+                )
+            terms.append((j_ops[key], c))
 
     central = x.central
 
@@ -393,21 +355,21 @@ def convdiff_image(group, k, gamma_index):
     The operator attached to the character equals h * (series
     coefficient polynomial) on its idempotent.
     """
-    ct = require_character_table(group)
-    h = ct.h[gamma_index]
-    return DiffOpElement(
-        group, {(0, gamma_index): poly_scale(convdiff_poly(h, k), h)}
-    )
+    h = require_character_table(group).h[gamma_index]
+    return _diffop(group, 0, gamma_index, poly_scale(convdiff_poly(h, k), h))
 
 
 def convdiff_image_unit(group, k):
     """The image of O^k(1) = sum over irreducibles of O^k on idempotents."""
     ct = require_character_table(group)
-    out = DiffOpElement(group)
-    for i in range(len(ct.rows)):
-        h = ct.h[i]
-        out = out + DiffOpElement(group, {(0, i): convdiff_poly(h, k)})
-    return out
+    return DiffOpElement(
+        group,
+        {
+            (0, i, j): c
+            for i, h in enumerate(ct.h)
+            for j, c in enumerate(convdiff_poly(h, k))
+        },
+    )
 
 
 def verify_convdiff(group, max_level, max_k=3):
@@ -545,7 +507,7 @@ def sample_elements(group, rng, max_l=2, max_abs_k=2, max_conv_k=2):
             for k in range(-max_abs_k, max_abs_k + 1):
                 pool.append(basis_J(group, l, k, gi))
         for m in (-2, -1, 1, 2):
-            pool.append(heis_dict_element(group, m, gi))
+            pool.append(basis_J(group, 0, m, gi))
         for k in range(max_conv_k + 1):
             pool.append(convdiff_image(group, k, gi))
     for k in range(max_conv_k + 1):

@@ -37,7 +37,7 @@ from .partitions import (
     class_size,
     enumerate_types,
 )
-from .scalars import Cyc, cyclotomic_poly, poly_divmod
+from .scalars import Cyc, _power_vec
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -305,12 +305,7 @@ def _rim_hooks(parts, r):
 def _cyclotomic_reduction(m):
     """The columns of x^i mod Phi_m, 0 <= i < m: the j-th column holds
     the coefficient of x^j in each of them, as integers."""
-    phi = cyclotomic_poly(m)
-    rows = []
-    for i in range(m):
-        _, rem = poly_divmod((0,) * i + (1,), phi)
-        rows.append([int(c) for c in rem] + [0] * (len(phi) - 1 - len(rem)))
-    return tuple(zip(*rows))
+    return tuple(zip(*([int(c) for c in _power_vec(m, i)] for i in range(m))))
 
 
 def _lift(value, m):

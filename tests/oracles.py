@@ -14,6 +14,8 @@ against.  Nothing under src/ imports this module.
   basis (the Virasoro and cubic operators), and the level-one J-modes
   of the W-algebra there, through the Heisenberg operators and every
   mode tuple whose annihilation total fits the level.
+- The W-algebra bracket on the polynomial f of each t^r f(D) (x)
+  e_gamma, by shifting polynomials and evaluating the cocycle.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from classalg.partitions import (
     enumerate_types_upto,
     single_cycle_type,
 )
+from classalg.scalars import poly_add, poly_mul, poly_scale
 from classalg.stable import embed_support, enumerate_orbit, orbit_size
 import classalg.winf as winf
 from classalg.wreath import (
@@ -488,3 +491,64 @@ def oracle_realize_J_mode(group, l, k, gamma_index, vec):
             else:
                 out = out + w.scale(coeff)
     return out.scale(Fraction(1, l + 1))
+
+
+# -- the W-algebra bracket on polynomials ---------------------------------
+
+
+def poly_shift(a, s):
+    """f(D) -> f(D + s)."""
+    out = ()
+    power = (1,)
+    shift = (s, 1)
+    for coef in a:
+        out = poly_add(out, poly_scale(power, coef))
+        power = poly_mul(power, shift)
+    return out
+
+
+def _polynomials(x):
+    """(r, gamma_index) -> the polynomial f of the terms t^r f(D) (x)
+    e_gamma of x, lowest degree first."""
+    monomials = {}
+    for r, gi, j, c in x.monomials():
+        monomials.setdefault((r, gi), {})[j] = c
+    return {
+        key: tuple(f.get(j, 0) for j in range(max(f) + 1))
+        for key, f in monomials.items()
+    }
+
+
+def _oracle_psi(r, f, s, g):
+    """The cocycle on (t^r f(D), t^s g(D)) by evaluating f and g."""
+    if r + s != 0:
+        return Fraction(0)
+    if r < 0:
+        return -_oracle_psi(s, g, r, f)
+    return sum(
+        (winf.poly_eval(f, j) * winf.poly_eval(g, j + r) for j in range(-r, 0)),
+        Fraction(0),
+    )
+
+
+def oracle_winf_bracket(x, y):
+    """The bracket term by term on the polynomials f of each (r, gamma):
+    t^{r+s} (f(D+s) g(D) - f(D) g(D+r)) plus the cocycle."""
+    out = {}
+    central = Fraction(0)
+    for (r, gi), f in _polynomials(x).items():
+        for (s, gj), g in _polynomials(y).items():
+            if gi != gj:
+                continue
+            poly = poly_add(
+                poly_mul(poly_shift(f, s), g),
+                poly_scale(poly_mul(f, poly_shift(g, r)), -1),
+            )
+            key = (r + s, gi)
+            out[key] = poly_add(out.get(key, ()), poly)
+            central = central + _oracle_psi(r, f, s, g)
+    coeffs = {
+        (r, gi, j): c for (r, gi), f in out.items() for j, c in enumerate(f)
+    }
+    coeffs[winf.CENTRAL] = central
+    return winf.DiffOpElement(x.group, coeffs)

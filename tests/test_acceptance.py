@@ -16,7 +16,7 @@ from classalg.fock import (
     verify_generators,
     verify_heisenberg,
     verify_virasoro,
-    virasoro_L,
+    virasoro_op,
 )
 from classalg.groups import load_group, unit_g
 from classalg.stable import (
@@ -67,7 +67,7 @@ def test_criterion_03_virasoro_with_central_charge():
         g = load_group(name)
         v = vacuum(g)
         u = unit_g(g)
-        w = virasoro_L(g, 2, u, virasoro_L(g, -2, u, v))
+        w = virasoro_op(g, 2, u)(virasoro_op(g, -2, u)(v))
         if fock_inner(w, v) / fock_inner(v, v) != Fraction(c, 2):
             failures.append(("central-charge", name))
     report(3, "Virasoro relations and central charge", failures == [])

@@ -168,6 +168,28 @@ def test_subalgebra_full():
     assert dim == len(enumerate_types(g, 4))
 
 
+@pytest.mark.parametrize("name, n", [("cyclic2", 4), ("sym3", 3), ("quaternion8", 2)])
+def test_subalgebra_multiplies_each_basis_element_once(name, n, monkeypatch):
+    # one convolution per basis element and generator: dim * |gens|
+    g = load_group(name)
+    gens = [
+        xi_power_sum(g, n, i, k_basis(g, c))
+        for i in range(n)
+        for c in range(g.num_classes)
+    ]
+    calls = []
+    original = algebra.convolve_n
+
+    def counted(f, h):
+        calls.append(1)
+        return original(f, h)
+
+    monkeypatch.setattr(algebra, "convolve_n", counted)
+    dim, basis = subalgebra_generated(gens, g, n)
+    assert dim == len(basis) == len(enumerate_types(g, n))
+    assert len(calls) == dim * len(gens)
+
+
 def test_embed_level_commutation():
     g = load_group("sym3")
     a = embed_level(k_basis(g, 1), 1, 3)

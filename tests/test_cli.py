@@ -270,6 +270,39 @@ def test_config_value_of_wrong_type_exit_2(config, tmp_path, capsys):
     assert err.startswith("error: config key")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fock", "verify", "heisenberg", "--level", "-1"],
+        ["stable", "verify", "--cap", "-1"],
+        ["generators", "--n", "-1"],
+        ["winf", "verify", "bracket", "--order", "-3"],
+    ],
+)
+def test_negative_count_flag_exit_2(argv, capsys):
+    code, out, err = capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must not be negative" in err
+
+
+def test_negative_config_value_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"triples": -1}))
+    code, out, err = capture(
+        capsys, ["winf", "verify", "bracket", "--config", str(path)]
+    )
+    assert (code, out) == (2, "")
+    assert "triples must not be negative" in err
+
+
+def test_negative_seed_is_allowed(capsys):
+    argv = ["winf", "verify", "bracket", "--triples", "2", "--seed", "-5"]
+    code, out, _ = capture(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["parameters"]["seed"] == -5
+
+
 # Each single-suite command with the flags of ALL_FLAGS that it takes.
 ALL_FLAGS = ["--level", "2", "--cap", "1", "--pairs", "3", "--triples", "5"]
 FOCK_FLAGS = ALL_FLAGS[:2]

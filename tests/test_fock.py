@@ -13,16 +13,15 @@ from classalg.fock import (
     commutator,
     compose,
     cubic_op,
-    cubic_zero_mode,
     domain_types,
     fock_inner,
     heis,
     heis_op,
+    normal_power_apply,
     op_b,
     op_O,
     op_O_op,
     sym_create,
-    sym_from_type,
     vacuum,
     verify_covcomm,
     verify_cubic,
@@ -30,7 +29,6 @@ from classalg.fock import (
     verify_generators,
     verify_heisenberg,
     verify_virasoro,
-    virasoro_L,
     virasoro_op,
     xi_class_function,
 )
@@ -43,7 +41,7 @@ from classalg.groups import (
 )
 from classalg.partitions import TypeFunction, enumerate_types
 from classalg.scalars import Cyc
-from classalg.winf import realize_J_mode, realize_J_op
+from classalg.winf import basis_J, realize, realize_J_mode
 from oracles import (
     heis_annihilate_adjoint,
     heis_create_avg,
@@ -143,7 +141,7 @@ def test_virasoro_weight():
     # L_n lowers the level by n
     g = load_group("cyclic2")
     v = basis_state(g, TypeFunction.from_label("c0:[2]|c1:[1]"))
-    out = virasoro_L(g, 1, unit_g(g), v)
+    out = virasoro_op(g, 1, unit_g(g))(v)
     assert out.is_zero() or out.max_level() == 2
 
 
@@ -172,7 +170,7 @@ def ad_power(a, f, k):
 def test_characteristic_map_basics():
     g = load_group("cyclic2")
     for rho in enumerate_types(g, 3):
-        p = sym_from_type(rho)
+        p = {rho: Fraction(1)}
         vec = characteristic_map(g, p)
         assert characteristic_inverse(g, vec) == p
 
@@ -180,7 +178,7 @@ def test_characteristic_map_basics():
 def test_characteristic_map_intertwines():
     g = load_group("cyclic2")
     rho = TypeFunction.from_label("c0:[1]|c1:[1]")
-    p = sym_from_type(rho)
+    p = {rho: Fraction(1)}
     lifted = characteristic_map(g, sym_create(g, 2, 1, p))
     direct = heis(g, -2, k_basis(g, 1), characteristic_map(g, p))
     assert lifted == direct
@@ -245,24 +243,39 @@ SPREAD_VECTORS = {
 }
 
 
+def _normal_power(g, k, alpha, scale, mode):
+    """The mode of the normal power that virasoro_op and cubic_op wrap,
+    applied directly on the same scaled tensor."""
+    tensor = fock._scaled_pushforward(alpha, k, scale)
+    return lambda v: normal_power_apply(g, k, tensor, mode, v)
+
+
+def _j_op(g, l, k, gi):
+    """The cached-column J^l_k that realize builds for basis_J."""
+    j_ops = {}
+    realize(g, basis_J(g, l, k, gi), j_ops)
+    return j_ops[l, k, gi]
+
+
 def _operator_cases(g):
     alpha = require_character_table(g).irreducible(1)
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
     return [
         ("p_2", lambda v: heis(g, 2, alpha, v), heis_op(g, 2, alpha)),
         ("p_-1", lambda v: heis(g, -1, alpha, v), heis_op(g, -1, alpha)),
         ("O^2", lambda v: op_O(g, 2, alpha, v), op_O_op(g, 2, alpha)),
-        ("L_1", lambda v: virasoro_L(g, 1, alpha, v), virasoro_op(g, 1, alpha)),
-        ("L_-2", lambda v: virasoro_L(g, -2, alpha, v), virasoro_op(g, -2, alpha)),
-        ("cubic", lambda v: cubic_zero_mode(g, alpha, v), cubic_op(g, alpha)),
+        ("L_1", _normal_power(g, 2, alpha, half, 1), virasoro_op(g, 1, alpha)),
+        ("L_-2", _normal_power(g, 2, alpha, half, -2), virasoro_op(g, -2, alpha)),
+        ("cubic", _normal_power(g, 3, alpha, sixth, 0), cubic_op(g, alpha)),
         (
             "J^2_-1",
             lambda v: realize_J_mode(g, 2, -1, 1, v),
-            realize_J_op(g, 2, -1, 1),
+            _j_op(g, 2, -1, 1),
         ),
         (
             "J^1_1",
             lambda v: realize_J_mode(g, 1, 1, 1, v),
-            realize_J_op(g, 1, 1, 1),
+            _j_op(g, 1, 1, 1),
         ),
     ]
 
@@ -315,10 +328,10 @@ def test_normal_powers_match_oracle(name):
     for rho in domain_types(g, 3):
         v = basis_state(g, rho)
         for n in range(-3, 4):
-            assert virasoro_L(g, n, beta, v) == oracle_virasoro_L(
+            assert virasoro_op(g, n, beta)(v) == oracle_virasoro_L(
                 g, n, beta, v
             ), (n, rho.label())
-        assert cubic_zero_mode(g, beta, v) == oracle_cubic_zero_mode(
+        assert cubic_op(g, beta)(v) == oracle_cubic_zero_mode(
             g, beta, v
         ), rho.label()
 
@@ -382,10 +395,10 @@ def test_composite_operators_read_cached_columns(build):
     vectors = [spread] + [basis_state(g, rho) for rho in domain_types(g, 2)]
 
     def direct(v):
-        fh = virasoro_L(g, 1, alpha, heis(g, -2, alpha, v))
+        fh = virasoro_op(g, 1, alpha)(heis(g, -2, alpha, v))
         if build is compose:
             return fh
-        return fh - heis(g, -2, alpha, virasoro_L(g, 1, alpha, v))
+        return fh - heis(g, -2, alpha, virasoro_op(g, 1, alpha)(v))
 
     expected = [direct(v) for v in vectors]
     assert [op(v) for v in vectors] == expected

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,28 +12,29 @@ from classalg.groups import CharacterTableError, load_group
 from classalg.partitions import TypeFunction
 from classalg.scalars import Cyc
 from classalg.winf import (
+    CENTRAL,
     DiffOpElement,
     basis_J,
     convdiff_poly,
     falling_factorial_poly,
-    heis_dict_element,
     lemma_variable_residuals,
     p_l_polynomial,
     p_l_string,
+    poly_add,
     poly_eval,
     poly_mul,
-    poly_shift,
-    poly_to_falling,
+    poly_scale,
     psi_scalar,
     realize,
     realize_J_mode,
+    sample_elements,
     verify_bracket_laws,
     verify_convdiff,
     verify_vo,
     verify_winf_level_one,
     winf_bracket,
 )
-from oracles import oracle_realize_J_mode
+from oracles import oracle_realize_J_mode, oracle_winf_bracket, poly_shift
 
 
 def test_poly_helpers():
@@ -44,16 +46,14 @@ def test_poly_helpers():
     assert poly_mul((1, 1), (1, -1)) == (1, 0, -1)
 
 
-def test_falling_basis_roundtrip():
-    # expanding a polynomial in falling factorials recovers it
-    for f in [(5,), (0, 1, 2, 3), (1, 0, 0, 0, 1)]:
-        coeffs = poly_to_falling(f)
+def test_powers_in_the_falling_basis():
+    # D^j = sum_l S(j, l) [D]_l, S the Stirling numbers of the second kind
+    assert winf._stirling_row(4) == (0, 1, 7, 6, 1)
+    for j in range(6):
         back = ()
-        from classalg.winf import poly_add, poly_scale
-
-        for l, c in enumerate(coeffs):
-            back = poly_add(back, poly_scale(falling_factorial_poly(l), c))
-        assert back == tuple(Fraction(x) for x in f)
+        for l, s in enumerate(winf._stirling_row(j)):
+            back = poly_add(back, poly_scale(falling_factorial_poly(l), s))
+        assert back == (0,) * j + (1,)
 
 
 def test_normally_ordered_polynomials():
@@ -65,20 +65,23 @@ def test_normally_ordered_polynomials():
 
 
 def test_cocycle_values():
-    # psi(t^r f, t^s g) = 0 unless r + s = 0
-    assert psi_scalar(1, (1,), 2, (1,)) == 0
+    # psi(t^r D^i, t^s D^j) = 0 unless r + s = 0
+    assert psi_scalar(1, 0, 2, 0) == 0
     # psi(t^r, t^-r) on constants = r
     for r in range(1, 5):
-        assert psi_scalar(r, (1,), -r, (1,)) == r
-        assert psi_scalar(-r, (1,), r, (1,)) == -r
+        assert psi_scalar(r, 0, -r, 0) == r
+        assert psi_scalar(-r, 0, r, 0) == -r
+    # psi(t^2 D, t^-2 D^2) = (-2)(0)^2 + (-1)(1)^2
+    assert psi_scalar(2, 1, -2, 2) == -1
+    assert psi_scalar(-2, 2, 2, 1) == 1
 
 
 def test_bracket_central_term():
     g = load_group("trivial")
-    a = heis_dict_element(g, 2, 0)
-    b = heis_dict_element(g, -2, 0)
+    a = basis_J(g, 0, 2, 0)
+    b = basis_J(g, 0, -2, 0)
     comm = winf_bracket(a, b)
-    assert comm.terms == {}
+    assert comm.coeffs == {CENTRAL: 2}
     assert comm.central == 2
 
 
@@ -91,7 +94,7 @@ def test_bracket_orthogonal_idempotents():
 
 def basis_L(group, l, k, gamma_index):
     """L^l_k = -t^k D^l (x) e_gamma."""
-    return DiffOpElement(group, {(k, gamma_index): (0,) * l + (-1,)})
+    return DiffOpElement(group, {(k, gamma_index, l): -1})
 
 
 def test_bracket_virasoro_relation():
@@ -102,7 +105,20 @@ def test_bracket_virasoro_relation():
     )
     comm = winf_bracket(L(1), L(-1))
     expected = L(0).scale(2)
-    assert comm.terms == expected.terms
+    # the cocycle f(-1) g(0) of f = -(D + 1/2), g = -(D - 1/2)
+    assert comm - expected == DiffOpElement(g, {CENTRAL: Fraction(1, 4)})
+
+
+@pytest.mark.parametrize(
+    "name", ["trivial", "cyclic2", "cyclic3", "sym3", "quaternion8"]
+)
+def test_bracket_matches_the_polynomial_oracle(name):
+    # every ordered pair of the sampled pool, central part included
+    g = load_group(name)
+    pool = sample_elements(g, random.Random(0))
+    for x in pool:
+        for y in pool:
+            assert winf_bracket(x, y) == oracle_winf_bracket(x, y), (x, y)
 
 
 def test_bracket_laws():
@@ -156,7 +172,7 @@ def test_realize_central_is_identity():
     from classalg.partitions import TypeFunction
 
     g = load_group("trivial")
-    x = DiffOpElement(g, central=Fraction(3))
+    x = DiffOpElement(g, {CENTRAL: Fraction(3)})
     v = basis_state(g, TypeFunction.from_label("c0:[2]"))
     assert realize(g, x)(v) == v.scale(3)
 
