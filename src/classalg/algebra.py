@@ -118,19 +118,9 @@ class GroupAlgebraElement(_LevelVector):
                     out.pop(z, None)
         return self._new(out)
 
-    def support_size(self):
-        return len(self.coeffs)
-
 
 def algebra_unit(group, n):
     return GroupAlgebraElement(group, n, {wreath_identity(group, n): Fraction(1)})
-
-
-def algebra_power(a, k):
-    out = algebra_unit(a.group, a.n)
-    for _ in range(k):
-        out = out * a
-    return out
 
 
 class WreathClassFunction(_LevelVector):
@@ -227,7 +217,7 @@ def convolve_n(f, g):
 def bilinear_form_n(f, g):
     """<f, g> = sum_rho Z_rho^{-1} f(rho) g(rho^{-1}) on R(Gamma_n).
 
-    On Fock vectors (as fock.fock_inner) it is the orthogonal sum of the
+    It takes Fock vectors too, where it is the orthogonal sum of the
     level forms.
     """
     f._check(g)
@@ -280,21 +270,20 @@ def embed_level(alpha, i, n):
     return GroupAlgebraElement(group, n, terms)
 
 
-def xi_power_sum_algebra(group, n, k, alpha):
-    """Xi_n^k(alpha) = sum_i xi_i^k o alpha^{(i)} in C[Gamma_n].
+def xi_power_sum(group, n, k, alpha):
+    """Xi_n^k(alpha) = sum_i xi_i^k o alpha^{(i)} as a WreathClassFunction
+    (centrality asserted).
 
     xi^0 is the algebra unit, so Xi_n^0(alpha) = sum_i alpha^{(i)}.
     """
     total = GroupAlgebraElement(group, n, {})
     for i in range(1, n + 1):
-        xik = algebra_power(jm_element(group, i, n), k)
+        xi = jm_element(group, i, n)
+        xik = algebra_unit(group, n)
+        for _ in range(k):
+            xik = xik * xi
         total = total + xik * embed_level(alpha, i, n)
-    return total
-
-
-def xi_power_sum(group, n, k, alpha):
-    """Xi_n^k(alpha) as a WreathClassFunction (centrality asserted)."""
-    return to_class_function(xi_power_sum_algebra(group, n, k, alpha))
+    return to_class_function(total)
 
 
 def eta_n(group, n, gamma):
@@ -372,10 +361,6 @@ class _RowSpace:
         self.rows[piv] = v
         return True
 
-    @property
-    def dimension(self):
-        return len(self.rows)
-
 
 def subalgebra_generated(gens, group, n):
     """Dimension and basis of the unital subalgebra generated by gens.
@@ -401,7 +386,7 @@ def subalgebra_generated(gens, group, n):
     for f in basis_elems:  # grows while it is walked
         for g in gens:
             add(convolve_n(f, g))
-    return space.dimension, basis_elems
+    return len(space.rows), basis_elems
 
 
 # -- verification -------------------------------------------------------

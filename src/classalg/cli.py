@@ -61,7 +61,7 @@ FLAGS = {
     "pairs": (int, "number of sampled pairs"),
     "triples": (int, "number of sampled triples"),
     "seed": (int, "seed for sampled checks"),
-    "format": (str, "output format: json or csv"),
+    "format": (str, "output format: json, or csv for a suite report"),
     "out": (str, "write the report to this path"),
 }
 
@@ -148,8 +148,7 @@ def emit(payload, cfg):
         rows = ["suite,status,failure_count"]
         reports = payload if isinstance(payload, list) else [payload]
         for r in reports:
-            if "suite" in r:
-                rows.append(f"{r['suite']},{r['status']},{len(r['failures'])}")
+            rows.append(f"{r['suite']},{r['status']},{len(r['failures'])}")
         text = "\n".join(rows) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as fh:
@@ -353,7 +352,7 @@ def table_jm(group, cfg):
     out = {"group": group.name, "n": n, "xi": [], "power_sums": []}
     for j in range(1, n + 1):
         out["xi"].append(
-            {"j": j, "support": algebra.jm_element(group, j, n).support_size()}
+            {"j": j, "support": len(algebra.jm_element(group, j, n).coeffs)}
         )
     for k in range(cfg.k + 1):
         for c in range(group.num_classes):
@@ -482,15 +481,17 @@ def build_parser():
 
 def run(argv=None):
     args = build_parser().parse_args(argv)
+    table = TABLES.get((args.command, getattr(args, "action", None)))
     try:
         cfg = build_config(args)
+        if table is not None and cfg.format == "csv":
+            raise ConfigError(f"{args.command} {args.action} has no csv format")
         group = load_group(cfg.group)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
     try:
-        table = TABLES.get((args.command, getattr(args, "action", None)))
         if table is not None:
             emit(table(group, cfg), cfg)
             return 0

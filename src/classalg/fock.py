@@ -42,7 +42,6 @@ from math import factorial
 from .algebra import (
     SparseVector,
     WreathClassFunction,
-    bilinear_form_n as fock_inner,
     convolve_n,
     subalgebra_generated,
     xi_power_sum,

@@ -188,27 +188,8 @@ class ClassFunctionG:
             self.group, tuple(a + b for a, b in zip(self.values, other.values))
         )
 
-    def __sub__(self, other):
-        self._check(other)
-        return ClassFunctionG(
-            self.group, tuple(a - b for a, b in zip(self.values, other.values))
-        )
-
     def scale(self, s):
         return ClassFunctionG(self.group, tuple(s * v for v in self.values))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassFunctionG)
-            and self.group is other.group
-            and all(a == b for a, b in zip(self.values, other.values))
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.values))
-
-    def is_zero(self):
-        return all(not v for v in self.values)
 
 
 def k_basis(group, cid):
@@ -380,10 +361,6 @@ class CharacterTable:
 
     def irreducible(self, i):
         return self.rows[i]
-
-    def idempotent(self, i):
-        """e_gamma = gamma / h_gamma."""
-        return self.rows[i].scale(Fraction(1, self.h[i]))
 
 
 def require_character_table(group):

@@ -65,12 +65,6 @@ class Partition:
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __le__(self, other):
-        return self.parts <= other.parts
-
     def __hash__(self):
         return hash(self.parts)
 
@@ -105,8 +99,8 @@ def partitions_of(n):
 class TypeFunction:
     """A map class id -> Partition with empty partitions never stored.
 
-    Hashable and totally ordered (by total size, then lexicographically
-    over class ids and partitions) for deterministic output.  norm is
+    Hashable; sort_key orders types by total size, then lexicographically
+    over class ids and partitions, for deterministic output.  norm is
     ||rho||, the sum of all part sizes over all classes, kept like the
     hash because the type is immutable.
     """
@@ -117,7 +111,10 @@ class TypeFunction:
         if isinstance(mapping, dict):
             mapping = mapping.items()
         items = tuple(
-            sorted((int(c), lam) for c, lam in mapping if lam.parts)
+            sorted(
+                ((int(c), lam) for c, lam in mapping if lam.parts),
+                key=lambda item: item[0],
+            )
         )
         cids = [c for c, _ in items]
         if len(set(cids)) != len(cids):
@@ -198,12 +195,6 @@ class TypeFunction:
 
     def __eq__(self, other):
         return isinstance(other, TypeFunction) and self.items == other.items
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other):
-        return self.sort_key() <= other.sort_key()
 
     def __hash__(self):
         return self._hash

@@ -37,7 +37,7 @@ _ZERO = Fraction(0)
 _setattr = object.__setattr__
 
 
-# -- polynomials: coefficient tuples, lowest degree first --------------
+# -- cyclotomic polynomials, as coefficient tuples lowest degree first --
 
 
 def poly_trim(c):
@@ -46,29 +46,6 @@ def poly_trim(c):
     while c and not c[-1]:
         c.pop()
     return tuple(c)
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return poly_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def poly_scale(a, s):
-    if not s:
-        return ()
-    return poly_trim([s * x for x in a])
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return poly_trim(out)
 
 
 def poly_divmod(num, den):
@@ -301,25 +278,14 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        phi = cyclotomic_poly(self.m)
-        a = poly_trim(self.coeffs)
-        if not a:
+        """Multiplicative inverse: y with self * y = 1, solved exactly on
+        the columns self * z^j."""
+        m = self.m
+        cols = [_mul_vec(m, self.coeffs, _power_vec(m, j)) for j in range(_phi(m))]
+        y = _solve_columns(cols, (Fraction(1),) + (_ZERO,) * (_phi(m) - 1))
+        if y is None:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # extended gcd of a and Phi_m over Q[x]
-        r0, r1 = phi, a
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            q, r = poly_divmod(r0, r1)
-            s = poly_add(s0, poly_scale(poly_mul(q, s1), -1))
-            r0, r1, s0, s1 = r1, r, s1, s
-        # r0 = gcd (a nonzero constant since Phi_m is irreducible)
-        if len(r0) != 1:
-            raise ArithmeticError("cyclotomic gcd not constant")
-        inv = [c / r0[0] for c in s0]
-        _, rr = poly_divmod(inv, phi)
-        rr = list(rr) + [Fraction(0)] * (_phi(self.m) - len(rr))
-        return _make(self.m, rr)
+        return _make(m, y)
 
     def __truediv__(self, other):
         if not isinstance(other, (*_RATIONAL, Cyc)):
@@ -360,13 +326,6 @@ class Cyc:
 def zeta(m, k=1):
     """The primitive m-th root of unity zeta_m^k, canonicalized."""
     return _make(m, _power_vec(m, k))
-
-
-def conjugate(x):
-    """zeta -> zeta^{-1} conjugation; identity on rationals."""
-    if isinstance(x, Cyc):
-        return x.conjugate()
-    return Fraction(x)
 
 
 def inverse(x):

@@ -186,9 +186,6 @@ class HbarSeries:
         lo = min(self.lo, other.lo)
         return all(self.coeff(j) == other.coeff(j) for j in range(lo, hi + 1))
 
-    def __hash__(self):
-        raise TypeError("HbarSeries is not hashable")
-
     def __repr__(self):
         parts = [
             f"{c}*h^{self.lo + i}" for i, c in enumerate(self.coeffs) if c

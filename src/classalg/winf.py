@@ -44,25 +44,18 @@ from .fock import (
 )
 from .groups import require_character_table
 from .partitions import partitions_of
-from .scalars import poly_add, poly_mul, poly_scale
 from .series import HbarSeries
 
-# -- exact polynomials in D, on the kernel of scalars ------------------
+# -- exact polynomials in D: coefficient tuples, lowest degree first ----
 
 
-def poly_eval(a, x):
-    val = 0
-    for coef in reversed(a):
-        val = val * x + coef
-    return val if val else Fraction(0)
-
-
+@lru_cache(maxsize=None)
 def falling_factorial_poly(l):
-    """[D]_l = D (D-1) ... (D-l+1)."""
-    out = (1,)
-    for j in range(l):
-        out = poly_mul(out, (-j, 1))
-    return out
+    """[D]_l = D (D-1) ... (D-l+1) = (D - l + 1) [D]_{l-1}."""
+    if l == 0:
+        return (1,)
+    prev = falling_factorial_poly(l - 1) + (0,)
+    return tuple((prev[i - 1] if i else 0) - (l - 1) * prev[i] for i in range(l + 1))
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +110,7 @@ def _diffop(group, r, gamma_index, f):
 
 def basis_J(group, l, k, gamma_index):
     """J^l_k = -t^k [D]_l (x) e_gamma."""
-    return _diffop(group, k, gamma_index, poly_scale(falling_factorial_poly(l), -1))
+    return _diffop(group, k, gamma_index, [-c for c in falling_factorial_poly(l)])
 
 
 def psi_scalar(r, i, s, j):
@@ -326,27 +319,18 @@ def convdiff_poly(h, k):
     """The degree-(k+1) polynomial in D with
     sum_k hbar^k/k! * poly_k(D) = (q^{h D} - 1)/(q^{-h} - 1), q = e^hbar.
 
-    Computed by exact power-series division in hbar with polynomial
-    coefficients.
+    At D = d >= 0 the series is -sum_{m=1}^{d} q^{h m}, so poly_k(d) =
+    -h^k (sum_{m=0}^{d} m^k - 0^k), and the power sum is
+    sum_j S(k, j) (d+1) [d]_j / (j+1) with the Stirling numbers S(k, j).
     """
-    order = k
-    # numerator / hbar : coefficients of hbar^j, j = 0..order, each a poly in D
-    num = [
-        poly_scale((0,) * (j + 1) + (1,), Fraction(h ** (j + 1), factorial(j + 1)))
-        for j in range(order + 1)
-    ]
-    # denominator / hbar : scalar series u_j
-    den = [
-        Fraction((-h) ** (j + 1), factorial(j + 1)) for j in range(order + 1)
-    ]
-    inv_lead = Fraction(1) / den[0]
-    quo = []
-    for j in range(order + 1):
-        acc = num[j]
-        for i in range(j):
-            acc = poly_add(acc, poly_scale(quo[i], -den[j - i]))
-        quo.append(poly_scale(acc, inv_lead))
-    return poly_scale(quo[k], factorial(k))
+    out = [Fraction(0)] * (k + 2)
+    for j, s in enumerate(_stirling_row(k)):
+        c = Fraction(s, j + 1)
+        for i, a in enumerate(falling_factorial_poly(j)):
+            out[i] += c * a  # (D + 1) [D]_j
+            out[i + 1] += c * a
+    out[0] -= 0**k
+    return tuple(-(h**k) * c for c in out)
 
 
 def convdiff_image(group, k, gamma_index):
@@ -356,7 +340,7 @@ def convdiff_image(group, k, gamma_index):
     coefficient polynomial) on its idempotent.
     """
     h = require_character_table(group).h[gamma_index]
-    return _diffop(group, 0, gamma_index, poly_scale(convdiff_poly(h, k), h))
+    return _diffop(group, 0, gamma_index, [h * c for c in convdiff_poly(h, k)])
 
 
 def convdiff_image_unit(group, k):
@@ -583,9 +567,7 @@ def lemma_variable_residuals(order, max_d=6):
         qm1_pow = HbarSeries.const(Fraction(1), order)
         for l in range(1, order + 1):
             qm1_pow = qm1_pow * (q - 1)
-            rhs1 = rhs1 + qm1_pow * Fraction(
-                poly_eval(falling_factorial_poly(l), d), factorial(l)
-            )
+            rhs1 = rhs1 + qm1_pow * comb(d, l)
         residuals.append(qd - rhs1)
         lhs2 = (qd - 1).divide(HbarSeries.exp_hbar(-1, order) - 1)
         rhs2 = HbarSeries.zero(order)
@@ -593,8 +575,6 @@ def lemma_variable_residuals(order, max_d=6):
         for l in range(1, order + 1):
             if l > 1:
                 qm1_pow = qm1_pow * (q - 1)
-            rhs2 = rhs2 + qm1_pow * Fraction(
-                poly_eval(falling_factorial_poly(l), d), factorial(l)
-            )
+            rhs2 = rhs2 + qm1_pow * comb(d, l)
         residuals.append(lhs2 + q * rhs2)
     return residuals

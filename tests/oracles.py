@@ -15,7 +15,9 @@ against.  Nothing under src/ imports this module.
   of the W-algebra there, through the Heisenberg operators and every
   mode tuple whose annihilation total fits the level.
 - The W-algebra bracket on the polynomial f of each t^r f(D) (x)
-  e_gamma, by shifting polynomials and evaluating the cocycle.
+  e_gamma, by shifting polynomials and evaluating the cocycle, with
+  generic arithmetic on polynomials (coefficient tuples, lowest degree
+  first).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from classalg.partitions import (
     enumerate_types_upto,
     single_cycle_type,
 )
-from classalg.scalars import poly_add, poly_mul, poly_scale
+from classalg.scalars import poly_trim
 from classalg.stable import embed_support, enumerate_orbit, orbit_size
 import classalg.winf as winf
 from classalg.wreath import (
@@ -496,6 +498,36 @@ def oracle_realize_J_mode(group, l, k, gamma_index, vec):
 # -- the W-algebra bracket on polynomials ---------------------------------
 
 
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    return poly_trim(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def poly_scale(a, s):
+    if not s:
+        return ()
+    return poly_trim([s * x for x in a])
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return poly_trim(out)
+
+
+def poly_eval(a, x):
+    val = 0
+    for coef in reversed(a):
+        val = val * x + coef
+    return val if val else Fraction(0)
+
+
 def poly_shift(a, s):
     """f(D) -> f(D + s)."""
     out = ()
@@ -526,7 +558,7 @@ def _oracle_psi(r, f, s, g):
     if r < 0:
         return -_oracle_psi(s, g, r, f)
     return sum(
-        (winf.poly_eval(f, j) * winf.poly_eval(g, j + r) for j in range(-r, 0)),
+        (poly_eval(f, j) * poly_eval(g, j + r) for j in range(-r, 0)),
         Fraction(0),
     )
 

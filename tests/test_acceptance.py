@@ -6,9 +6,8 @@ comparison is exact (tolerance zero).
 
 from fractions import Fraction
 
-from classalg.algebra import verify_jm
+from classalg.algebra import bilinear_form_n, verify_jm
 from classalg.fock import (
-    fock_inner,
     vacuum,
     verify_covcomm,
     verify_cubic,
@@ -68,7 +67,7 @@ def test_criterion_03_virasoro_with_central_charge():
         v = vacuum(g)
         u = unit_g(g)
         w = virasoro_op(g, 2, u)(virasoro_op(g, -2, u)(v))
-        if fock_inner(w, v) / fock_inner(v, v) != Fraction(c, 2):
+        if bilinear_form_n(w, v) / bilinear_form_n(v, v) != Fraction(c, 2):
             failures.append(("central-charge", name))
     report(3, "Virasoro relations and central charge", failures == [])
 

@@ -162,6 +162,40 @@ def test_csv_format(capsys):
     assert lines[1].endswith(",pass,0")
 
 
+TABLE_COMMANDS = [
+    ["group", "info", "--group", "cyclic2"],
+    ["wreath", "classes", "--group", "cyclic2", "--n", "2"],
+    ["jm", "table", "--group", "trivial", "--n", "2"],
+    ["winf", "pl", "--l", "2"],
+    ["stable", "constants", "--group", "cyclic2", "--cap", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS)
+def test_csv_table_is_a_usage_error(argv, tmp_path, capsys):
+    # a table has no csv form: refused, from the flag or the config file
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"format": "csv"}))
+    for extra in (["--format", "csv"], ["--config", str(path)]):
+        code, out, err = capture(capsys, argv + extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "csv" in err
+
+
+def test_enumeration_cap_override(monkeypatch, tmp_path, capsys):
+    # without a character table, --cap 1 enumerates Gamma_2 (18 elements)
+    path = tmp_path / "c3.txt"
+    path.write_text("order 3\n0 1 2\n1 2 0\n2 0 1\n")
+    argv = ["stable", "constants", "--group", str(path), "--cap", "1"]
+    monkeypatch.setenv("CLASSALG_ENUM_CAP", "10")
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "exceeds enumeration cap 10" in err
+    monkeypatch.delenv("CLASSALG_ENUM_CAP")
+    code, out, _ = capture(capsys, argv)
+    assert code == 0 and json.loads(out)["pairs"]
+
+
 def test_all_trivial(capsys):
     code, out, _ = capture(
         capsys,

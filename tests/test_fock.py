@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import classalg.fock as fock
-from classalg.algebra import WreathClassFunction
+from classalg.algebra import WreathClassFunction, bilinear_form_n
 from classalg.cli import run
 from classalg.fock import (
     FockVector,
@@ -14,7 +14,6 @@ from classalg.fock import (
     compose,
     cubic_op,
     domain_types,
-    fock_inner,
     heis,
     heis_op,
     normal_power_apply,
@@ -60,7 +59,7 @@ def test_vacuum_and_basis():
     rho = TypeFunction.from_label("c1:[2]")
     b = basis_state(g, rho)
     assert b.max_level() == 2
-    assert fock_inner(b, b) != 0
+    assert bilinear_form_n(b, b) != 0
 
 
 def test_creation_against_induction():

@@ -89,9 +89,9 @@ def test_idempotents_orthogonal():
         table = require_character_table(g)
         k = len(table.rows)
         for i in range(k):
-            ei = table.idempotent(i)
+            ei = table.rows[i].scale(Fraction(1, table.h[i]))
             for j in range(k):
-                ej = table.idempotent(j)
+                ej = table.rows[j].scale(Fraction(1, table.h[j]))
                 prod = convolve_g(ei, ej)
                 assert prod == (ei if i == j else ei.scale(0))
 

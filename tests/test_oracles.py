@@ -32,3 +32,28 @@ def test_no_library_module_imports_oracles():
         if "oracles" in name.split(".")
     ]
     assert offenders == []
+
+
+def unused_imports(tree):
+    """(line, name) of each name an import binds that the module never
+    reads; ``from __future__`` imports bind nothing."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for name, line in bound.items() if name not in read]
+
+
+def test_library_modules_read_every_imported_name():
+    # __init__.py imports to re-export
+    offenders = [
+        f"{path.name}:{line}: {name}"
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for line, name in unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert offenders == []

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from classalg.fock import basis_state, domain_types, to_p_basis
 from classalg.groups import CharacterTableError, load_group
 from classalg.partitions import TypeFunction
 from classalg.scalars import Cyc
+from classalg.series import HbarSeries
 from classalg.winf import (
     CENTRAL,
     DiffOpElement,
@@ -20,10 +22,6 @@ from classalg.winf import (
     lemma_variable_residuals,
     p_l_polynomial,
     p_l_string,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_scale,
     psi_scalar,
     realize,
     realize_J_mode,
@@ -34,7 +32,15 @@ from classalg.winf import (
     verify_winf_level_one,
     winf_bracket,
 )
-from oracles import oracle_realize_J_mode, oracle_winf_bracket, poly_shift
+from oracles import (
+    oracle_realize_J_mode,
+    oracle_winf_bracket,
+    poly_add,
+    poly_eval,
+    poly_mul,
+    poly_scale,
+    poly_shift,
+)
 
 
 def test_poly_helpers():
@@ -133,6 +139,19 @@ def test_convdiff_poly_first_values():
     for h in (1, 2):
         for k in range(4):
             assert len(convdiff_poly(h, k)) == k + 2
+
+
+def test_convdiff_poly_matches_the_series_at_integers():
+    # sum_k hbar^k/k! poly_k(d) = (q^{h d} - 1)/(q^{-h} - 1) at D = d;
+    # the points d = 0..order fix each poly_k, of degree k + 1 <= order
+    order = 6
+    for h in (1, 2, 3):
+        den = HbarSeries.exp_hbar(-h, order) - 1
+        for d in range(order + 1):
+            series = (HbarSeries.exp_hbar(h * d, order) - 1).divide(den)
+            for k in range(order - 1):  # the window of d = 0 ends at order - 2
+                value = poly_eval(convdiff_poly(h, k), d)
+                assert value == series.coeff(k) * factorial(k), (h, d, k)
 
 
 def test_convdiff_realization():
