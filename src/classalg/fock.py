@@ -25,19 +25,26 @@ enumeration of mode tuples (tests/oracles.py).
 
 Every such operator is linear, so the verification routines apply it
 through a FockOperator: its column on a basis state K^rho is computed
-once, by a direct function (heis_k, heis, op_O, normal_power_apply),
-and kept for the operator's lifetime; a vector's image is the
-coefficient-weighted sum of cached columns.  The Virasoro and cubic
-operators exist only in that form (virasoro_op, cubic_op).
-compose and commutator build operators from operators, their columns
-read off the cached columns of their factors, so the identity checks
-share products and iterated commutators across their cells.
+once, by a direct function (heis_k, heis, normal_power_apply, or the
+convolution by Xi_n^k(alpha) for O^k(alpha)),
+and kept for the operator's lifetime.  A column is a Column, an
+integer vector over one denominator in the manner of FLINT's
+fmpq_poly: one positive int denominator and a map sigma -> numerator,
+the numerator an int, or a Cyc where the tensor or the input vector is
+cyclotomic; both go through the same code.  Applying an operator to a
+column, compose, commutator and the identity checks sum cached
+columns over the lcm of their denominators in integer arithmetic and
+compare columns by cross-multiplication, so a Fraction is made only
+where a column is built from a FockVector or read back as one.  The
+Virasoro and cubic operators exist only in that form (virasoro_op,
+cubic_op), their columns built directly over integers.  The Fraction
+operator calculus is the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .algebra import (
     SparseVector,
@@ -104,13 +111,100 @@ def basis_state(group, rho):
     return FockVector(group, {rho: Fraction(1)})
 
 
+def _split(x):
+    """A scalar as (numerator, denominator): a Fraction splits, and an
+    int or a Cyc is its own numerator over 1."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return x, 1
+
+
+class Column:
+    """sum_sigma nums[sigma] / den K^sigma, one column of a FockOperator.
+
+    den is a positive int.  A numerator is an int, or a Cyc (or the
+    Fraction that a sum of Cyc collapses to) where the scalars are
+    cyclotomic.  No zero numerator is stored; the fraction is not
+    reduced, so two columns are equal when their numerators agree after
+    cross-multiplying by the other's denominator.  A column is never
+    mutated once built, so columns may share their nums.
+    """
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, den, nums):
+        self.den = den
+        self.nums = nums
+
+    @classmethod
+    def of(cls, vec):
+        """The column of the coefficients of a FockVector (or of any
+        SparseVector)."""
+        split = [(rho, *_split(v)) for rho, v in vec.coeffs.items()]
+        den = lcm(*(d for _, _, d in split))
+        return cls(den, {rho: n * (den // d) for rho, n, d in split})
+
+    def to_vector(self, group):
+        den = self.den
+        return FockVector(
+            group,
+            {
+                sigma: Fraction(v, den) if type(v) is int else v * Fraction(1, den)
+                for sigma, v in self.nums.items()
+            },
+        )
+
+    def is_zero(self):
+        return not self.nums
+
+    def __eq__(self, other):
+        if not isinstance(other, Column):
+            return NotImplemented
+        if self.den == other.den:
+            return self.nums == other.nums
+        a, b, theirs = self.den, other.den, other.nums
+        return self.nums.keys() == theirs.keys() and all(
+            v * b == theirs[sigma] * a for sigma, v in self.nums.items()
+        )
+
+    __hash__ = None
+
+
+def _column(den, nums):
+    """The Column nums / den without its zero numerators."""
+    return Column(den, {sigma: v for sigma, v in nums.items() if v})
+
+
+def _lincomb(terms, den=1):
+    """The Column sum n col / den over (n, col) in terms, for int or Cyc
+    numerators n, over the lcm of the columns' denominators."""
+    if len(terms) == 1:  # one nonzero term cancels nothing
+        n, col = terms[0]
+        if n == 1:
+            return Column(den * col.den, col.nums)
+        if n:
+            nums = {sigma: n * w for sigma, w in col.nums.items()}
+            return Column(den * col.den, nums)
+    common = lcm(*(col.den for _, col in terms))
+    out = {}
+    get = out.get
+    for n, col in terms:
+        if col.den != common:
+            n = n * (common // col.den)
+        for sigma, w in col.nums.items():
+            prev = get(sigma)
+            out[sigma] = n * w if prev is None else prev + n * w
+    return _column(den * common, out)
+
+
 class FockOperator:
     """A linear operator on the Fock space, given by its columns.
 
-    column_of maps a basis state K^rho (a FockVector) to its image.  Each
-    column is computed on first use and kept for the operator's
+    column_of maps a basis type rho to the Column of K^rho's image.
+    Each column is computed on first use and kept for the operator's
     lifetime, a sparse matrix filled on demand; applying the operator
-    to a vector sums the cached columns weighted by the coefficients.
+    to a column or a vector sums the cached columns weighted by the
+    numerators, in integer arithmetic over one denominator.
     """
 
     __slots__ = ("group", "column_of", "columns")
@@ -123,19 +217,39 @@ class FockOperator:
     def column(self, rho):
         col = self.columns.get(rho)
         if col is None:
-            col = self.columns[rho] = self.column_of(basis_state(self.group, rho))
+            col = self.columns[rho] = self.column_of(rho)
         return col
 
+    def apply(self, col):
+        """The image of a Column."""
+        return _lincomb([(n, self.column(rho)) for rho, n in col.nums.items()], col.den)
+
     def __call__(self, vec):
-        out = {}
-        for rho, v in vec.coeffs.items():
-            column = self.column(rho).coeffs.items()
-            if v != 1:
-                column = [(sigma, v * w) for sigma, w in column]
-            for sigma, w in column:
-                prev = out.get(sigma)
-                out[sigma] = w if prev is None else prev + w
-        return FockVector(self.group, out)
+        return self.apply(Column.of(vec)).to_vector(self.group)
+
+
+def operator_sum(group, terms, identity=0):
+    """The operator sum s op over (s, op) in terms plus identity times
+    the identity; the weights are put over one denominator once, so
+    each column is one integer combination of the terms' columns."""
+    split = [_split(s) for s, _ in terms] + [_split(identity)]
+    den = lcm(*(d for _, d in split))
+    *nums, scalar = [n * (den // d) for n, d in split]
+    ops = [op for _, op in terms]
+
+    def column_of(rho):
+        cols = [(n, op.column(rho)) for n, op in zip(nums, ops)]
+        if scalar:
+            cols.append((scalar, Column(1, {rho: 1})))
+        return _lincomb(cols, den)
+
+    return FockOperator(group, column_of)
+
+
+def operator_of(group, fn):
+    """The FockOperator whose column on K^rho is fn(K^rho), for a linear
+    fn from FockVectors to FockVectors."""
+    return FockOperator(group, lambda rho: Column.of(fn(basis_state(group, rho))))
 
 
 def domain_types(group, max_level):
@@ -183,7 +297,7 @@ def heis(group, m, alpha, vec):
 
 
 def heis_op(group, m, alpha):
-    return FockOperator(group, lambda v: heis(group, m, alpha, v))
+    return operator_of(group, lambda v: heis(group, m, alpha, v))
 
 
 # -- convolution operators O^k ----------------------------------------
@@ -217,7 +331,23 @@ def op_O(group, k, alpha, vec):
 
 
 def op_O_op(group, k, alpha):
-    return FockOperator(group, lambda v: op_O(group, k, alpha, v))
+    """O^k(alpha) on integer columns: Xi_n^k(alpha) is put over one
+    denominator once per level n, and the column of K^rho is the
+    convolution of its numerators with K^rho."""
+    xis = {}  # n -> (denominator, numerators of Xi_n^k(alpha))
+
+    def column_of(rho):
+        n = rho.norm
+        if not n:  # level 0 carries the empty power sum
+            return Column(1, {})
+        if n not in xis:
+            xi = Column.of(xi_class_function(group, n, k, alpha))
+            xis[n] = xi.den, WreathClassFunction(group, n, xi.nums)
+        den, xi = xis[n]
+        product = convolve_n(xi, WreathClassFunction(group, n, {rho: 1}))
+        return Column(den, product.coeffs)
+
+    return FockOperator(group, column_of)
 
 
 def op_b(group):
@@ -242,23 +372,26 @@ def op_O_hbar(group, alpha, vec, order):
 
 def compose(f, g):
     """The operator f g, its columns read off the cached columns of f and g."""
-    return FockOperator(f.group, lambda v: f(g(v)))
+    return FockOperator(f.group, lambda rho: f.apply(g.column(rho)))
 
 
 def commutator(f, g):
     """The operator [f, g] = f g - g f, on cached columns like compose."""
-    return FockOperator(f.group, lambda v: f(g(v)) - g(f(v)))
+    return FockOperator(
+        f.group,
+        lambda rho: _lincomb(
+            [(1, f.apply(g.column(rho))), (-1, g.apply(f.column(rho)))]
+        ),
+    )
 
 
 def operator_difference_cells(group, op1, op2, max_level):
     """Basis states K^rho (||rho|| <= max_level) where op1 and op2 differ."""
-    bad = []
-    for rho in domain_types(group, max_level):
-        u = op1(basis_state(group, rho))
-        v = op2(basis_state(group, rho))
-        if u != v:
-            bad.append(rho)
-    return bad
+    return [
+        rho
+        for rho in domain_types(group, max_level)
+        if op1.column(rho) != op2.column(rho)
+    ]
 
 
 # -- normally ordered powers and Virasoro ------------------------------
@@ -314,18 +447,20 @@ def _creations(slots, degree, rho):
     return [(state, num) for state, _, num in out]
 
 
-def normal_power_apply(group, k, tensor, mode, vec):
-    """Mode `mode` of the normally ordered k-th power of the field,
-    with class-function slots given by an arity-k tensor.
+def normal_power_apply(group, k, tensor, mode, rho):
+    """The Column on K^rho of mode `mode` of the normally ordered k-th
+    power of the field, with class-function slots given by an arity-k
+    tensor.
 
     Factors are ordered with smaller Heisenberg degree to the left
-    (creation before annihilation); p_0 terms vanish.  Each basis state
-    of vec is expanded on its own, and each term's factor is built as
-    one Fraction from an integer numerator and denominator.
+    (creation before annihilation); p_0 terms vanish.  Every term is an
+    integer over T Z^k, with T the lcm of the denominators of the
+    tensor's coefficients and Z the lcm of the zeta_c: the terms of one
+    tensor coefficient are summed as integers, and a cyclotomic
+    coefficient multiplies each of those sums once.
     """
     if tensor.arity != k:
         raise ValueError("tensor arity mismatch")
-    out = {}
     splits = [
         (
             [i for i in range(k) if mask >> i & 1],
@@ -333,30 +468,29 @@ def normal_power_apply(group, k, tensor, mode, vec):
         )
         for mask in range(1 << k)
     ]
-    for rho, v in vec.coeffs.items():
-        removed = {(): [(rho, 0, 1)]}
-        for key, coeff in tensor.terms:
-            scalar = coeff * v
-            # a rational scalar joins the integer factor; a cyclotomic
-            # one multiplies each term
-            top, bottom = 1, 1
-            if isinstance(scalar, Fraction):
-                top, bottom, scalar = scalar.numerator, scalar.denominator, None
-            for ann, cre in splits:
-                created = [key[i] for i in cre]
-                for state, total, den in _annihilations(
-                    group, tuple(key[i] for i in ann), removed
-                ):
-                    degree = total - mode
-                    if degree < len(created) or (degree and not created):
-                        continue
-                    for sigma, num in _creations(created, degree, state):
-                        term = Fraction(top * num, bottom * den)
-                        if scalar is not None:
-                            term *= scalar
-                        prev = out.get(sigma)
-                        out[sigma] = term if prev is None else prev + term
-    return FockVector(group, out)
+    coeffs = [(key, *_split(coeff)) for key, coeff in tensor.terms]
+    tden = lcm(*(d for _, _, d in coeffs))
+    zk = lcm(*group.zeta) ** k
+    removed = {(): [(rho, 0, 1)]}
+    out = {}
+    for key, num, d in coeffs:
+        sums = {}
+        for ann, cre in splits:
+            created = [key[i] for i in cre]
+            for state, total, den in _annihilations(
+                group, tuple(key[i] for i in ann), removed
+            ):
+                degree = total - mode
+                if degree < len(created) or (degree and not created):
+                    continue
+                scale = zk // den
+                for sigma, c in _creations(created, degree, state):
+                    sums[sigma] = sums.get(sigma, 0) + scale * c
+        num = num * (tden // d)
+        for sigma, c in sums.items():
+            prev = out.get(sigma)
+            out[sigma] = num * c if prev is None else prev + num * c
+    return _column(tden * zk, out)
 
 
 def _scaled_pushforward(beta, k, s):
@@ -371,7 +505,7 @@ def virasoro_op(group, n, beta):
     """L_n(beta) = 1/2 : p^2 :_n through tau_{2*} beta."""
     tensor = _scaled_pushforward(beta, 2, Fraction(1, 2))
     return FockOperator(
-        group, lambda v: normal_power_apply(group, 2, tensor, n, v)
+        group, lambda rho: normal_power_apply(group, 2, tensor, n, rho)
     )
 
 
@@ -379,7 +513,7 @@ def cubic_op(group, beta):
     """(1/6) : p^3 :_0 through tau_{3*} beta."""
     tensor = _scaled_pushforward(beta, 3, Fraction(1, 6))
     return FockOperator(
-        group, lambda v: normal_power_apply(group, 3, tensor, 0, v)
+        group, lambda rho: normal_power_apply(group, 3, tensor, 0, rho)
     )
 
 
@@ -523,36 +657,39 @@ def verify_heisenberg(group, max_level, max_mode=3):
 
     Each p_m(K^c) is a FockOperator over heis_k, read through the module
     at call time, so each column is computed once for all the cells.
-    Returns the list of failing (m, n, b, c, rho) cells.
+    The cells (m, n, b, c) and (n, m, c, b) read the same two products,
+    so each unordered pair of operators is applied once.  Returns the
+    list of failing (m, n, b, c, rho) cells, in the order of m, n, b, c
+    and the basis.
     """
-    failures = []
-    k = group.num_classes
     basis = domain_types(group, max_level)
-    modes = range(-max_mode, max_mode + 1)
+    keys = [
+        (m, c)
+        for m in range(-max_mode, max_mode + 1)
+        for c in range(group.num_classes)
+    ]
     ops = {
-        (m, c): FockOperator(
-            group, lambda v, m=m, c=c: heis_k(group, m, c, v)
-        )
-        for m in modes
-        for c in range(k)
+        (m, c): operator_of(group, lambda v, m=m, c=c: heis_k(group, m, c, v))
+        for m, c in keys
     }
-    for m in modes:
-        for n in modes:
-            for b in range(k):
-                for c in range(k):
-                    expected = Fraction(0)
-                    if m == -n and c == group.inv_class[b] and m != 0:
-                        expected = m * Fraction(1, group.zeta[b])
-                    p, q = ops[m, b], ops[n, c]
-                    for rho in basis:
-                        pq, qp = p(q.column(rho)), q(p.column(rho))
-                        if expected:
-                            holds = pq - qp == FockVector(group, {rho: expected})
-                        else:
-                            holds = pq == qp
-                        if not holds:
-                            failures.append((m, n, b, c, rho.label()))
-    return failures
+
+    def holds(m, n, b, c, rho, pq, qp):
+        if m == -n and m != 0 and c == group.inv_class[b]:
+            return _lincomb([(1, pq), (-1, qp)]) == Column(group.zeta[b], {rho: m})
+        return pq == qp
+
+    found = []
+    for i, (m, b) in enumerate(keys):
+        for n, c in keys[i:]:
+            p, q = ops[m, b], ops[n, c]
+            for j, rho in enumerate(basis):
+                pq, qp = p.apply(q.column(rho)), q.apply(p.column(rho))
+                if not holds(m, n, b, c, rho, pq, qp):
+                    found.append((m, n, b, c, j, rho))
+                if (n, c) != (m, b) and not holds(n, m, c, b, rho, qp, pq):
+                    found.append((n, m, c, b, j, rho))
+    found.sort(key=lambda cell: cell[:5])
+    return [(m, n, b, c, rho.label()) for m, n, b, c, _, rho in found]
 
 
 def verify_virasoro(group, max_level, max_mode=2):
@@ -594,10 +731,18 @@ def verify_virasoro(group, max_level, max_mode=2):
         nm = product(n, b, m, c, products)
         mn = product(m, c, n, b, products)
         op = virasoro(n + m, bg)
+        # d (L_n L_m - L_m L_n - (n - m) L_{n+m} - central) on K^rho,
+        # central = e / d, must vanish
+        e, d = _split(central)
         for i, rho in enumerate(basis):
-            lhs = nm.column(rho) - mn.column(rho)
-            rhs = op.column(rho).scale(n - m) + basis_state(group, rho).scale(central)
-            if lhs != rhs:
+            terms = [
+                (d, nm.column(rho)),
+                (-d, mn.column(rho)),
+                ((m - n) * d, op.column(rho)),
+            ]
+            if e:
+                terms.append((-e, Column(1, {rho: 1})))
+            if not _lincomb(terms).is_zero():
                 yield (n, m, b, c, i, rho)
 
     found = []

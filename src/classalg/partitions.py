@@ -96,18 +96,24 @@ def partitions_of(n):
     return tuple(sorted(out, key=lambda lam: lam.parts))
 
 
+_TYPES = {}  # items -> the one TypeFunction with those items
+
+
 class TypeFunction:
     """A map class id -> Partition with empty partitions never stored.
 
     Hashable; sort_key orders types by total size, then lexicographically
     over class ids and partitions, for deterministic output.  norm is
     ||rho||, the sum of all part sizes over all classes, kept like the
-    hash because the type is immutable.
+    hash because the type is immutable.  For the same reason a type is
+    built once: the constructor returns the one instance with its items,
+    and add_part and remove_part keep each result, so the Fock
+    operators, which edit the same types again and again, rebuild none.
     """
 
-    __slots__ = ("items", "_hash", "norm")
+    __slots__ = ("items", "_hash", "norm", "_edits")
 
-    def __init__(self, mapping=()):
+    def __new__(cls, mapping=()):
         if isinstance(mapping, dict):
             mapping = mapping.items()
         items = tuple(
@@ -119,9 +125,20 @@ class TypeFunction:
         cids = [c for c, _ in items]
         if len(set(cids)) != len(cids):
             raise ValueError("duplicate class id in type function")
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "_hash", hash(items))
-        object.__setattr__(self, "norm", sum(lam.size for _, lam in items))
+        return cls._of(items)
+
+    @classmethod
+    def _of(cls, items):
+        """The type with these items, sorted by class id and free of
+        empty partitions."""
+        self = _TYPES.get(items)
+        if self is None:
+            self = _TYPES[items] = object.__new__(cls)
+            object.__setattr__(self, "items", items)
+            object.__setattr__(self, "_hash", hash(items))
+            object.__setattr__(self, "norm", sum(lam.size for _, lam in items))
+            object.__setattr__(self, "_edits", None)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("TypeFunction is immutable")
@@ -149,25 +166,36 @@ class TypeFunction:
     def multiplicity(self, r, cid):
         return self.partition(cid).multiplicity(r)
 
+    def _keep(self, key, edited):
+        """Memoize the result of one edit under key, (True, r, cid) for
+        adding an r-part at class cid and (False, r, cid) for removing
+        one."""
+        if self._edits is None:
+            object.__setattr__(self, "_edits", {})
+        self._edits[key] = edited
+        return edited
+
+    def _replaced(self, cid, lam):
+        """The type with the partition at class cid replaced by lam."""
+        items = [item for item in self.items if item[0] != cid]
+        if lam.parts:
+            at = sum(1 for c, _ in items if c < cid)
+            items.insert(at, (cid, lam))
+        return TypeFunction._of(tuple(items))
+
     def add_part(self, r, cid):
-        data = dict(self.items)
-        data[cid] = data.get(cid, EMPTY_PARTITION).add_part(r)
-        return TypeFunction(data)
+        key = (True, r, cid)
+        if self._edits is not None and key in self._edits:
+            return self._edits[key]
+        return self._keep(key, self._replaced(cid, self.partition(cid).add_part(r)))
 
     def remove_part(self, r, cid):
         """Remove one r-part at class cid, or None if absent."""
-        data = dict(self.items)
-        lam = data.get(cid)
-        if lam is None:
-            return None
-        new = lam.remove_part(r)
-        if new is None:
-            return None
-        if new.parts:
-            data[cid] = new
-        else:
-            del data[cid]
-        return TypeFunction(data)
+        key = (False, r, cid)
+        if self._edits is not None and key in self._edits:
+            return self._edits[key]
+        lam = self.partition(cid).remove_part(r)
+        return self._keep(key, None if lam is None else self._replaced(cid, lam))
 
     def inverse(self, group):
         """Type of x^{-1}: partitions move to the inverse classes."""

@@ -41,6 +41,7 @@ from .wreath import (
     WreathContext,
     WreathElement,
     enumerate_class,
+    require_enumerable,
     type_of,
     wreath_mul,
 )
@@ -125,7 +126,13 @@ def stable_coefficient(group, rho, sigma):
 
 def stable_structure_constants(group, cap):
     """All orbit-sum structure constants d[(rho, sigma)][nu] with
-    ||rho||, ||sigma|| <= cap, from the level class tables."""
+    ||rho||, ||sigma|| <= cap, from the level class tables.
+
+    Without a character table those tables come from enumerating
+    Gamma_n up to n = 2 cap, so the cap on |Gamma_{2 cap}| is checked
+    before any of them is built."""
+    if group.character_table is None:
+        require_enumerable(group, 2 * cap)
     types = enumerate_types_upto(group, cap)
     return {
         (rho, sigma): stable_coefficient(group, rho, sigma)

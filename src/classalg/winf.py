@@ -33,13 +33,16 @@ from math import comb, factorial
 
 from .algebra import SparseVector
 from .fock import (
-    FockOperator,
+    Column,
     FockVector,
     basis_state,
+    commutator,
     domain_types,
     heis,
     op_O,
     op_O_hbar,
+    operator_of,
+    operator_sum,
     to_p_basis,
 )
 from .groups import require_character_table
@@ -281,7 +284,9 @@ def realize_J_mode(group, l, k, gamma_index, vec):
 def realize(group, x, j_ops=None):
     """The level-one action of a DiffOpElement (central element -> id)
     on the p basis: t^k D^j (x) e_gamma acts as
-    -sum_l S(j, l) J^l_k(gamma).
+    -sum_l S(j, l) J^l_k(gamma).  One FockOperator, whose column on a
+    p-monomial is the weighted sum of the J-mode columns plus the
+    central term.
 
     j_ops maps (l, k, gamma_index) to the J-mode operator; realizations
     that share it share the cached columns.  A fresh dict by default.
@@ -296,20 +301,11 @@ def realize(group, x, j_ops=None):
     for key, c in weights.items():
         if c:
             if key not in j_ops:
-                j_ops[key] = FockOperator(
+                j_ops[key] = operator_of(
                     group, lambda v, key=key: realize_J_mode(group, *key, v)
                 )
-            terms.append((j_ops[key], c))
-
-    central = x.central
-
-    def run(vec):
-        out = vec.scale(central) if central else FockVector(group)
-        for op, c in terms:
-            out = out + op(vec).scale(c)
-        return out
-
-    return run
+            terms.append((c, j_ops[key]))
+    return operator_sum(group, terms, x.central)
 
 
 # -- images of the convolution operators -------------------------------
@@ -371,9 +367,8 @@ def verify_convdiff(group, max_level, max_k=3):
             op = realize(group, convdiff_image(group, k, gi), j_ops)
             for rho in domain_types(group, max_level):
                 v = basis_state(group, rho)
-                if op(to_p_basis(group, v)) != to_p_basis(
-                    group, op_O(group, k, gam, v)
-                ):
+                image = op.apply(Column.of(to_p_basis(group, v)))
+                if image != Column.of(to_p_basis(group, op_O(group, k, gam, v))):
                     failures.append((k, gi, rho.label()))
     return failures
 
@@ -522,17 +517,13 @@ def verify_winf_level_one(group, max_level, num_pairs, seed=0):
         j_ops = {}  # shared within the pair only, to bound memory
         rx, ry = realize(group, x, j_ops), realize(group, y, j_ops)
         rz = realize(group, winf_bracket(x, y), j_ops)
-
-        def holds(v):
-            return rx(ry(v)) - ry(rx(v)) == rz(v)
-
-        if all(holds(basis_state(group, rho)) for rho in basis):
+        lhs = commutator(rx, ry)
+        if all(lhs.column(rho) == rz.column(rho) for rho in basis):
             continue
-        failures.extend(
-            (idx, rho.label())
-            for rho in basis
-            if not holds(to_p_basis(group, basis_state(group, rho)))
-        )
+        for rho in basis:
+            image = Column.of(to_p_basis(group, basis_state(group, rho)))
+            if lhs.apply(image) != rz.apply(image):
+                failures.append((idx, rho.label()))
     return failures
 
 

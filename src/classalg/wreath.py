@@ -160,8 +160,8 @@ def wreath_order(group, n):
     return factorial(n) * group.order**n
 
 
-def enumerate_group(group, n, cap=None):
-    """All elements of Gamma_n (resource-capped)."""
+def require_enumerable(group, n, cap=None):
+    """Raise ResourceCapError if |Gamma_n| exceeds the enumeration cap."""
     if cap is None:
         cap = enumeration_cap()
     size = wreath_order(group, n)
@@ -169,6 +169,11 @@ def enumerate_group(group, n, cap=None):
         raise ResourceCapError(
             f"|Gamma_{n}| = {size} exceeds enumeration cap {cap}"
         )
+
+
+def enumerate_group(group, n, cap=None):
+    """All elements of Gamma_n (resource-capped)."""
+    require_enumerable(group, n, cap)
     elems = range(group.order)
     for sigma in itertools.permutations(range(n)):
         for g in itertools.product(elems, repeat=n):

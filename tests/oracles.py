@@ -10,6 +10,10 @@ against.  Nothing under src/ imports this module.
   canonical element of each target type.
 - The Heisenberg operators by induction from the big group, by
   averaging over S_n, and as adjoints through the bilinear form.
+- The Fock operator calculus in Fraction arithmetic: an operator whose
+  columns are FockVectors, compose and commutator on those columns, the
+  pruned normal powers with one Fraction per term, and the level-one
+  realization as a sum of operator images.
 - The normally ordered powers of the Heisenberg field in the K^rho
   basis (the Virasoro and cubic operators), and the level-one J-modes
   of the W-algebra there, through the Heisenberg operators and every
@@ -335,6 +339,110 @@ def heis_annihilate_adjoint(group, r, alpha, vec):
             probe = heis(group, -r, alpha, basis_state(group, nu.inverse(group)))
             out[nu] = fock_inner(vec, probe) * nu.centralizer_order(group)
     return FockVector(group, out)
+
+
+# -- the Fock operator calculus in Fraction arithmetic -------------------
+
+
+class OracleFockOperator:
+    """A linear operator whose column on K^rho is the FockVector
+    column_of(K^rho), computed on first use and kept; applying it to a
+    vector sums the columns weighted by the coefficients, in Fraction
+    (and Cyc) arithmetic."""
+
+    def __init__(self, group, column_of):
+        self.group = group
+        self.column_of = column_of
+        self.columns = {}
+
+    def column(self, rho):
+        col = self.columns.get(rho)
+        if col is None:
+            col = self.columns[rho] = self.column_of(basis_state(self.group, rho))
+        return col
+
+    def __call__(self, vec):
+        out = {}
+        for rho, v in vec.coeffs.items():
+            for sigma, w in self.column(rho).coeffs.items():
+                out[sigma] = out.get(sigma, 0) + v * w
+        return FockVector(self.group, out)
+
+
+def oracle_compose(f, g):
+    return OracleFockOperator(f.group, lambda v: f(g(v)))
+
+
+def oracle_commutator(f, g):
+    return OracleFockOperator(f.group, lambda v: f(g(v)) - g(f(v)))
+
+
+def oracle_pruned_normal_power_apply(group, k, tensor, mode, vec):
+    """The pruned normal power of fock.normal_power_apply on a whole
+    vector, each term built as one Fraction (times a Cyc scalar)."""
+    if tensor.arity != k:
+        raise ValueError("tensor arity mismatch")
+    out = {}
+    splits = [
+        (
+            [i for i in range(k) if mask >> i & 1],
+            [i for i in range(k) if not mask >> i & 1],
+        )
+        for mask in range(1 << k)
+    ]
+    for rho, v in vec.coeffs.items():
+        removed = {(): [(rho, 0, 1)]}
+        for key, coeff in tensor.terms:
+            scalar = coeff * v
+            top, bottom = 1, 1
+            if isinstance(scalar, Fraction):
+                top, bottom, scalar = scalar.numerator, scalar.denominator, None
+            for ann, cre in splits:
+                created = [key[i] for i in cre]
+                for state, total, den in fock._annihilations(
+                    group, tuple(key[i] for i in ann), removed
+                ):
+                    degree = total - mode
+                    if degree < len(created) or (degree and not created):
+                        continue
+                    for sigma, num in fock._creations(created, degree, state):
+                        term = Fraction(top * num, bottom * den)
+                        if scalar is not None:
+                            term *= scalar
+                        out[sigma] = out.get(sigma, 0) + term
+    return FockVector(group, out)
+
+
+def oracle_normal_power_op(group, k, beta, scale, mode):
+    """The operator that fock.virasoro_op (k = 2, scale 1/2) or
+    fock.cubic_op (k = 3, scale 1/6, mode 0) builds, on Fraction
+    columns."""
+    tensor = fock._scaled_pushforward(beta, k, scale)
+    return OracleFockOperator(
+        group, lambda v: oracle_pruned_normal_power_apply(group, k, tensor, mode, v)
+    )
+
+
+def oracle_realize(group, x):
+    """winf.realize as a sum of J-mode images: t^k D^j (x) e_gamma acts
+    as -sum_l S(j, l) J^l_k(gamma) and the central element as 1."""
+    terms = []
+    for k, gi, j, c in x.monomials():
+        for l, s in enumerate(winf._stirling_row(j)):
+            if s:
+                op = OracleFockOperator(
+                    group,
+                    lambda v, l=l, k=k, gi=gi: winf.realize_J_mode(group, l, k, gi, v),
+                )
+                terms.append((op, -c * s))
+
+    def run(vec):
+        out = vec.scale(x.central)
+        for op, c in terms:
+            out = out + op(vec).scale(c)
+        return out
+
+    return run
 
 
 # -- normally ordered powers of the Heisenberg field --------------------

@@ -7,6 +7,7 @@ import pytest
 
 import classalg.algebra as algebra
 import classalg.fock as fock
+import classalg.wreath as wreath
 from classalg.cli import SUITES, RunConfig, run
 from classalg.wreath import ResourceCapError
 
@@ -194,6 +195,23 @@ def test_enumeration_cap_override(monkeypatch, tmp_path, capsys):
     monkeypatch.delenv("CLASSALG_ENUM_CAP")
     code, out, _ = capture(capsys, argv)
     assert code == 0 and json.loads(out)["pairs"]
+
+
+def test_enumeration_cap_checked_before_any_level_table(monkeypatch, tmp_path, capsys):
+    # without a character table, --cap 3 needs Gamma_6 of cyclic4
+    # (2,949,120 elements): refused before any level is enumerated
+    path = tmp_path / "c4.txt"
+    path.write_text("order 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n")
+
+    def enumerated(*args):
+        raise AssertionError("enumerate_group was called")
+
+    monkeypatch.setattr(wreath, "enumerate_group", enumerated)
+    code, out, err = capture(
+        capsys, ["stable", "constants", "--group", str(path), "--cap", "3"]
+    )
+    assert (code, out) == (2, "")
+    assert "|Gamma_6| = 2949120 exceeds enumeration cap" in err
 
 
 def test_all_trivial(capsys):

@@ -16,11 +16,11 @@ from classalg.fock import (
     domain_types,
     heis,
     heis_op,
-    normal_power_apply,
     op_b,
     op_O,
     op_O_op,
     sym_create,
+    to_p_basis,
     vacuum,
     verify_covcomm,
     verify_cubic,
@@ -40,12 +40,25 @@ from classalg.groups import (
 )
 from classalg.partitions import TypeFunction, enumerate_types
 from classalg.scalars import Cyc
-from classalg.winf import basis_J, realize, realize_J_mode
+from classalg.winf import (
+    CENTRAL,
+    DiffOpElement,
+    basis_J,
+    convdiff_image,
+    realize,
+    realize_J_mode,
+)
 from oracles import (
+    OracleFockOperator,
     heis_annihilate_adjoint,
     heis_create_avg,
     heis_create_bigsum,
+    oracle_commutator,
+    oracle_compose,
     oracle_cubic_zero_mode,
+    oracle_normal_power_op,
+    oracle_pruned_normal_power_apply,
+    oracle_realize,
     oracle_verify_cubic,
     oracle_verify_virasoro,
     oracle_virasoro_L,
@@ -244,9 +257,9 @@ SPREAD_VECTORS = {
 
 def _normal_power(g, k, alpha, scale, mode):
     """The mode of the normal power that virasoro_op and cubic_op wrap,
-    applied directly on the same scaled tensor."""
+    applied in Fraction arithmetic on the same scaled tensor."""
     tensor = fock._scaled_pushforward(alpha, k, scale)
-    return lambda v: normal_power_apply(g, k, tensor, mode, v)
+    return lambda v: oracle_pruned_normal_power_apply(g, k, tensor, mode, v)
 
 
 def _j_op(g, l, k, gi):
@@ -311,6 +324,121 @@ def test_cached_operators_match_direct_functions(name):
         # the second application reads only cached columns
         op.column_of = _no_recompute
         assert [op(v) for v in (spread, cancelling)] == expected, label
+
+
+# -- integer columns against the Fraction operator calculus -------------
+
+
+def _integer_and_oracle_operators(g):
+    """(label, FockOperator on integer columns, the same operator on
+    Fraction columns from tests/oracles.py).  beta is the last
+    irreducible, cyclotomic on cyclic3; alpha is a class indicator.  On
+    cyclic3 the columns of p_2(beta) have denominators 1 and 3, so sums
+    of them scale terms to a common denominator."""
+    beta = require_character_table(g).irreducible(g.num_classes - 1)
+    alpha = k_basis(g, g.num_classes - 1)
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
+
+    def heis_pair(m, f):
+        return heis_op(g, m, f), OracleFockOperator(g, lambda v: heis(g, m, f, v))
+
+    def virasoro_pair(n, f):
+        return virasoro_op(g, n, f), oracle_normal_power_op(g, 2, f, half, n)
+
+    create, create_oracle = heis_pair(-1, beta)
+    kill, kill_oracle = heis_pair(2, beta)
+    lower, lower_oracle = virasoro_pair(1, beta)
+    raise_, raise_oracle = virasoro_pair(-1, alpha)
+    x = (
+        convdiff_image(g, 1, g.num_classes - 1)
+        + basis_J(g, 2, -1, 0)
+        + DiffOpElement(g, {CENTRAL: Fraction(3, 2)})
+    )
+    return [
+        ("p_-1(beta)", create, create_oracle),
+        ("p_2(beta)", kill, kill_oracle),
+        ("L_1(beta)", lower, lower_oracle),
+        ("L_-2(beta)", *virasoro_pair(-2, beta)),
+        (
+            "cubic(beta)",
+            cubic_op(g, beta),
+            oracle_normal_power_op(g, 3, beta, sixth, 0),
+        ),
+        (
+            "O^2(alpha)",
+            op_O_op(g, 2, alpha),
+            OracleFockOperator(g, lambda v: op_O(g, 2, alpha, v)),
+        ),
+        (
+            "L_1 p_-1",
+            compose(lower, create),
+            oracle_compose(lower_oracle, create_oracle),
+        ),
+        (
+            "[L_-1, p_2]",
+            commutator(raise_, kill),
+            oracle_commutator(raise_oracle, kill_oracle),
+        ),
+        ("realize", realize(g, x), oracle_realize(g, x)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, level",
+    [("trivial", 3), ("cyclic2", 3), ("cyclic3", 3), ("sym3", 3), ("quaternion8", 3)],
+)
+def test_integer_columns_match_fraction_oracle(name, level):
+    # every K^rho up to the level, and its image in the p basis, which
+    # has cyclotomic coefficients on cyclic3 (as verify_convdiff applies
+    # the realized operators)
+    g = load_group(name)
+    states = [basis_state(g, rho) for rho in domain_types(g, level)]
+    vectors = states + [to_p_basis(g, v) for v in states]
+    for label, op, oracle in _integer_and_oracle_operators(g):
+        for v in vectors:
+            assert op(v) == oracle(v), (label, v)
+
+
+def test_oracle_inputs_are_cyclotomic_on_cyclic3():
+    # the cases above reach both Cyc paths: a cyclotomic tensor and a
+    # vector with Cyc coefficients
+    g = load_group("cyclic3")
+    beta = require_character_table(g).irreducible(g.num_classes - 1)
+    tensor = fock._scaled_pushforward(beta, 2, Fraction(1, 2))
+    assert any(isinstance(c, Cyc) for _, c in tensor.terms)
+    image = to_p_basis(g, basis_state(g, TypeFunction.from_label("c1:[1]")))
+    assert any(isinstance(c, Cyc) for c in image.coeffs.values())
+    column = virasoro_op(g, -1, beta).column(TypeFunction.from_label("c0:[1]"))
+    assert any(isinstance(n, Cyc) for n in column.nums.values())
+
+
+def test_cached_columns_compose_without_fractions(monkeypatch):
+    g = load_group("cyclic2")
+    alpha = k_basis(g, 1)
+    f, h = virasoro_op(g, 1, alpha), heis_op(g, -2, alpha)
+    prod, comm = compose(f, h), commutator(f, h)
+    types = domain_types(g, 2)
+    # fill the factors' columns that the products read
+    for rho in types:
+        for sigma in h.column(rho).nums:
+            f.column(sigma)
+        for sigma in f.column(rho).nums:
+            h.column(sigma)
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    columns = [(prod.column(rho), comm.column(rho)) for rho in types]
+    assert made == []
+    nonzero = [p for p, c in columns if not p.is_zero() and not c.is_zero()]
+    assert nonzero
+    # the counter sees the Fractions that reading a column back makes
+    nonzero[0].to_vector(g)
+    assert made
 
 
 # -- the pruned normal-power kernel against the unpruned oracle ----------

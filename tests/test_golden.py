@@ -4,7 +4,8 @@ Each file under ``tests/golden/`` was captured from an earlier version
 of the program before a refactor that had to keep it: the level-one and
 group-info cases before the scalar kernel gained its fast paths, the
 cyclic2 tables and battery before Fock vectors became one flat map,
-the trivial battery before the containers shared one sparse base.
+the trivial battery before the containers shared one sparse base, and
+the cyclic3 battery before the Fock operators moved to integer columns.
 Any change to them is a change of behaviour.
 """
 
@@ -39,6 +40,12 @@ CASES = {
         "--triples", "5",
     ],
     "all-trivial.out": ["all", "--group", "trivial"],
+    # the first battery whose Fock suites run cyclotomic tensors and
+    # vectors
+    "all-cyclic3.out": [
+        "all", "--group", "cyclic3", "--level", "2", "--pairs", "3",
+        "--triples", "5",
+    ],
 }
 
 

@@ -132,3 +132,18 @@ def test_norm_is_the_sum_of_the_part_sizes():
     assert rho.remove_part(3, 2).norm == 3
     with pytest.raises(AttributeError):
         rho.norm = 7
+
+
+def test_type_edits_return_the_one_instance_of_each_type():
+    rho = TypeFunction.from_label("c0:[2,1]|c1:[1]")
+    assert TypeFunction.from_label("c0:[2,1]|c1:[1]") is rho
+    grown = rho.add_part(3, 2)
+    assert grown is rho.add_part(3, 2)
+    assert grown is TypeFunction.from_label("c0:[2,1]|c1:[1]|c2:[3]")
+    assert grown.remove_part(3, 2) is rho
+    assert rho.remove_part(1, 1) is TypeFunction.from_label("c0:[2,1]")
+    assert rho.remove_part(1, 0).label() == "c0:[2]|c1:[1]"
+    # adding and removing the same part are kept apart
+    assert rho.add_part(1, 1).label() == "c0:[2,1]|c1:[1,1]"
+    assert rho.remove_part(4, 0) is None and rho.remove_part(4, 0) is None
+    assert rho.remove_part(1, 3) is None
