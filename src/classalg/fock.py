@@ -64,7 +64,6 @@ from .groups import (
     unit_g,
 )
 from .partitions import EMPTY_TYPE, enumerate_types
-from .series import HbarSeries
 from .wreath import WreathContext
 
 
@@ -353,18 +352,6 @@ def op_O_op(group, k, alpha):
 def op_b(group):
     """The distinguished operator b = O^1(1)."""
     return op_O_op(group, 1, unit_g(group))
-
-
-def op_O_hbar(group, alpha, vec, order):
-    """O_hbar(alpha) = sum_k hbar^k/k! O^k(alpha), through the given order.
-
-    Coefficients of the result are HbarSeries.
-    """
-    out = FockVector(group)
-    for k in range(order + 1):
-        piece = op_O(group, k, alpha, vec).scale(Fraction(1, factorial(k)))
-        out = out + piece.scale(HbarSeries.hbar_power(k, order))
-    return out
 
 
 # -- operator calculus helpers -----------------------------------------

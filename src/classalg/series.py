@@ -3,8 +3,9 @@
 A series carries an explicit window [lo, hi] of known coefficients:
 coefficients below lo are zero, coefficients above hi are unknown
 (discarded by truncation).  Poles are bounded by order 2, which is all
-the vertex-operator identities need.  All coefficient arithmetic is
-exact (rational or cyclotomic).
+the one quotient left needs: winf.lemma_variable_residuals divides by
+q^{-1} - 1.  All coefficient arithmetic is exact (rational or
+cyclotomic).
 """
 
 from __future__ import annotations

@@ -22,6 +22,13 @@ per irreducible, where a J-mode on the idempotent of gamma edits the
 colour gamma with rational factors.  The checks compare operators
 there and name failures by the K^rho, mapped into that basis; the
 K-basis realization is the oracle in tests/oracles.py.
+
+The vertex-operator identity O_hbar(gamma) = h Q/(Q-1)^2 (V_0(Q) - 1)
+is checked in the K basis, one hbar-coefficient at a time after both
+sides are multiplied by (Q-1)^2: each coefficient is an operator sum
+of cached integer columns, the O^k(gamma) on one side and the products
+of Heisenberg chains that make up V_0 on the other, with rational
+weights read off scalar HbarSeries.  No Fock vector carries a series.
 """
 
 from __future__ import annotations
@@ -37,10 +44,11 @@ from .fock import (
     FockVector,
     basis_state,
     commutator,
+    compose,
     domain_types,
     heis,
     op_O,
-    op_O_hbar,
+    op_O_op,
     operator_of,
     operator_sum,
     to_p_basis,
@@ -373,7 +381,7 @@ def verify_convdiff(group, max_level, max_k=3):
     return failures
 
 
-# -- vertex operator zero mode -----------------------------------------
+# -- the vertex-operator identity ---------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -400,78 +408,61 @@ def _partition_weight(lam, sign, exponent_scale, order):
     return out
 
 
-def vertex_zero_mode(group, gamma, vec, order, exponent_scale):
-    """V_0 applied to a vector, with the series parameter q^exponent_scale.
+def _heis_chain(group, gamma, modes):
+    """p_{modes[-1]}(gamma) ... p_{modes[0]}(gamma), the first mode
+    applied first, as a FockOperator over heis."""
 
-    V is the product of the exponential of the creation half (weights
-    (Q^k - 1)/k) and of the annihilation half (weights (1 - Q^{-k})/k),
-    Q = exp(exponent_scale * hbar); the zero mode pairs partitions of
-    equal size.  Coefficients of the result are HbarSeries.
-    """
-    level = vec.max_level()
-    out = FockVector(group)
-    if level < 0:
-        return out
-    for w in range(level + 1):
-        for lam_b in partitions_of(w):
-            annihilated = vec
-            for part in lam_b:
-                annihilated = heis(group, part, gamma, annihilated)
-                if annihilated.is_zero():
-                    break
-            if w and annihilated.is_zero():
-                continue
-            weight_b = _partition_weight(lam_b, -1, exponent_scale, order)
-            for lam_a in partitions_of(w):
-                piece = annihilated
-                for part in lam_a:
-                    piece = heis(group, -part, gamma, piece)
-                weight = weight_b * _partition_weight(
-                    lam_a, 1, exponent_scale, order
-                )
-                out = out + piece.scale(weight)
-    return out
+    def chain(vec):
+        for m in modes:
+            vec = heis(group, m, gamma, vec)
+        return vec
+
+    return operator_of(group, chain)
 
 
-def vo_rhs(group, gamma_index, vec, order, corrected=True):
-    """The vertex-operator side of the q-series identity for O_hbar.
+def verify_vo(group, gamma_index, max_level, order, corrected=True):
+    """O_hbar(gamma) = overall Q'/(Q'-1)^2 (V_0(Q) - 1) through hbar^order
+    on every K^rho of level <= max_level.  With h the group order over
+    the degree of gamma, the corrected form has Q = Q' = q^h and overall
+    h, the uncorrected printed form Q' = q, Q = q^{h^2} and overall 1.
 
-    With Q = q^h (h the ratio of the group order to the character
-    degree), the corrected form is h * Q/(Q-1)^2 * (V_0(Q) - 1); the
-    uncorrected printed form uses q/(q-1)^2 and parameter q^{h^2}.
+    Both sides times (Q'-1)^2, hbar^2 times a unit, are compared at each
+    hbar^j, j <= order + 2: the sum over k of [(Q'-1)^2]_{j-k}/k! O^k(gamma)
+    with the sum over lam_a, lam_b |- w, 1 <= w <= max_level, of
+    [overall Q' W+(lam_a) W-(lam_b)]_j p_{-lam_a}(gamma) p_{lam_b}(gamma),
+    W+- the weights of the two exponentials; the w = 0 term of V_0 is
+    the identity, which the -1 cancels.  A K^rho fails if any j differs.
     """
     ct = require_character_table(group)
     gam = ct.irreducible(gamma_index)
     h = ct.h[gamma_index]
     window = order + 2
     if corrected:
-        exponent, prefactor_exp, overall = h, h, Fraction(h)
+        exponent, prefactor_exp, overall = h, h, h
     else:
-        exponent, prefactor_exp, overall = h * h, 1, Fraction(1)
-    v0 = vertex_zero_mode(group, gam, vec, window, exponent)
-    diff = v0 - vec  # V_0 - 1 applied to the vector
+        exponent, prefactor_exp, overall = h * h, 1, 1
     q = HbarSeries.exp_hbar(prefactor_exp, window)
-    denom = (q - 1) * (q - 1)
-    out = {}
-    for rho, s in diff.coeffs.items():
-        if not isinstance(s, HbarSeries):
-            s = HbarSeries.const(s, window)
-        out[rho] = (q * s).divide(denom) * overall
-    return FockVector(group, out)
-
-
-def verify_vo(group, gamma_index, max_level, order, corrected=True):
-    """Compare O_hbar on every basis state with the vertex-operator side."""
-    ct = require_character_table(group)
-    gam = ct.irreducible(gamma_index)
-    failures = []
-    for rho in domain_types(group, max_level):
-        v = basis_state(group, rho)
-        lhs = op_O_hbar(group, gam, v, order)
-        rhs = vo_rhs(group, gamma_index, v, order, corrected=corrected)
-        if lhs != rhs:
-            failures.append((gamma_index, rho.label()))
-    return failures
+    square = (q - 1) * (q - 1)
+    conv = [op_O_op(group, k, gam) for k in range(order + 1)]
+    zero_mode = []  # (weight series, p_{-lam_a} p_{lam_b})
+    for w in range(1, max_level + 1):
+        lams = partitions_of(w)
+        create = [_heis_chain(group, gam, [-r for r in lam]) for lam in lams]
+        for lam_b in lams:
+            kill = _heis_chain(group, gam, list(lam_b))
+            weight_b = q * _partition_weight(lam_b, -1, exponent, window) * overall
+            for lam_a, up in zip(lams, create):
+                weight = weight_b * _partition_weight(lam_a, 1, exponent, window)
+                zero_mode.append((weight, compose(up, kill)))
+    basis = domain_types(group, max_level)
+    bad = set()
+    for j in range(window + 1):
+        lhs = [(square.coeff(j - k) / factorial(k), op) for k, op in enumerate(conv)]
+        rhs = [(weight.coeff(j), op) for weight, op in zero_mode]
+        lhs = operator_sum(group, [(c, op) for c, op in lhs if c])
+        rhs = operator_sum(group, [(c, op) for c, op in rhs if c])
+        bad.update(rho for rho in basis if lhs.column(rho) != rhs.column(rho))
+    return [(gamma_index, rho.label()) for rho in basis if rho in bad]
 
 
 # -- level-one homomorphism check ---------------------------------------

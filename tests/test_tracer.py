@@ -38,3 +38,20 @@ def test_tracer_covers_every_per_layer_metric():
     ]
     assert names
     assert sorted(set(names) - set(result["metrics"])) == []
+
+
+def test_selftest_coverage_of_pinned_bindings():
+    # perfbench/selftest.py pins the bindings that the tracer must
+    # rewrap, such as the fock functions that winf imports; run its
+    # coverage check alone
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, selftest; print(json.dumps(selftest.check_coverage()))"],
+        capture_output=True, text=True, env=env, cwd=ROOT / "perfbench", timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -181,6 +181,29 @@ def test_vertex_operator_uncorrected_form():
     assert verify_vo(g2, 0, 2, 3, corrected=False) != []
 
 
+def test_vertex_operator_uncorrected_cells():
+    # at h = 2 the printed form fails on every nonvacuum K^rho of level
+    # <= 2, for both irreducibles of cyclic2
+    g = load_group("cyclic2")
+    cells = [
+        "c0:[1]", "c1:[1]", "c0:[1]|c1:[1]",
+        "c0:[1,1]", "c0:[2]", "c1:[1,1]", "c1:[2]",
+    ]
+    for gi in range(2):
+        assert verify_vo(g, gi, 2, 3, corrected=False) == [(gi, c) for c in cells]
+
+
+def test_vertex_operator_identity_below_the_level(capsys):
+    # an order below the level still compares every hbar coefficient
+    # that both sides know; no cell of a true identity may fail
+    g = load_group("cyclic2")
+    for order in range(4):
+        for gi in range(2):
+            assert verify_vo(g, gi, 3, order) == [], (order, gi)
+    assert run(["all", "--group", "cyclic2", "--level", "3", "--order", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_level_one_realization():
     for name in ("trivial", "cyclic2"):
         assert verify_winf_level_one(load_group(name), 3, 8) == []
@@ -231,6 +254,19 @@ def test_vo_catches_wrong_power_sum(monkeypatch):
     # O^1 doubled at level 2 only: the hbar^1 coefficient of O_hbar moves
     # on both level-2 basis states and nowhere else
     assert verify_vo(g, 0, 2, 3) == [(0, "c0:[1,1]"), (0, "c0:[2]")]
+
+
+def test_vo_catches_wrong_annihilation_weight(monkeypatch):
+    original = winf._partition_weight
+    monkeypatch.setattr(
+        winf,
+        "_partition_weight",
+        lambda lam, sign, scale, order: original(lam, sign, scale, order)
+        * (2 if (sign, lam.parts) == (-1, (2,)) else 1),
+    )
+    # the zero mode's p_2 annihilation doubled: only the K^rho with a
+    # 2-part move
+    assert verify_vo(load_group("trivial"), 0, 3, 4) == [(0, "c0:[2]"), (0, "c0:[2,1]")]
 
 
 def test_bracket_catches_wrong_cocycle(monkeypatch, capsys):
