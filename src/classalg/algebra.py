@@ -1,8 +1,10 @@
 """The group algebra of Gamma_n and its center R(Gamma_n).
 
-Provides SparseVector, the one sparse linear-combination type of the
-package, and on it sparse group-algebra elements and class functions in
-the K^rho (class-sum) basis; conversion between the two, Jucys-Murphy
+Provides SparseVector, the sparse linear-combination type of the
+level-n spaces (the Fock space has its own integer FockVector), and on
+it sparse group-algebra elements and class functions in the K^rho
+(class-sum) basis; conversion of central elements to class
+functions, Jucys-Murphy
 elements, the twisted power sums Xi_n^k(alpha), the eta/epsilon
 products, elementary symmetric functions of JM elements, and subalgebra
 generation by exact linear algebra.
@@ -139,15 +141,6 @@ class WreathClassFunction(_LevelVector):
                 raise ValueError(f"type of size {rho.norm} in R(Gamma_{n})")
         super().__init__(group, n, coeffs)
 
-    def to_group_algebra(self):
-        ctx = WreathContext.get(self.group, self.n)
-        out = {}
-        for x, r in ctx._elements_with_types():
-            v = self.coeffs.get(ctx.types[r])
-            if v:
-                out[x] = v
-        return GroupAlgebraElement(self.group, self.n, out)
-
     def vector(self, ctx):
         """Dense coefficient vector over ctx.types."""
         return [self.coeffs.get(rho, Fraction(0)) for rho in ctx.types]
@@ -212,22 +205,6 @@ def convolve_n(f, g):
     return WreathClassFunction(
         f.group, f.n, {ctx.types[t]: out[t] for t in sorted(out)}
     )
-
-
-def bilinear_form_n(f, g):
-    """<f, g> = sum_rho Z_rho^{-1} f(rho) g(rho^{-1}) on R(Gamma_n).
-
-    It takes Fock vectors too, where it is the orthogonal sum of the
-    level forms.
-    """
-    f._check(g)
-    group = f.group
-    total = 0
-    for rho, v in f.coeffs.items():
-        w = g.coeffs.get(rho.inverse(group))
-        if w:
-            total = total + v * w * Fraction(1, rho.centralizer_order(group))
-    return total if total else Fraction(0)
 
 
 # -- JM elements and friends -----------------------------------------

@@ -1,11 +1,11 @@
 """The Fock space direct-sum of the class algebras R(Gamma_n).
 
-A vector is one sparse map from colored types to coefficients,
-FockVector(group, {rho: coeff}): the sum of coeff K^rho over all
-levels at once, K^rho lying at level ||rho||.  The polynomial model
-and the cached operator columns use the same rho -> coefficient shape;
-component(n) gives the level-n part as a class function for the
-convolution product of R(Gamma_n).
+A vector is one FockVector over all levels at once, K^rho lying at
+level ||rho||: integer (or Cyc) numerators over one positive int
+denominator, in the manner of FLINT's fmpq_poly.  FockVector(group,
+{rho: coeff}) puts coefficients over one denominator, coeffs reads them
+back reduced, and component(n) gives the level-n part as a class
+function for the convolution product of R(Gamma_n).
 
 Creation and annihilation operators act by exact closed formulas on
 that basis; the tests compare them with independent slower
@@ -24,30 +24,22 @@ that vanishes is enumerated.  The tests compare them with the unpruned
 enumeration of mode tuples (tests/oracles.py).
 
 Every such operator is linear, so the verification routines apply it
-through a FockOperator: its column on a basis state K^rho is computed
-once, by a direct function (heis_k, heis, normal_power_apply, or the
-convolution by Xi_n^k(alpha) for O^k(alpha)),
-and kept for the operator's lifetime.  A column is a Column, an
-integer vector over one denominator in the manner of FLINT's
-fmpq_poly: one positive int denominator and a map sigma -> numerator,
-the numerator an int, or a Cyc where the tensor or the input vector is
-cyclotomic; both go through the same code.  Applying an operator to a
-column, compose, commutator and the identity checks sum cached
-columns over the lcm of their denominators in integer arithmetic and
-compare columns by cross-multiplication, so a Fraction is made only
-where a column is built from a FockVector or read back as one.  The
-Virasoro and cubic operators exist only in that form (virasoro_op,
-cubic_op), their columns built directly over integers.  The Fraction
-operator calculus is the oracle in tests/oracles.py.
+through a FockOperator, whose column on K^rho is the FockVector that a
+direct function (heis_k, heis, normal_power_apply, or the convolution
+by Xi_n^k(alpha) for O^k(alpha)) returns on K^rho, computed once and
+kept.  Every kernel builds its numerators over one denominator, so
+sums, products and commutators of operators add numerators in integer
+arithmetic, and a Fraction is made only where coeffs reads a vector
+back.  The Fraction operator calculus is the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
+from types import MappingProxyType
 
 from .algebra import (
-    SparseVector,
     WreathClassFunction,
     convolve_n,
     subalgebra_generated,
@@ -67,15 +59,82 @@ from .partitions import EMPTY_TYPE, enumerate_types
 from .wreath import WreathContext
 
 
-class FockVector(SparseVector):
-    """A finitely supported vector sum_rho coeffs[rho] K^rho in the direct
-    sum of the R(Gamma_n); K^rho lies at level ||rho||.  No zero
-    coefficient is stored."""
+def _common(scalars):
+    """(den, numerators): the scalars over the lcm of their denominators.
+    A Fraction splits, and an int or a Cyc is its own numerator over 1."""
+    split = [
+        (s.numerator, s.denominator) if isinstance(s, Fraction) else (s, 1)
+        for s in scalars
+    ]
+    den = lcm(*(d for _, d in split))
+    return den, [n if d == den else n * (den // d) for n, d in split]
 
-    __slots__ = ()
+
+class FockVector:
+    """The vector sum_sigma nums[sigma] / den K^sigma, K^sigma at level
+    ||sigma||.
+
+    den is a positive int; a numerator is an int, or a Cyc (or the
+    Fraction that a sum of Cyc collapses to) where the scalars are
+    cyclotomic.  No zero numerator is stored and the fraction is not
+    reduced, so two vectors are equal when their numerators agree after
+    cross-multiplying by the other's denominator.  A vector is never
+    mutated once built, so vectors may share their nums.  Unhashable.
+    """
+
+    __slots__ = ("group", "den", "nums")
+
+    def __init__(self, group, coeffs=None):
+        """The vector sum coeffs[sigma] K^sigma, for int, Fraction or Cyc
+        coefficients."""
+        coeffs = {sigma: v for sigma, v in (coeffs or {}).items() if v}
+        self.group = group
+        self.den, nums = _common(coeffs.values())
+        self.nums = dict(zip(coeffs, nums))
+
+    @property
+    def coeffs(self):
+        """The read-only map sigma -> nums[sigma] / den, reduced."""
+        den = self.den
+        return MappingProxyType(
+            {
+                sigma: Fraction(v, den) if type(v) is int else v * Fraction(1, den)
+                for sigma, v in self.nums.items()
+            }
+        )
+
+    def _check(self, other):
+        if type(other) is not FockVector or other.group is not self.group:
+            raise ValueError("FockVector operands from different spaces")
+
     # bound in the class body so that perfbench/tracer.py counts Fock
     # additions apart from the level-n containers
-    __add__ = SparseVector.__add__
+    def __add__(self, other):
+        self._check(other)
+        return _lincomb(self.group, [(1, self), (1, other)])
+
+    def __sub__(self, other):
+        self._check(other)
+        return _lincomb(self.group, [(1, self), (-1, other)])
+
+    def scale(self, s):
+        d, (n,) = _common([s])
+        return _lincomb(self.group, [(n, self)], d)
+
+    def is_zero(self):
+        return not self.nums
+
+    def __eq__(self, other):
+        if type(other) is not FockVector or other.group is not self.group:
+            return False
+        if self.den == other.den:
+            return self.nums == other.nums
+        a, b, theirs = self.den, other.den, other.nums
+        return self.nums.keys() == theirs.keys() and all(
+            v * b == theirs[sigma] * a for sigma, v in self.nums.items()
+        )
+
+    __hash__ = None
 
     def component(self, n):
         """The level-n part as an element of R(Gamma_n)."""
@@ -86,10 +145,10 @@ class FockVector(SparseVector):
         )
 
     def levels(self):
-        return sorted({rho.norm for rho in self.coeffs})
+        return sorted({rho.norm for rho in self.nums})
 
     def max_level(self):
-        return max((rho.norm for rho in self.coeffs), default=-1)
+        return max((rho.norm for rho in self.nums), default=-1)
 
     def __repr__(self):
         inner = ", ".join(
@@ -101,108 +160,56 @@ class FockVector(SparseVector):
         return f"FockVector({{{inner}}})"
 
 
+def _vector(group, den, nums):
+    """The FockVector nums / den; nums must hold no zero."""
+    out = object.__new__(FockVector)
+    out.group, out.den, out.nums = group, den, nums
+    return out
+
+
+def _nonzero(group, den, nums):
+    """The FockVector nums / den without its zero numerators."""
+    return _vector(group, den, {sigma: v for sigma, v in nums.items() if v})
+
+
 def vacuum(group):
-    return FockVector(group, {EMPTY_TYPE: Fraction(1)})
+    return _vector(group, 1, {EMPTY_TYPE: 1})
 
 
 def basis_state(group, rho):
     """K^rho as a Fock vector at level ||rho||."""
-    return FockVector(group, {rho: Fraction(1)})
+    return _vector(group, 1, {rho: 1})
 
 
-def _split(x):
-    """A scalar as (numerator, denominator): a Fraction splits, and an
-    int or a Cyc is its own numerator over 1."""
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    return x, 1
-
-
-class Column:
-    """sum_sigma nums[sigma] / den K^sigma, one column of a FockOperator.
-
-    den is a positive int.  A numerator is an int, or a Cyc (or the
-    Fraction that a sum of Cyc collapses to) where the scalars are
-    cyclotomic.  No zero numerator is stored; the fraction is not
-    reduced, so two columns are equal when their numerators agree after
-    cross-multiplying by the other's denominator.  A column is never
-    mutated once built, so columns may share their nums.
-    """
-
-    __slots__ = ("den", "nums")
-
-    def __init__(self, den, nums):
-        self.den = den
-        self.nums = nums
-
-    @classmethod
-    def of(cls, vec):
-        """The column of the coefficients of a FockVector (or of any
-        SparseVector)."""
-        split = [(rho, *_split(v)) for rho, v in vec.coeffs.items()]
-        den = lcm(*(d for _, _, d in split))
-        return cls(den, {rho: n * (den // d) for rho, n, d in split})
-
-    def to_vector(self, group):
-        den = self.den
-        return FockVector(
-            group,
-            {
-                sigma: Fraction(v, den) if type(v) is int else v * Fraction(1, den)
-                for sigma, v in self.nums.items()
-            },
-        )
-
-    def is_zero(self):
-        return not self.nums
-
-    def __eq__(self, other):
-        if not isinstance(other, Column):
-            return NotImplemented
-        if self.den == other.den:
-            return self.nums == other.nums
-        a, b, theirs = self.den, other.den, other.nums
-        return self.nums.keys() == theirs.keys() and all(
-            v * b == theirs[sigma] * a for sigma, v in self.nums.items()
-        )
-
-    __hash__ = None
-
-
-def _column(den, nums):
-    """The Column nums / den without its zero numerators."""
-    return Column(den, {sigma: v for sigma, v in nums.items() if v})
-
-
-def _lincomb(terms, den=1):
-    """The Column sum n col / den over (n, col) in terms, for int or Cyc
-    numerators n, over the lcm of the columns' denominators."""
+def _lincomb(group, terms, den=1):
+    """The FockVector sum n vec / den over (n, vec) in terms, for int or
+    Cyc numerators n, over the lcm of the vectors' denominators."""
     if len(terms) == 1:  # one nonzero term cancels nothing
-        n, col = terms[0]
+        n, vec = terms[0]
         if n == 1:
-            return Column(den * col.den, col.nums)
+            return _vector(group, den * vec.den, vec.nums)
         if n:
-            nums = {sigma: n * w for sigma, w in col.nums.items()}
-            return Column(den * col.den, nums)
-    common = lcm(*(col.den for _, col in terms))
+            nums = {sigma: n * w for sigma, w in vec.nums.items()}
+            return _vector(group, den * vec.den, nums)
+    common = lcm(*(vec.den for _, vec in terms))
     out = {}
     get = out.get
-    for n, col in terms:
-        if col.den != common:
-            n = n * (common // col.den)
-        for sigma, w in col.nums.items():
+    for n, vec in terms:
+        if vec.den != common:
+            n = n * (common // vec.den)
+        for sigma, w in vec.nums.items():
             prev = get(sigma)
             out[sigma] = n * w if prev is None else prev + n * w
-    return _column(den * common, out)
+    return _nonzero(group, den * common, out)
 
 
 class FockOperator:
     """A linear operator on the Fock space, given by its columns.
 
-    column_of maps a basis type rho to the Column of K^rho's image.
+    column_of maps a basis type rho to the FockVector image of K^rho.
     Each column is computed on first use and kept for the operator's
     lifetime, a sparse matrix filled on demand; applying the operator
-    to a column or a vector sums the cached columns weighted by the
+    to a vector sums the cached columns weighted by the vector's
     numerators, in integer arithmetic over one denominator.
     """
 
@@ -219,28 +226,28 @@ class FockOperator:
             col = self.columns[rho] = self.column_of(rho)
         return col
 
-    def apply(self, col):
-        """The image of a Column."""
-        return _lincomb([(n, self.column(rho)) for rho, n in col.nums.items()], col.den)
+    def apply(self, vec):
+        """The image of a FockVector."""
+        return _lincomb(
+            self.group, [(n, self.column(rho)) for rho, n in vec.nums.items()], vec.den
+        )
 
-    def __call__(self, vec):
-        return self.apply(Column.of(vec)).to_vector(self.group)
+    __call__ = apply
 
 
 def operator_sum(group, terms, identity=0):
     """The operator sum s op over (s, op) in terms plus identity times
     the identity; the weights are put over one denominator once, so
     each column is one integer combination of the terms' columns."""
-    split = [_split(s) for s, _ in terms] + [_split(identity)]
-    den = lcm(*(d for _, d in split))
-    *nums, scalar = [n * (den // d) for n, d in split]
+    den, nums = _common([s for s, _ in terms] + [identity])
+    *nums, scalar = nums
     ops = [op for _, op in terms]
 
     def column_of(rho):
         cols = [(n, op.column(rho)) for n, op in zip(nums, ops)]
         if scalar:
-            cols.append((scalar, Column(1, {rho: 1})))
-        return _lincomb(cols, den)
+            cols.append((scalar, basis_state(group, rho)))
+        return _lincomb(group, cols, den)
 
     return FockOperator(group, column_of)
 
@@ -248,7 +255,7 @@ def operator_sum(group, terms, identity=0):
 def operator_of(group, fn):
     """The FockOperator whose column on K^rho is fn(K^rho), for a linear
     fn from FockVectors to FockVectors."""
-    return FockOperator(group, lambda rho: Column.of(fn(basis_state(group, rho))))
+    return FockOperator(group, lambda rho: fn(basis_state(group, rho)))
 
 
 def domain_types(group, max_level):
@@ -270,29 +277,27 @@ def heis_k(group, m, cid, vec):
     """
     if m == 0:
         return FockVector(group)
-    out = {}
     if m < 0:
         r = -m
-        for rho, v in vec.coeffs.items():
-            out[rho.add_part(r, cid)] = v * r * (rho.multiplicity(r, cid) + 1)
-    else:
-        r = m
-        src = group.inv_class[cid]
-        scale = Fraction(1, group.zeta[cid])
-        for rho, v in vec.coeffs.items():
-            new = rho.remove_part(r, src)
-            if new is not None:
-                out[new] = v * scale
-    return FockVector(group, out)
+        out = {
+            rho.add_part(r, cid): v * r * (rho.multiplicity(r, cid) + 1)
+            for rho, v in vec.nums.items()
+        }
+        return _vector(group, vec.den, out)
+    src = group.inv_class[cid]
+    out = {}
+    for rho, v in vec.nums.items():
+        new = rho.remove_part(m, src)
+        if new is not None:
+            out[new] = v
+    return _vector(group, vec.den * group.zeta[cid], out)
 
 
 def heis(group, m, alpha, vec):
     """p_m(alpha) for a class function alpha, by linearity over K^c."""
-    out = FockVector(group)
-    for cid, a in enumerate(alpha.values):
-        if a:
-            out = out + heis_k(group, m, cid, vec).scale(a)
-    return out
+    den, nums = _common(alpha.values)
+    terms = [(n, heis_k(group, m, cid, vec)) for cid, n in enumerate(nums) if n]
+    return _lincomb(group, terms, den)
 
 
 def heis_op(group, m, alpha):
@@ -319,16 +324,6 @@ def xi_class_function(group, n, k, alpha):
     return out
 
 
-def op_O(group, k, alpha, vec):
-    """O^k(alpha): levelwise convolution by Xi_n^k(alpha)."""
-    out = {}
-    for n in vec.levels():
-        if n:  # level 0 carries the empty power sum
-            f = xi_class_function(group, n, k, alpha)
-            out.update(convolve_n(f, vec.component(n)).coeffs)
-    return FockVector(group, out)
-
-
 def op_O_op(group, k, alpha):
     """O^k(alpha) on integer columns: Xi_n^k(alpha) is put over one
     denominator once per level n, and the column of K^rho is the
@@ -338,15 +333,20 @@ def op_O_op(group, k, alpha):
     def column_of(rho):
         n = rho.norm
         if not n:  # level 0 carries the empty power sum
-            return Column(1, {})
+            return FockVector(group)
         if n not in xis:
-            xi = Column.of(xi_class_function(group, n, k, alpha))
+            xi = FockVector(group, xi_class_function(group, n, k, alpha).coeffs)
             xis[n] = xi.den, WreathClassFunction(group, n, xi.nums)
         den, xi = xis[n]
         product = convolve_n(xi, WreathClassFunction(group, n, {rho: 1}))
-        return Column(den, product.coeffs)
+        return _vector(group, den, product.coeffs)
 
     return FockOperator(group, column_of)
+
+
+def op_O(group, k, alpha, vec):
+    """O^k(alpha) on a vector: levelwise convolution by Xi_n^k(alpha)."""
+    return op_O_op(group, k, alpha).apply(vec)
 
 
 def op_b(group):
@@ -365,10 +365,7 @@ def compose(f, g):
 def commutator(f, g):
     """The operator [f, g] = f g - g f, on cached columns like compose."""
     return FockOperator(
-        f.group,
-        lambda rho: _lincomb(
-            [(1, f.apply(g.column(rho))), (-1, g.apply(f.column(rho)))]
-        ),
+        f.group, lambda rho: f.apply(g.column(rho)) - g.apply(f.column(rho))
     )
 
 
@@ -435,9 +432,9 @@ def _creations(slots, degree, rho):
 
 
 def normal_power_apply(group, k, tensor, mode, rho):
-    """The Column on K^rho of mode `mode` of the normally ordered k-th
-    power of the field, with class-function slots given by an arity-k
-    tensor.
+    """The image of K^rho under mode `mode` of the normally ordered
+    k-th power of the field, with class-function slots given by an
+    arity-k tensor.
 
     Factors are ordered with smaller Heisenberg degree to the left
     (creation before annihilation); p_0 terms vanish.  Every term is an
@@ -455,12 +452,11 @@ def normal_power_apply(group, k, tensor, mode, rho):
         )
         for mask in range(1 << k)
     ]
-    coeffs = [(key, *_split(coeff)) for key, coeff in tensor.terms]
-    tden = lcm(*(d for _, _, d in coeffs))
+    tden, nums = _common([coeff for _, coeff in tensor.terms])
     zk = lcm(*group.zeta) ** k
     removed = {(): [(rho, 0, 1)]}
     out = {}
-    for key, num, d in coeffs:
+    for (key, _), num in zip(tensor.terms, nums):
         sums = {}
         for ann, cre in splits:
             created = [key[i] for i in cre]
@@ -473,11 +469,10 @@ def normal_power_apply(group, k, tensor, mode, rho):
                 scale = zk // den
                 for sigma, c in _creations(created, degree, state):
                     sums[sigma] = sums.get(sigma, 0) + scale * c
-        num = num * (tden // d)
         for sigma, c in sums.items():
             prev = out.get(sigma)
             out[sigma] = num * c if prev is None else prev + num * c
-    return _column(tden * zk, out)
+    return _nonzero(group, tden * zk, out)
 
 
 def _scaled_pushforward(beta, k, s):
@@ -550,44 +545,36 @@ def characteristic_map(group, p):
 
 
 def _p_image(group, rho):
-    """K^rho in the p basis, as a map monomial type -> coefficient; kept
-    in the group's level-||rho|| context.
+    """K^rho in the p basis, a FockVector over the p-monomial types.
 
     K^rho = ztilde_rho^{-1} prod p_{-r}(K^c)|0> over the parts (r, c) of
     rho (the characteristic map), and column orthogonality gives
-    p_{-r}(K^c) = sum_gamma gamma(c^{-1}) / zeta_c p_{-r}(gamma).
+    p_{-r}(K^c) = sum_gamma gamma(c^{-1}) / zeta_c p_{-r}(gamma).  The
+    weights gamma(c^{-1}) of a class are put over one denominator d_c,
+    so each part (r, c) multiplies the denominator by zeta_c d_c.
     """
-    cache = WreathContext.get(group, rho.norm).p_images
-    image = cache.get(rho)
-    if image is None:
-        rows = require_character_table(group).rows
-        image = {EMPTY_TYPE: Fraction(1, rho.ztilde())}
-        for cid, lam in rho.items:
-            scale = Fraction(1, group.zeta[cid])
-            src = group.inv_class[cid]
-            weights = [
-                (gi, row.values[src] * scale)
-                for gi, row in enumerate(rows)
-                if row.values[src]
-            ]
-            for r in lam.parts:
-                grown = {}
-                for mono, v in image.items():
-                    for gi, w in weights:
-                        key = mono.add_part(r, gi)
-                        grown[key] = grown.get(key, 0) + v * w
-                image = {mono: v for mono, v in grown.items() if v}
-        cache[rho] = image
-    return image
+    rows = require_character_table(group).rows
+    den, nums = rho.ztilde(), {EMPTY_TYPE: 1}
+    for cid, lam in rho.items:
+        src = group.inv_class[cid]
+        colours = [gi for gi, row in enumerate(rows) if row.values[src]]
+        d, weights = _common([rows[gi].values[src] for gi in colours])
+        den *= (group.zeta[cid] * d) ** lam.length
+        for r in lam.parts:
+            grown = {}
+            for mono, v in nums.items():
+                for gi, w in zip(colours, weights):
+                    key = mono.add_part(r, gi)
+                    grown[key] = grown.get(key, 0) + v * w
+            nums = {mono: v for mono, v in grown.items() if v}
+    return _vector(group, den, nums)
 
 
 def to_p_basis(group, vec):
     """The change of basis from the K^rho to the p-monomials."""
-    out = {}
-    for rho, v in vec.coeffs.items():
-        for mono, w in _p_image(group, rho).items():
-            out[mono] = out.get(mono, 0) + v * w
-    return FockVector(group, out)
+    return _lincomb(
+        group, [(n, _p_image(group, rho)) for rho, n in vec.nums.items()], vec.den
+    )
 
 
 # -- generators ---------------------------------------------------------
@@ -662,7 +649,7 @@ def verify_heisenberg(group, max_level, max_mode=3):
 
     def holds(m, n, b, c, rho, pq, qp):
         if m == -n and m != 0 and c == group.inv_class[b]:
-            return _lincomb([(1, pq), (-1, qp)]) == Column(group.zeta[b], {rho: m})
+            return pq - qp == _vector(group, group.zeta[b], {rho: m})
         return pq == qp
 
     found = []
@@ -720,7 +707,7 @@ def verify_virasoro(group, max_level, max_mode=2):
         op = virasoro(n + m, bg)
         # d (L_n L_m - L_m L_n - (n - m) L_{n+m} - central) on K^rho,
         # central = e / d, must vanish
-        e, d = _split(central)
+        d, (e,) = _common([central])
         for i, rho in enumerate(basis):
             terms = [
                 (d, nm.column(rho)),
@@ -728,8 +715,8 @@ def verify_virasoro(group, max_level, max_mode=2):
                 ((m - n) * d, op.column(rho)),
             ]
             if e:
-                terms.append((-e, Column(1, {rho: 1})))
-            if not _lincomb(terms).is_zero():
+                terms.append((-e, basis_state(group, rho)))
+            if not _lincomb(group, terms).is_zero():
                 yield (n, m, b, c, i, rho)
 
     found = []

@@ -256,11 +256,6 @@ class TypeFunction:
 EMPTY_TYPE = TypeFunction()
 
 
-def single_cycle_type(r, cid):
-    """The type of a single r-cycle with cycle product in class cid."""
-    return TypeFunction({cid: Partition([r])})
-
-
 @lru_cache(maxsize=None)
 def _types_cached(num_classes, n):
     def rec(cid, remaining):

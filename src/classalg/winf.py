@@ -40,8 +40,7 @@ from math import comb, factorial
 
 from .algebra import SparseVector
 from .fock import (
-    Column,
-    FockVector,
+    _nonzero,
     basis_state,
     commutator,
     compose,
@@ -272,7 +271,7 @@ def realize_J_mode(group, l, k, gamma_index, vec):
     require_character_table(group)
     words = p_l_polynomial(l + 1)
     out = {}
-    for rho, v in vec.coeffs.items():
+    for rho, v in vec.nums.items():
         parts = rho.partition(gamma_index).parts
         for word, kappa in words.items():
             for (removed, created), c in _mode_terms(word, k, parts).items():
@@ -285,8 +284,8 @@ def realize_J_mode(group, l, k, gamma_index, vec):
                     mono = mono.remove_part(r, gamma_index)
                 for r in created:
                     mono = mono.add_part(r, gamma_index)
-                out[mono] = out.get(mono, 0) + v * Fraction(factor, l + 1)
-    return FockVector(group, out)
+                out[mono] = out.get(mono, 0) + v * factor
+    return _nonzero(group, vec.den * (l + 1), out)
 
 
 def realize(group, x, j_ops=None):
@@ -365,18 +364,22 @@ def verify_convdiff(group, max_level, max_k=3):
     irreducible matches the group-theoretic convolution operator.
 
     Both sides are compared in the p basis on the image of each K^rho,
-    and a failure names the K^rho."""
+    and a failure names the K^rho.  The change of basis is an operator
+    whose column on K^rho is to_p_basis(K^rho), read through the module
+    at call time; each column is computed once per call."""
     ct = require_character_table(group)
+    basis = domain_types(group, max_level)
+    p_basis = operator_of(group, lambda v: to_p_basis(group, v))
     failures = []
     j_ops = {}
     for k in range(max_k + 1):
         for gi in range(len(ct.rows)):
             gam = ct.irreducible(gi)
             op = realize(group, convdiff_image(group, k, gi), j_ops)
-            for rho in domain_types(group, max_level):
-                v = basis_state(group, rho)
-                image = op.apply(Column.of(to_p_basis(group, v)))
-                if image != Column.of(to_p_basis(group, op_O(group, k, gam, v))):
+            for rho in basis:
+                image = op.apply(p_basis.column(rho))
+                conv = op_O(group, k, gam, basis_state(group, rho))
+                if image != p_basis.apply(conv):
                     failures.append((k, gi, rho.label()))
     return failures
 
@@ -512,7 +515,7 @@ def verify_winf_level_one(group, max_level, num_pairs, seed=0):
         if all(lhs.column(rho) == rz.column(rho) for rho in basis):
             continue
         for rho in basis:
-            image = Column.of(to_p_basis(group, basis_state(group, rho)))
+            image = to_p_basis(group, basis_state(group, rho))
             if lhs.apply(image) != rz.apply(image):
                 failures.append((idx, rho.label()))
     return failures

@@ -192,8 +192,8 @@ def enumerate_class(group, rho, n=None):
 
 class WreathContext:
     """Caches per (group, n): types, representatives, characters, the
-    rows of the class table, the Xi_n^k(K^c) and the p-basis images of
-    fock and the class members of stable.
+    rows of the class table, the Xi_n^k(K^c) of fock and the class
+    members of stable.
 
     The contexts of a group live in ``group.wreath_contexts``, keyed on
     n, so they are freed with the group; :meth:`get` is the entry point.
@@ -215,7 +215,6 @@ class WreathContext:
         self.order = wreath_order(group, n)
         self.xi_classes = {}  # (k, class id) -> Xi_n^k(K^c), filled by fock
         self.class_members = {}  # type -> its elements, filled by stable
-        self.p_images = {}  # type -> K^rho in the p basis, filled by fock
         self._rows = {}
         self._characters = None
         self._structure = None

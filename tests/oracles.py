@@ -8,6 +8,8 @@ against.  Nothing under src/ imports this module.
   permutations on the union of their supports.
 - The stable structure constants, by counting the factorizations of one
   canonical element of each target type.
+- A class function as an element of the group algebra, and the
+  bilinear form on R(Gamma_n) and on Fock vectors.
 - The Heisenberg operators by induction from the big group, by
   averaging over S_n, and as adjoints through the bilinear form.
 - The Fock operator calculus in Fraction arithmetic: an operator whose
@@ -33,7 +35,6 @@ from math import comb, factorial
 from classalg.algebra import (
     GroupAlgebraElement,
     WreathClassFunction,
-    bilinear_form_n as fock_inner,
     to_class_function,
 )
 import classalg.fock as fock
@@ -44,7 +45,6 @@ from classalg.partitions import (
     TypeFunction,
     enumerate_types,
     enumerate_types_upto,
-    single_cycle_type,
 )
 from classalg.scalars import poly_trim
 from classalg.stable import embed_support, enumerate_orbit, orbit_size
@@ -232,7 +232,43 @@ def oracle_stable_structure_constants(group, cap):
     return table
 
 
+# -- class functions in the group algebra and the bilinear form ---------
+
+
+def to_group_algebra(f):
+    """A WreathClassFunction as the element sum_x f(x) x of C[Gamma_n]."""
+    ctx = WreathContext.get(f.group, f.n)
+    out = {}
+    for x, r in ctx._elements_with_types():
+        v = f.coeffs.get(ctx.types[r])
+        if v:
+            out[x] = v
+    return GroupAlgebraElement(f.group, f.n, out)
+
+
+def bilinear_form_n(f, g):
+    """<f, g> = sum_rho Z_rho^{-1} f(rho) g(rho^{-1}) on R(Gamma_n).
+
+    It takes Fock vectors too, where it is the orthogonal sum of the
+    level forms.
+    """
+    f._check(g)
+    group = f.group
+    theirs = g.coeffs
+    total = 0
+    for rho, v in f.coeffs.items():
+        w = theirs.get(rho.inverse(group))
+        if w:
+            total = total + v * w * Fraction(1, rho.centralizer_order(group))
+    return total if total else Fraction(0)
+
+
 # -- the Heisenberg operators --------------------------------------------
+
+
+def single_cycle_type(r, cid):
+    """The type of a single r-cycle with cycle product in class cid."""
+    return TypeFunction({cid: Partition([r])})
 
 
 def sigma_class(group, r, alpha):
@@ -299,7 +335,7 @@ def heis_create_avg(group, gamma, vec):
     out = {}
     for m in vec.levels():
         n = m + 1
-        y = vec.component(m).to_group_algebra()
+        y = to_group_algebra(vec.component(m))
         terms = {}
         for w, v in y.coeffs.items():
             for cid, members in enumerate(group.classes):
@@ -337,7 +373,7 @@ def heis_annihilate_adjoint(group, r, alpha, vec):
             continue
         for nu in enumerate_types(group, n - r):
             probe = heis(group, -r, alpha, basis_state(group, nu.inverse(group)))
-            out[nu] = fock_inner(vec, probe) * nu.centralizer_order(group)
+            out[nu] = bilinear_form_n(vec, probe) * nu.centralizer_order(group)
     return FockVector(group, out)
 
 

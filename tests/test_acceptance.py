@@ -6,7 +6,7 @@ comparison is exact (tolerance zero).
 
 from fractions import Fraction
 
-from classalg.algebra import bilinear_form_n, verify_jm
+from classalg.algebra import verify_jm
 from classalg.fock import (
     vacuum,
     verify_covcomm,
@@ -28,6 +28,7 @@ from classalg.winf import (
     verify_vo,
     verify_winf_level_one,
 )
+from oracles import bilinear_form_n
 
 
 def report(num, label, ok):

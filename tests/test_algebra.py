@@ -7,7 +7,6 @@ from classalg.algebra import (
     GroupAlgebraElement,
     WreathClassFunction,
     algebra_unit,
-    bilinear_form_n,
     convolve_n,
     embed_level,
     eta_n,
@@ -24,11 +23,12 @@ from classalg.fock import FockVector
 from classalg.groups import k_basis, load_group
 from classalg.partitions import TypeFunction, class_size, enumerate_types
 from classalg.wreath import WreathContext
+from oracles import bilinear_form_n, to_group_algebra
 
 
 def brute_force_product(f, g):
     """Multiply two central elements via the full group algebra."""
-    return convolve_via_elements(f.to_group_algebra(), g.to_group_algebra())
+    return convolve_via_elements(to_group_algebra(f), to_group_algebra(g))
 
 
 def convolve_via_elements(a, b):
@@ -43,8 +43,8 @@ def test_convolution_against_group_algebra():
             for sigma in enumerate_types(g, n):
                 fast = convolve_n(k_class(g, n, rho), k_class(g, n, sigma))
                 slow = to_class_function(
-                    k_class(g, n, rho).to_group_algebra()
-                    * k_class(g, n, sigma).to_group_algebra()
+                    to_group_algebra(k_class(g, n, rho))
+                    * to_group_algebra(k_class(g, n, sigma))
                 )
                 assert fast == slow, (rho.label(), sigma.label())
 

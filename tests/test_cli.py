@@ -10,6 +10,7 @@ import classalg.fock as fock
 import classalg.wreath as wreath
 from classalg.cli import SUITES, RunConfig, run
 from classalg.wreath import ResourceCapError
+from oracles import to_group_algebra
 
 
 def capture(capsys, argv):
@@ -238,7 +239,7 @@ def test_timing_on_stderr_not_stdout(capsys):
 def _non_central(f, g):
     # one element of g's class: to_class_function raises its genuine
     # error on the first class with more than one element
-    x = next(iter(g.to_group_algebra().coeffs))
+    x = next(iter(to_group_algebra(g).coeffs))
     return algebra.to_class_function(
         algebra.GroupAlgebraElement(g.group, g.n, {x: 1})
     )

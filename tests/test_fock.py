@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import classalg.fock as fock
-from classalg.algebra import WreathClassFunction, bilinear_form_n
+from classalg.algebra import WreathClassFunction
 from classalg.cli import run
 from classalg.fock import (
     FockVector,
@@ -50,6 +50,7 @@ from classalg.winf import (
 )
 from oracles import (
     OracleFockOperator,
+    bilinear_form_n,
     heis_annihilate_adjoint,
     heis_create_avg,
     heis_create_bigsum,
@@ -223,6 +224,32 @@ def test_ad_power_zeroth():
     same = ad_power(op_b(g), f, 0)
     v = vacuum(g)
     assert same(v) == f(v)
+
+
+def test_fock_vector_is_one_integer_vector_over_one_denominator():
+    g = load_group("cyclic3")
+    rho, sigma = (TypeFunction.from_label(s) for s in ("c1:[1]", "c0:[2]"))
+    z = Cyc(3, (0, 1))
+    from_fractions = FockVector(g, {rho: Fraction(1, 2), sigma: Fraction(-2, 3)})
+    assert (from_fractions.den, from_fractions.nums) == (6, {rho: 3, sigma: -4})
+    # ints over a larger denominator, and Cyc numerators whose sum
+    # collapses to a rational, are the same vector
+    over_twelve = fock._vector(g, 12, {rho: 6, sigma: -8})
+    collapsed = FockVector(g, {rho: z, sigma: Fraction(-2, 3)}) + FockVector(
+        g, {rho: Fraction(1, 2) - z}
+    )
+    assert isinstance(collapsed.nums[rho], Fraction)
+    assert from_fractions == over_twelve == collapsed
+    assert over_twelve != from_fractions.scale(2)
+    # coeffs reads the reduced values and cannot be written
+    expected = {rho: Fraction(1, 2), sigma: Fraction(-2, 3)}
+    for vec in (from_fractions, over_twelve, collapsed):
+        assert vec.coeffs == expected
+        with pytest.raises(TypeError):
+            vec.coeffs[rho] = 1
+    assert FockVector(g, {rho: z}).scale(Fraction(1, 2)).coeffs == {rho: z * Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        hash(from_fractions)
 
 
 # -- cached-column operators against the direct functions ---------------
@@ -437,7 +464,7 @@ def test_cached_columns_compose_without_fractions(monkeypatch):
     nonzero = [p for p, c in columns if not p.is_zero() and not c.is_zero()]
     assert nonzero
     # the counter sees the Fractions that reading a column back makes
-    nonzero[0].to_vector(g)
+    dict(nonzero[0].coeffs)
     assert made
 
 

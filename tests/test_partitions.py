@@ -14,9 +14,9 @@ from classalg.partitions import (
     enumerate_types,
     enumerate_types_upto,
     partitions_of,
-    single_cycle_type,
 )
 from classalg.wreath import wreath_order
+from oracles import single_cycle_type
 
 partition_strategy = st.lists(
     st.integers(min_value=1, max_value=6), min_size=0, max_size=5

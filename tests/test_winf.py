@@ -17,6 +17,7 @@ from classalg.winf import (
     CENTRAL,
     DiffOpElement,
     basis_J,
+    convdiff_image,
     convdiff_poly,
     falling_factorial_poly,
     lemma_variable_residuals,
@@ -367,6 +368,33 @@ def test_level_one_runs_without_cyclotomic_arithmetic(monkeypatch):
     # the counters see the arithmetic that the change of basis does
     to_p_basis(g, basis_state(g, TypeFunction.from_label("c1:[1]")))
     assert calls
+
+
+@pytest.mark.parametrize("name", ["cyclic2", "cyclic3"])
+def test_J_mode_columns_build_without_fractions(name, monkeypatch):
+    # the J-mode operators that realize caches in j_ops build their
+    # columns over l + 1 in integer arithmetic
+    g = load_group(name)
+    j_ops = {}
+    for gi in range(g.num_classes):
+        x = convdiff_image(g, 2, gi) + basis_J(g, 0, -2, gi) + basis_J(g, 2, 1, gi)
+        realize(g, x, j_ops)
+    assert {l for l, _, _ in j_ops} == {0, 1, 2, 3}
+    types = domain_types(g, 3)
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    columns = [op.column(rho) for op in j_ops.values() for rho in types]
+    assert made == []
+    assert any(col.den > 1 and not col.is_zero() for col in columns)
+    # the counter sees the Fractions that reading a column back makes
+    dict(next(col for col in columns if col.den > 1 and not col.is_zero()).coeffs)
+    assert made
 
 
 def test_mode_terms_annihilate_only_the_parts_present():
