@@ -122,7 +122,7 @@ class GroupAlgebraElement(_LevelVector):
 
 
 def algebra_unit(group, n):
-    return GroupAlgebraElement(group, n, {wreath_identity(group, n): Fraction(1)})
+    return GroupAlgebraElement(group, n, {wreath_identity(group, n): 1})
 
 
 class WreathClassFunction(_LevelVector):
@@ -226,7 +226,7 @@ def jm_element(group, j, n):
             g[jj] = group.inv[a]
             sigma = list(range(n))
             sigma[i], sigma[jj] = sigma[jj], sigma[i]
-            terms[WreathElement(tuple(g), tuple(sigma))] = Fraction(1)
+            terms[WreathElement(tuple(g), tuple(sigma))] = 1
     return GroupAlgebraElement(group, n, terms)
 
 

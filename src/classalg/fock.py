@@ -55,7 +55,7 @@ from .groups import (
     trace_g,
     unit_g,
 )
-from .partitions import EMPTY_TYPE, enumerate_types
+from .partitions import EMPTY_TYPE, enumerate_types_upto
 from .wreath import WreathContext
 
 
@@ -143,12 +143,6 @@ class FockVector:
             n,
             {rho: v for rho, v in self.coeffs.items() if rho.norm == n},
         )
-
-    def levels(self):
-        return sorted({rho.norm for rho in self.nums})
-
-    def max_level(self):
-        return max((rho.norm for rho in self.nums), default=-1)
 
     def __repr__(self):
         inner = ", ".join(
@@ -256,13 +250,6 @@ def operator_of(group, fn):
     """The FockOperator whose column on K^rho is fn(K^rho), for a linear
     fn from FockVectors to FockVectors."""
     return FockOperator(group, lambda rho: fn(basis_state(group, rho)))
-
-
-def domain_types(group, max_level):
-    """All (n, rho) with n <= max_level, in deterministic order."""
-    return [
-        rho for n in range(max_level + 1) for rho in enumerate_types(group, n)
-    ]
 
 
 # -- Heisenberg operators, closed form --------------------------------
@@ -373,7 +360,7 @@ def operator_difference_cells(group, op1, op2, max_level):
     """Basis states K^rho (||rho|| <= max_level) where op1 and op2 differ."""
     return [
         rho
-        for rho in domain_types(group, max_level)
+        for rho in enumerate_types_upto(group, max_level)
         if op1.column(rho) != op2.column(rho)
     ]
 
@@ -636,7 +623,7 @@ def verify_heisenberg(group, max_level, max_mode=3):
     list of failing (m, n, b, c, rho) cells, in the order of m, n, b, c
     and the basis.
     """
-    basis = domain_types(group, max_level)
+    basis = enumerate_types_upto(group, max_level)
     keys = [
         (m, c)
         for m in range(-max_mode, max_mode + 1)
@@ -677,7 +664,7 @@ def verify_virasoro(group, max_level, max_mode=2):
     """
     chi = euler_class(group)
     classes = range(group.num_classes)
-    basis = domain_types(group, max_level)
+    basis = enumerate_types_upto(group, max_level)
     modes = range(-max_mode, max_mode + 1)
     ops = {}
 
@@ -780,7 +767,7 @@ def verify_dictionary(group, max_degree):
     """The characteristic map intertwines the polynomial-model operators
     with the closed-form Heisenberg operators, monomial by monomial."""
     failures = []
-    for rho in domain_types(group, max_degree):
+    for rho in enumerate_types_upto(group, max_degree):
         p = {rho: Fraction(1)}
         image = characteristic_map(group, p)
         for r in range(1, max_degree + 1):

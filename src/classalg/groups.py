@@ -194,8 +194,8 @@ class ClassFunctionG:
 
 def k_basis(group, cid):
     """The class sum K^c as a ClassFunctionG."""
-    vals = [Fraction(0)] * group.num_classes
-    vals[cid] = Fraction(1)
+    vals = [0] * group.num_classes
+    vals[cid] = 1
     return ClassFunctionG(group, tuple(vals))
 
 
@@ -523,6 +523,10 @@ def _load_group_file(path):
         conductor = 1
         if len(head) >= 3 and head[1] == "conductor":
             conductor = int(head[2])
+            if conductor < 1:
+                raise ValueError(
+                    f"{path}: conductor must be a positive integer, got {conductor}"
+                )
         rows = []
         for line in rest[1:]:
             rows.append(

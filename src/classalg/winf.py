@@ -28,7 +28,10 @@ is checked in the K basis, one hbar-coefficient at a time after both
 sides are multiplied by (Q-1)^2: each coefficient is an operator sum
 of cached integer columns, the O^k(gamma) on one side and the products
 of Heisenberg chains that make up V_0 on the other, with rational
-weights read off scalar HbarSeries.  No Fock vector carries a series.
+weights read off truncated power series in hbar (series.HbarSeries).
+No Fock vector carries a series, and no series has a pole: the one
+quotient, (q^d - 1)/(q^{-1} - 1) in the finite-difference lemma, is a
+power series.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .fock import (
     basis_state,
     commutator,
     compose,
-    domain_types,
     heis,
     op_O,
     op_O_op,
@@ -53,7 +55,7 @@ from .fock import (
     to_p_basis,
 )
 from .groups import require_character_table
-from .partitions import partitions_of
+from .partitions import enumerate_types_upto, partitions_of
 from .series import HbarSeries
 
 # -- exact polynomials in D: coefficient tuples, lowest degree first ----
@@ -368,7 +370,7 @@ def verify_convdiff(group, max_level, max_k=3):
     whose column on K^rho is to_p_basis(K^rho), read through the module
     at call time; each column is computed once per call."""
     ct = require_character_table(group)
-    basis = domain_types(group, max_level)
+    basis = enumerate_types_upto(group, max_level)
     p_basis = operator_of(group, lambda v: to_p_basis(group, v))
     failures = []
     j_ops = {}
@@ -457,7 +459,7 @@ def verify_vo(group, gamma_index, max_level, order, corrected=True):
             for lam_a, up in zip(lams, create):
                 weight = weight_b * _partition_weight(lam_a, 1, exponent, window)
                 zero_mode.append((weight, compose(up, kill)))
-    basis = domain_types(group, max_level)
+    basis = enumerate_types_upto(group, max_level)
     bad = set()
     for j in range(window + 1):
         lhs = [(square.coeff(j - k) / factorial(k), op) for k, op in enumerate(conv)]
@@ -504,7 +506,7 @@ def verify_winf_level_one(group, max_level, num_pairs, seed=0):
         (rng.randrange(len(pool)), rng.randrange(len(pool)))
         for _ in range(num_pairs)
     ]
-    basis = domain_types(group, max_level)
+    basis = enumerate_types_upto(group, max_level)
     failures = []
     for idx, (i, j) in enumerate(pairs):
         x, y = pool[i], pool[j]

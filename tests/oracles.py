@@ -266,6 +266,16 @@ def bilinear_form_n(f, g):
 # -- the Heisenberg operators --------------------------------------------
 
 
+def levels_of(vec):
+    """The levels at which a FockVector has a nonzero coefficient."""
+    return sorted({rho.norm for rho in vec.nums})
+
+
+def max_level_of(vec):
+    """The highest such level, -1 for the zero vector."""
+    return max((rho.norm for rho in vec.nums), default=-1)
+
+
 def single_cycle_type(r, cid):
     """The type of a single r-cycle with cycle product in class cid."""
     return TypeFunction({cid: Partition([r])})
@@ -325,7 +335,7 @@ def heis_create_bigsum(group, r, alpha, vec):
     """p_{-r}(alpha) computed through the induction definition."""
     sig = sigma_class(group, r, alpha)
     out = {}
-    for n in vec.levels():
+    for n in levels_of(vec):
         out.update(induce_product(sig, vec.component(n)).coeffs)
     return FockVector(group, out)
 
@@ -333,7 +343,7 @@ def heis_create_bigsum(group, r, alpha, vec):
 def heis_create_avg(group, gamma, vec):
     """p_{-1}(gamma) by averaging ad g (y (x) gamma) over S_n."""
     out = {}
-    for m in vec.levels():
+    for m in levels_of(vec):
         n = m + 1
         y = to_group_algebra(vec.component(m))
         terms = {}
@@ -368,7 +378,7 @@ def heis_annihilate_adjoint(group, r, alpha, vec):
     if r <= 0:
         raise ValueError("adjoint oracle needs r > 0")
     out = {}
-    for n in vec.levels():
+    for n in levels_of(vec):
         if n < r:
             continue
         for nu in enumerate_types(group, n - r):
@@ -528,7 +538,7 @@ def oracle_normal_power_apply(group, k, tensor, mode, vec):
     """
     if tensor.arity != k:
         raise ValueError("tensor arity mismatch")
-    level = vec.max_level()
+    level = max_level_of(vec)
     out = FockVector(group)
     if level < 0:
         return out
@@ -576,7 +586,7 @@ def oracle_verify_virasoro(group, max_level, max_mode=2):
                         central = Fraction(n**3 - n, 12) * trace_g(
                             convolve_g(chi, bg)
                         )
-                    for rho in fock.domain_types(group, max_level):
+                    for rho in enumerate_types_upto(group, max_level):
                         v = basis_state(group, rho)
                         lhs = oracle_virasoro_L(
                             group, n, beta, oracle_virasoro_L(group, m, gamma, v)
@@ -598,7 +608,7 @@ def oracle_verify_cubic(group, max_level):
     failures = []
     for c in range(group.num_classes):
         beta = k_basis(group, c)
-        for rho in fock.domain_types(group, max_level):
+        for rho in enumerate_types_upto(group, max_level):
             v = basis_state(group, rho)
             if fock.op_O(group, 1, beta, v) != oracle_cubic_zero_mode(group, beta, v):
                 failures.append((c, rho.label()))
@@ -618,7 +628,7 @@ def oracle_realize_J_mode(group, l, k, gamma_index, vec):
     through the module so that a patched factor reaches both paths.
     """
     gam = require_character_table(group).irreducible(gamma_index)
-    level = vec.max_level()
+    level = max_level_of(vec)
     out = FockVector(group)
     if level < 0:
         return out

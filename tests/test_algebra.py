@@ -120,6 +120,16 @@ def test_xi_power_sum_zero():
     )
 
 
+def test_group_algebra_coefficients_stay_integers():
+    # integer class sums and JM elements keep the products in int arithmetic
+    g = load_group("cyclic2")
+    values = [
+        *jm_element(g, 3, 3).coeffs.values(),
+        *xi_power_sum(g, 3, 2, k_basis(g, 1)).coeffs.values(),
+    ]
+    assert values and all(type(v) is int for v in values)
+
+
 def test_centrality_conversion_rejects_noncentral():
     g = load_group("cyclic2")
     one_slot = embed_level(k_basis(g, 1), 1, 2)

@@ -397,3 +397,15 @@ def test_single_suite_command_prints_the_battery_report(group, suite, capsys):
     assert code == 0
     assert out == json.dumps(_battery(group)[suite], indent=2) + "\n"
     assert err.startswith(f"# {suite}: ")
+
+
+@pytest.mark.parametrize("conductor", [0, -2])
+def test_conductor_below_1_is_a_usage_error(conductor, tmp_path, capsys):
+    path = tmp_path / "c2.txt"
+    path.write_text(
+        f"order 2\n0 1\n1 0\ncharacters conductor {conductor}\n1, 1\n1, -1\n"
+    )
+    code, out, err = capture(capsys, ["group", "info", "--group", str(path)])
+    assert code == 2
+    assert out == ""
+    assert f"conductor must be a positive integer, got {conductor}" in err

@@ -13,7 +13,6 @@ from classalg.fock import (
     commutator,
     compose,
     cubic_op,
-    domain_types,
     heis,
     heis_op,
     op_b,
@@ -38,7 +37,7 @@ from classalg.groups import (
     require_character_table,
     unit_g,
 )
-from classalg.partitions import TypeFunction, enumerate_types
+from classalg.partitions import TypeFunction, enumerate_types, enumerate_types_upto
 from classalg.scalars import Cyc
 from classalg.winf import (
     CENTRAL,
@@ -54,6 +53,7 @@ from oracles import (
     heis_annihilate_adjoint,
     heis_create_avg,
     heis_create_bigsum,
+    max_level_of,
     oracle_commutator,
     oracle_compose,
     oracle_cubic_zero_mode,
@@ -69,10 +69,10 @@ from oracles import (
 def test_vacuum_and_basis():
     g = load_group("cyclic2")
     v = vacuum(g)
-    assert v.max_level() == 0
+    assert max_level_of(v) == 0
     rho = TypeFunction.from_label("c1:[2]")
     b = basis_state(g, rho)
-    assert b.max_level() == 2
+    assert max_level_of(b) == 2
     assert bilinear_form_n(b, b) != 0
 
 
@@ -155,7 +155,7 @@ def test_virasoro_weight():
     g = load_group("cyclic2")
     v = basis_state(g, TypeFunction.from_label("c0:[2]|c1:[1]"))
     out = virasoro_op(g, 1, unit_g(g))(v)
-    assert out.is_zero() or out.max_level() == 2
+    assert out.is_zero() or max_level_of(out) == 2
 
 
 def test_cubic_small():
@@ -214,7 +214,7 @@ def test_commutator_of_creations_vanishes():
     a = heis_op(g, -1, k_basis(g, 1))
     b = heis_op(g, -2, k_basis(g, 2))
     comm = commutator(a, b)
-    for rho in domain_types(g, 2):
+    for rho in enumerate_types_upto(g, 2):
         assert comm(basis_state(g, rho)).is_zero()
 
 
@@ -342,7 +342,7 @@ def _no_recompute(vec):
 def test_cached_operators_match_direct_functions(name):
     g = load_group(name)
     spread = _vector(g, SPREAD_VECTORS[name])
-    types = domain_types(g, 2)
+    types = enumerate_types_upto(g, 2)
     for label, direct, op in _operator_cases(g):
         cancelling, cell = _cancelling_vector(g, direct, types)
         assert cell not in direct(cancelling).coeffs, label
@@ -419,7 +419,7 @@ def test_integer_columns_match_fraction_oracle(name, level):
     # has cyclotomic coefficients on cyclic3 (as verify_convdiff applies
     # the realized operators)
     g = load_group(name)
-    states = [basis_state(g, rho) for rho in domain_types(g, level)]
+    states = [basis_state(g, rho) for rho in enumerate_types_upto(g, level)]
     vectors = states + [to_p_basis(g, v) for v in states]
     for label, op, oracle in _integer_and_oracle_operators(g):
         for v in vectors:
@@ -444,7 +444,7 @@ def test_cached_columns_compose_without_fractions(monkeypatch):
     alpha = k_basis(g, 1)
     f, h = virasoro_op(g, 1, alpha), heis_op(g, -2, alpha)
     prod, comm = compose(f, h), commutator(f, h)
-    types = domain_types(g, 2)
+    types = enumerate_types_upto(g, 2)
     # fill the factors' columns that the products read
     for rho in types:
         for sigma in h.column(rho).nums:
@@ -479,7 +479,7 @@ def test_normal_powers_match_oracle(name):
     # level 3
     g = load_group(name)
     beta = require_character_table(g).irreducible(g.num_classes - 1)
-    for rho in domain_types(g, 3):
+    for rho in enumerate_types_upto(g, 3):
         v = basis_state(g, rho)
         for n in range(-3, 4):
             assert virasoro_op(g, n, beta)(v) == oracle_virasoro_L(
@@ -546,7 +546,7 @@ def test_composite_operators_read_cached_columns(build):
     h = heis_op(g, -2, alpha)
     op = build(f, h)
     spread = _vector(g, SPREAD_VECTORS["cyclic2"])
-    vectors = [spread] + [basis_state(g, rho) for rho in domain_types(g, 2)]
+    vectors = [spread] + [basis_state(g, rho) for rho in enumerate_types_upto(g, 2)]
 
     def direct(v):
         fh = virasoro_op(g, 1, alpha)(heis(g, -2, alpha, v))

@@ -8,9 +8,9 @@ import pytest
 import classalg.fock as fock
 import classalg.winf as winf
 from classalg.cli import run
-from classalg.fock import basis_state, domain_types, to_p_basis
+from classalg.fock import basis_state, to_p_basis
 from classalg.groups import CharacterTableError, load_group
-from classalg.partitions import TypeFunction
+from classalg.partitions import TypeFunction, enumerate_types_upto
 from classalg.scalars import Cyc
 from classalg.series import HbarSeries
 from classalg.winf import (
@@ -150,7 +150,7 @@ def test_convdiff_poly_matches_the_series_at_integers():
         den = HbarSeries.exp_hbar(-h, order) - 1
         for d in range(order + 1):
             series = (HbarSeries.exp_hbar(h * d, order) - 1).divide(den)
-            for k in range(order - 1):  # the window of d = 0 ends at order - 2
+            for k in range(order):  # the quotient is known through order - 1
                 value = poly_eval(convdiff_poly(h, k), d)
                 assert value == series.coeff(k) * factorial(k), (h, d, k)
 
@@ -292,7 +292,7 @@ def test_J_modes_match_the_K_basis_oracle(name, level):
     # realize_J_mode on the p-image of K^rho is the p-image of the
     # K-basis realization, for every l <= 2, |k| <= 2, gamma and K^rho
     g = load_group(name)
-    for rho in domain_types(g, level):
+    for rho in enumerate_types_upto(g, level):
         v = basis_state(g, rho)
         image = to_p_basis(g, v)
         for gi in range(g.num_classes):
@@ -380,7 +380,7 @@ def test_J_mode_columns_build_without_fractions(name, monkeypatch):
         x = convdiff_image(g, 2, gi) + basis_J(g, 0, -2, gi) + basis_J(g, 2, 1, gi)
         realize(g, x, j_ops)
     assert {l for l, _, _ in j_ops} == {0, 1, 2, 3}
-    types = domain_types(g, 3)
+    types = enumerate_types_upto(g, 3)
     made = []
     original = Fraction.__new__
 
