@@ -1,18 +1,24 @@
 """The group algebra of Gamma_n and its center R(Gamma_n).
 
-Provides SparseVector, the sparse linear-combination type of the
-level-n spaces (the Fock space has its own integer FockVector), and on
-it sparse group-algebra elements and class functions in the K^rho
-(class-sum) basis; conversion of central elements to class
-functions, Jucys-Murphy
-elements, the twisted power sums Xi_n^k(alpha), the eta/epsilon
-products, elementary symmetric functions of JM elements, and subalgebra
-generation by exact linear algebra.
+Provides SparseVector, the one sparse linear-combination type of the
+program: integer (or Cyc) numerators over one positive int denominator,
+in the manner of FLINT's fmpq_poly, with one linear-combination kernel
+(_lincomb) behind its sums, differences and multiples.  On it sit
+sparse group-algebra elements and class functions in the K^rho
+(class-sum) basis, whose products add numerators over the product of
+the denominators (the Fock space's FockVector and the W-algebra's
+DiffOpElement are SparseVectors too); conversion of central elements
+to class functions, Jucys-Murphy elements, the twisted power sums
+Xi_n^k(alpha), the eta/epsilon products, elementary symmetric
+functions of JM elements, and subalgebra generation by exact linear
+algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from types import MappingProxyType
 
 from .groups import ClassFunctionG, k_basis, unit_g
 from .partitions import TypeFunction, class_size, enumerate_types
@@ -26,28 +32,80 @@ from .wreath import (
 )
 
 
-class SparseVector:
-    """A finite linear combination sum_b coeffs[b] b over one basis.
+def _common(scalars):
+    """(den, numerators): the scalars over the lcm of their denominators.
+    A Fraction splits, and an int or a Cyc is its own numerator over 1."""
+    split = [
+        (s.numerator, s.denominator) if isinstance(s, Fraction) else (s, 1)
+        for s in scalars
+    ]
+    den = lcm(*(d for _, d in split))
+    return den, [n if d == den else n * (den // d) for n, d in split]
 
-    group is the finite group Gamma the space is built from; coeffs
-    maps basis elements to scalars and never stores a zero.  Operands of
-    + and - must lie in the same space: the same type over the same
-    group (and, for the level-n types, the same n).  Unhashable (it
-    defines __eq__ and no __hash__), as the coefficients may change.
+
+def _lincomb(terms, den=1):
+    """(den', nums): the sum of n vec / den over (n, vec) in terms, for
+    int or Cyc numerators n, as numerators without a zero over den'
+    = den times the lcm of the vectors' denominators."""
+    if len(terms) == 1:  # one nonzero term cancels nothing
+        n, vec = terms[0]
+        if n == 1:
+            return den * vec.den, vec.nums
+        if n:
+            return den * vec.den, {b: n * w for b, w in vec.nums.items()}
+    common = lcm(*(vec.den for _, vec in terms))
+    out = {}
+    get = out.get
+    for n, vec in terms:
+        if vec.den != common:
+            n = n * (common // vec.den)
+        for b, w in vec.nums.items():
+            prev = get(b)
+            out[b] = n * w if prev is None else prev + n * w
+    return den * common, {b: v for b, v in out.items() if v}
+
+
+class SparseVector:
+    """The finite linear combination sum_b nums[b] / den b over one basis.
+
+    group is the finite group Gamma the space is built from; den is a
+    positive int, and a numerator is an int, or a Cyc (or the Fraction
+    that a sum of Cyc collapses to) where the scalars are cyclotomic.
+    No zero numerator is stored and the fraction is not reduced, so two
+    vectors are equal when their numerators agree after cross-multiplying
+    by the other's denominator.  Operands of + and - must lie in the
+    same space: the same type over the same group (and, for the level-n
+    types, the same n).  A vector is never mutated once built, so
+    vectors may share their nums.  Unhashable.
     """
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "den", "nums")
 
     def __init__(self, group, coeffs=None):
+        """The vector sum coeffs[b] b, for int, Fraction or Cyc
+        coefficients."""
+        coeffs = {b: v for b, v in (coeffs or {}).items() if v}
         self.group = group
-        self.coeffs = {b: v for b, v in (coeffs or {}).items() if v}
+        self.den, nums = _common(coeffs.values())
+        self.nums = dict(zip(coeffs, nums))
 
-    def _new(self, coeffs):
-        """A vector in the same space; coeffs must hold no zero."""
+    def _new(self, den, nums):
+        """The vector nums / den in the space of self; nums must hold no
+        zero."""
         out = object.__new__(type(self))
-        out.group = self.group
-        out.coeffs = coeffs
+        out.group, out.den, out.nums = self.group, den, nums
         return out
+
+    @property
+    def coeffs(self):
+        """The read-only map b -> nums[b] / den, reduced."""
+        den = self.den
+        return MappingProxyType(
+            {
+                b: Fraction(v, den) if type(v) is int else v * Fraction(1, den)
+                for b, v in self.nums.items()
+            }
+        )
 
     def _same_space(self, other):
         return type(other) is type(self) and other.group is self.group
@@ -58,28 +116,30 @@ class SparseVector:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for b, v in other.coeffs.items():
-            s = out.get(b, 0) + v
-            if s:
-                out[b] = s
-            else:
-                out.pop(b, None)
-        return self._new(out)
+        return self._new(*_lincomb([(1, self), (1, other)]))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        self._check(other)
+        return self._new(*_lincomb([(1, self), (-1, other)]))
 
     def scale(self, s):
-        if not s:
-            return self._new({})
-        return self._new({b: w for b, v in self.coeffs.items() if (w := s * v)})
+        d, (n,) = _common([s])
+        return self._new(*_lincomb([(n, self)], d))
 
     def __eq__(self, other):
-        return self._same_space(other) and self.coeffs == other.coeffs
+        if not self._same_space(other):
+            return False
+        if self.den == other.den:
+            return self.nums == other.nums
+        a, b, theirs = self.den, other.den, other.nums
+        return self.nums.keys() == theirs.keys() and all(
+            v * b == theirs[key] * a for key, v in self.nums.items()
+        )
+
+    __hash__ = None
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
 
 class _LevelVector(SparseVector):
@@ -91,8 +151,8 @@ class _LevelVector(SparseVector):
         super().__init__(group, coeffs)
         self.n = n
 
-    def _new(self, coeffs):
-        out = super()._new(coeffs)
+    def _new(self, den, nums):
+        out = super()._new(den, nums)
         out.n = self.n
         return out
 
@@ -101,24 +161,24 @@ class _LevelVector(SparseVector):
 
 
 class GroupAlgebraElement(_LevelVector):
-    """A sparse element of C[Gamma_n]: coeffs maps WreathElement -> scalar."""
+    """A sparse element of C[Gamma_n] over the basis of WreathElements."""
 
     __slots__ = ()
 
     def __mul__(self, other):
-        """Convolution (group algebra) product."""
+        """Convolution (group algebra) product, its numerators over the
+        product of the denominators."""
         self._check(other)
         out = {}
+        get = out.get
         group = self.group
-        for x, vx in self.coeffs.items():
-            for y, vy in other.coeffs.items():
+        theirs = other.nums.items()
+        for x, vx in self.nums.items():
+            for y, vy in theirs:
                 z = wreath_mul(group, x, y)
-                s = out.get(z, 0) + vx * vy
-                if s:
-                    out[z] = s
-                else:
-                    out.pop(z, None)
-        return self._new(out)
+                prev = get(z)
+                out[z] = vx * vy if prev is None else prev + vx * vy
+        return self._new(self.den * other.den, {z: v for z, v in out.items() if v})
 
 
 def algebra_unit(group, n):
@@ -143,7 +203,8 @@ class WreathClassFunction(_LevelVector):
 
     def vector(self, ctx):
         """Dense coefficient vector over ctx.types."""
-        return [self.coeffs.get(rho, Fraction(0)) for rho in ctx.types]
+        coeffs = self.coeffs
+        return [coeffs.get(rho, Fraction(0)) for rho in ctx.types]
 
     def __repr__(self):
         inner = ", ".join(
@@ -155,7 +216,7 @@ class WreathClassFunction(_LevelVector):
 
 def k_class(group, n, rho):
     """K^rho as a WreathClassFunction."""
-    return WreathClassFunction(group, n, {rho: Fraction(1)})
+    return WreathClassFunction(group, n, {rho: 1})
 
 
 def unit_class(group, n):
@@ -172,7 +233,7 @@ def to_class_function(a):
     group, n = a.group, a.n
     by_type = {}
     counts = {}
-    for x, v in a.coeffs.items():
+    for x, v in a.nums.items():
         rho = type_of(group, x)
         if rho in by_type and by_type[rho] != v:
             raise ValueError("element is not constant on a conjugacy class")
@@ -181,18 +242,18 @@ def to_class_function(a):
     for rho, cnt in counts.items():
         if cnt != class_size(rho, group, n):
             raise ValueError("element is not supported on full conjugacy classes")
-    return WreathClassFunction(group, n, by_type)
+    return WreathClassFunction(group, n)._new(a.den, by_type)
 
 
 def convolve_n(f, g):
     """Product in R(Gamma_n) through the rows of the class table
-    (WreathContext.structure_constants), over the nonzero coefficients
-    of each factor in type-index order."""
+    (WreathContext.structure_constants), over the numerators of each
+    factor in type-index order and the product of their denominators."""
     f._check(g)
     ctx = WreathContext.get(f.group, f.n)
 
     def indexed(h):
-        return sorted((ctx.type_index[rho], v) for rho, v in h.coeffs.items())
+        return sorted((ctx.type_index[rho], v) for rho, v in h.nums.items())
 
     out = {}
     gs = indexed(g)
@@ -202,9 +263,8 @@ def convolve_n(f, g):
             for t, c in enumerate(ctx.structure_constants(r, s)):
                 if c:
                     out[t] = out.get(t, 0) + prod * c
-    return WreathClassFunction(
-        f.group, f.n, {ctx.types[t]: out[t] for t in sorted(out)}
-    )
+    types = ctx.types
+    return f._new(f.den * g.den, {types[t]: out[t] for t in sorted(out) if out[t]})
 
 
 # -- JM elements and friends -----------------------------------------
@@ -400,12 +460,13 @@ def verify_jm(group, n):
     )
     eta = to_class_function(eta_n(group, n, gamma))
     eps = to_class_function(epsilon_n(group, n, gamma))
+    eta_values, eps_values = eta.coeffs, eps.coeffs
     for rho in enumerate_types(group, n):
         value = eta_value_formula(group, n, gamma, rho)
         length = sum(lam.length for _, lam in rho.items)
-        if eta.coeffs.get(rho, 0) != value:
+        if eta_values.get(rho, 0) != value:
             failures.append(f"eta value at {rho.label()}")
-        if eps.coeffs.get(rho, 0) != (-1) ** (n - length) * value:
+        if eps_values.get(rho, 0) != (-1) ** (n - length) * value:
             failures.append(f"epsilon value at {rho.label()}")
     for c in range(group.num_classes):
         lhs = to_class_function(eta_n(group, n, k_basis(group, c)))

@@ -6,7 +6,8 @@ Exit codes: 0 all requested suites pass, 1 verification failure,
 2 usage or configuration error.  A ValueError or ArithmeticError raised
 while a suite runs is a counterexample: the suite reports it as a
 failure.  Errors in the configuration or the group file (a missing
-character table included), and ResourceCapError, stay usage errors.
+character table included), ResourceCapError and an --out path that
+cannot be written stay usage errors.
 Reports are deterministic for a given configuration and seed (timings
 go to stderr); all scalars are emitted as exact strings, never floats.
 """
@@ -17,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import algebra, fock, stable, winf, wreath
@@ -28,8 +28,7 @@ from .scalars import scalar_to_string
 USAGE_ERROR = 2
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Run parameters with documented defaults (L=4, N=4, cap=3)."""
 
     group: str = "trivial"
@@ -502,7 +501,7 @@ def run(argv=None):
             report = run_suite(getattr(args, "identity", args.command), group, cfg)
         emit(report, cfg)
         return exit_code(report)
-    except (ValueError, wreath.ResourceCapError) as exc:
+    except (ValueError, OSError, wreath.ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

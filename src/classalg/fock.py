@@ -1,11 +1,10 @@
 """The Fock space direct-sum of the class algebras R(Gamma_n).
 
 A vector is one FockVector over all levels at once, K^rho lying at
-level ||rho||: integer (or Cyc) numerators over one positive int
-denominator, in the manner of FLINT's fmpq_poly.  FockVector(group,
-{rho: coeff}) puts coefficients over one denominator, coeffs reads them
-back reduced, and component(n) gives the level-n part as a class
-function for the convolution product of R(Gamma_n).
+level ||rho||: an algebra.SparseVector, integer (or Cyc) numerators over
+one positive int denominator, whose component(n) keeps the numerators
+of level n as a class function for the convolution product of
+R(Gamma_n).
 
 Creation and annihilation operators act by exact closed formulas on
 that basis; the tests compare them with independent slower
@@ -37,11 +36,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from types import MappingProxyType
 
 from .algebra import (
+    SparseVector,
     WreathClassFunction,
+    _common,
+    _lincomb,
     convolve_n,
+    k_class,
     subalgebra_generated,
     xi_power_sum,
 )
@@ -59,89 +61,21 @@ from .partitions import EMPTY_TYPE, enumerate_types_upto
 from .wreath import WreathContext
 
 
-def _common(scalars):
-    """(den, numerators): the scalars over the lcm of their denominators.
-    A Fraction splits, and an int or a Cyc is its own numerator over 1."""
-    split = [
-        (s.numerator, s.denominator) if isinstance(s, Fraction) else (s, 1)
-        for s in scalars
-    ]
-    den = lcm(*(d for _, d in split))
-    return den, [n if d == den else n * (den // d) for n, d in split]
-
-
-class FockVector:
+class FockVector(SparseVector):
     """The vector sum_sigma nums[sigma] / den K^sigma, K^sigma at level
-    ||sigma||.
+    ||sigma||: a SparseVector over the types of every level at once."""
 
-    den is a positive int; a numerator is an int, or a Cyc (or the
-    Fraction that a sum of Cyc collapses to) where the scalars are
-    cyclotomic.  No zero numerator is stored and the fraction is not
-    reduced, so two vectors are equal when their numerators agree after
-    cross-multiplying by the other's denominator.  A vector is never
-    mutated once built, so vectors may share their nums.  Unhashable.
-    """
-
-    __slots__ = ("group", "den", "nums")
-
-    def __init__(self, group, coeffs=None):
-        """The vector sum coeffs[sigma] K^sigma, for int, Fraction or Cyc
-        coefficients."""
-        coeffs = {sigma: v for sigma, v in (coeffs or {}).items() if v}
-        self.group = group
-        self.den, nums = _common(coeffs.values())
-        self.nums = dict(zip(coeffs, nums))
-
-    @property
-    def coeffs(self):
-        """The read-only map sigma -> nums[sigma] / den, reduced."""
-        den = self.den
-        return MappingProxyType(
-            {
-                sigma: Fraction(v, den) if type(v) is int else v * Fraction(1, den)
-                for sigma, v in self.nums.items()
-            }
-        )
-
-    def _check(self, other):
-        if type(other) is not FockVector or other.group is not self.group:
-            raise ValueError("FockVector operands from different spaces")
+    __slots__ = ()
 
     # bound in the class body so that perfbench/tracer.py counts Fock
-    # additions apart from the level-n containers
-    def __add__(self, other):
-        self._check(other)
-        return _lincomb(self.group, [(1, self), (1, other)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return _lincomb(self.group, [(1, self), (-1, other)])
-
-    def scale(self, s):
-        d, (n,) = _common([s])
-        return _lincomb(self.group, [(n, self)], d)
-
-    def is_zero(self):
-        return not self.nums
-
-    def __eq__(self, other):
-        if type(other) is not FockVector or other.group is not self.group:
-            return False
-        if self.den == other.den:
-            return self.nums == other.nums
-        a, b, theirs = self.den, other.den, other.nums
-        return self.nums.keys() == theirs.keys() and all(
-            v * b == theirs[sigma] * a for sigma, v in self.nums.items()
-        )
-
-    __hash__ = None
+    # additions apart from the level-n containers and reads is_zero here
+    __add__ = SparseVector.__add__
+    is_zero = SparseVector.is_zero
 
     def component(self, n):
         """The level-n part as an element of R(Gamma_n)."""
-        return WreathClassFunction(
-            self.group,
-            n,
-            {rho: v for rho, v in self.coeffs.items() if rho.norm == n},
+        return WreathClassFunction(self.group, n)._new(
+            self.den, {rho: v for rho, v in self.nums.items() if rho.norm == n}
         )
 
     def __repr__(self):
@@ -175,28 +109,6 @@ def basis_state(group, rho):
     return _vector(group, 1, {rho: 1})
 
 
-def _lincomb(group, terms, den=1):
-    """The FockVector sum n vec / den over (n, vec) in terms, for int or
-    Cyc numerators n, over the lcm of the vectors' denominators."""
-    if len(terms) == 1:  # one nonzero term cancels nothing
-        n, vec = terms[0]
-        if n == 1:
-            return _vector(group, den * vec.den, vec.nums)
-        if n:
-            nums = {sigma: n * w for sigma, w in vec.nums.items()}
-            return _vector(group, den * vec.den, nums)
-    common = lcm(*(vec.den for _, vec in terms))
-    out = {}
-    get = out.get
-    for n, vec in terms:
-        if vec.den != common:
-            n = n * (common // vec.den)
-        for sigma, w in vec.nums.items():
-            prev = get(sigma)
-            out[sigma] = n * w if prev is None else prev + n * w
-    return _nonzero(group, den * common, out)
-
-
 class FockOperator:
     """A linear operator on the Fock space, given by its columns.
 
@@ -222,8 +134,9 @@ class FockOperator:
 
     def apply(self, vec):
         """The image of a FockVector."""
-        return _lincomb(
-            self.group, [(n, self.column(rho)) for rho, n in vec.nums.items()], vec.den
+        return _vector(
+            self.group,
+            *_lincomb([(n, self.column(rho)) for rho, n in vec.nums.items()], vec.den),
         )
 
     __call__ = apply
@@ -241,7 +154,7 @@ def operator_sum(group, terms, identity=0):
         cols = [(n, op.column(rho)) for n, op in zip(nums, ops)]
         if scalar:
             cols.append((scalar, basis_state(group, rho)))
-        return _lincomb(group, cols, den)
+        return _vector(group, *_lincomb(cols, den))
 
     return FockOperator(group, column_of)
 
@@ -284,7 +197,7 @@ def heis(group, m, alpha, vec):
     """p_m(alpha) for a class function alpha, by linearity over K^c."""
     den, nums = _common(alpha.values)
     terms = [(n, heis_k(group, m, cid, vec)) for cid, n in enumerate(nums) if n]
-    return _lincomb(group, terms, den)
+    return _vector(group, *_lincomb(terms, den))
 
 
 def heis_op(group, m, alpha):
@@ -312,21 +225,18 @@ def xi_class_function(group, n, k, alpha):
 
 
 def op_O_op(group, k, alpha):
-    """O^k(alpha) on integer columns: Xi_n^k(alpha) is put over one
-    denominator once per level n, and the column of K^rho is the
-    convolution of its numerators with K^rho."""
-    xis = {}  # n -> (denominator, numerators of Xi_n^k(alpha))
+    """O^k(alpha) on integer columns: the column of K^rho is the
+    convolution of Xi_n^k(alpha), built once per level n, with K^rho."""
+    xis = {}  # n -> Xi_n^k(alpha)
 
     def column_of(rho):
         n = rho.norm
         if not n:  # level 0 carries the empty power sum
             return FockVector(group)
         if n not in xis:
-            xi = FockVector(group, xi_class_function(group, n, k, alpha).coeffs)
-            xis[n] = xi.den, WreathClassFunction(group, n, xi.nums)
-        den, xi = xis[n]
-        product = convolve_n(xi, WreathClassFunction(group, n, {rho: 1}))
-        return _vector(group, den, product.coeffs)
+            xis[n] = xi_class_function(group, n, k, alpha)
+        product = convolve_n(xis[n], k_class(group, n, rho))
+        return _vector(group, product.den, product.nums)
 
     return FockOperator(group, column_of)
 
@@ -559,8 +469,9 @@ def _p_image(group, rho):
 
 def to_p_basis(group, vec):
     """The change of basis from the K^rho to the p-monomials."""
-    return _lincomb(
-        group, [(n, _p_image(group, rho)) for rho, n in vec.nums.items()], vec.den
+    return _vector(
+        group,
+        *_lincomb([(n, _p_image(group, rho)) for rho, n in vec.nums.items()], vec.den),
     )
 
 
@@ -703,7 +614,7 @@ def verify_virasoro(group, max_level, max_mode=2):
             ]
             if e:
                 terms.append((-e, basis_state(group, rho)))
-            if not _lincomb(group, terms).is_zero():
+            if _lincomb(terms)[1]:  # the numerators of the difference
                 yield (n, m, b, c, i, rho)
 
     found = []

@@ -12,10 +12,11 @@ tau_{k*}, and the Euler class.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .scalars import scalar_from_string, zeta
 
@@ -163,8 +164,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class ClassFunctionG:
+class ClassFunctionG(NamedTuple):
     """A class function on Gamma, as a tuple of values per class id.
 
     Equivalently the element sum_c values[c] * K^c of R(Gamma), where
@@ -173,10 +173,6 @@ class ClassFunctionG:
 
     group: FiniteGroup
     values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != self.group.num_classes:
-            raise ValueError("value count does not match class count")
 
     def _check(self, other):
         if self.group is not other.group:
@@ -245,8 +241,7 @@ def trace_g(f):
     return f.values[0] * Fraction(1, f.group.order)
 
 
-@dataclass(frozen=True)
-class TensorClassFunction:
+class TensorClassFunction(NamedTuple):
     """An element of R(Gamma)^{tensor k} in the K^c x ... x K^c basis."""
 
     group: FiniteGroup
@@ -338,6 +333,12 @@ class CharacterTable:
             raise CharacterTableError(
                 f"{len(self.rows)} rows for {group.num_classes} classes"
             )
+        for i, r in enumerate(self.rows):
+            if len(r.values) != group.num_classes:
+                raise CharacterTableError(
+                    f"row {i} has {len(r.values)} values "
+                    f"for {group.num_classes} classes"
+                )
         for i, r in enumerate(self.rows):
             for j, s in enumerate(self.rows):
                 val = bilinear_form(r, s)
@@ -517,16 +518,17 @@ def _load_group_file(path):
     group = FiniteGroup(mul, name=path)
     rest = lines[1 + n:]
     if rest:
-        head = rest[0].split()
-        if head[0] != "characters":
-            raise ValueError(f"{path}: expected 'characters' block, got {rest[0]!r}")
-        conductor = 1
-        if len(head) >= 3 and head[1] == "conductor":
-            conductor = int(head[2])
-            if conductor < 1:
-                raise ValueError(
-                    f"{path}: conductor must be a positive integer, got {conductor}"
-                )
+        head = re.fullmatch(r"characters(?:\s+conductor\s+([+-]?\d+))?", rest[0])
+        if head is None:
+            raise ValueError(
+                f"{path}: expected 'characters' or 'characters conductor <m>', "
+                f"got {rest[0]!r}"
+            )
+        conductor = int(head[1] or 1)
+        if conductor < 1:
+            raise ValueError(
+                f"{path}: conductor must be a positive integer, got {conductor}"
+            )
         rows = []
         for line in rest[1:]:
             rows.append(

@@ -361,7 +361,7 @@ def scalar_to_string(x):
 
 
 _TERM_RE = re.compile(
-    r"^\s*(?P<coef>[+-]?\d+(?:/\d+)?)?\s*"
+    r"^\s*(?P<coef>[+-]?\d+(?:/0*[1-9]\d*)?)?\s*"
     r"(?P<star>\*)?\s*"
     r"(?:z(?P<cond>\d*)(?:\^(?P<pow>\d+))?)?\s*$"
 )

@@ -89,9 +89,9 @@ CENTRAL = "central"  # the basis key of the central element
 class DiffOpElement(SparseVector):
     """A sum of t^r D^j (x) e_gamma monomials plus a central scalar.
 
-    coeffs maps (r, gamma_index, j) to the coefficient of t^r D^j (x)
-    e_gamma, and CENTRAL to the central scalar; gamma_index runs over
-    the irreducible characters of the group.
+    Its basis keys are (r, gamma_index, j) for t^r D^j (x) e_gamma and
+    CENTRAL for the central element; gamma_index runs over the
+    irreducible characters of the group.
     """
 
     __slots__ = ()
@@ -140,12 +140,16 @@ def winf_bracket(x, y):
 
     On matching idempotents [t^r D^i, t^s D^j] is
     t^{r+s} ((D+s)^i D^j - D^i (D+r)^j), each shifted power expanded by
-    the binomial theorem.
+    the binomial theorem.  The numerators are multiplied over the
+    product of the denominators.
     """
     x._check(y)
     out = {}
-    y_terms = y.monomials()
-    for r, gi, i, a in x.monomials():
+    y_terms = [(*key, b) for key, b in y.nums.items() if key != CENTRAL]
+    for key, a in x.nums.items():
+        if key == CENTRAL:
+            continue
+        r, gi, i = key
         for s, gj, j, b in y_terms:
             if gi != gj:
                 continue  # orthogonal idempotents
@@ -157,7 +161,7 @@ def winf_bracket(x, y):
                 t = (rs, gi, i + e)
                 out[t] = out.get(t, 0) - ab * comb(j, e) * r ** (j - e)
             out[CENTRAL] = out.get(CENTRAL, 0) + ab * psi_scalar(r, i, s, j)
-    return DiffOpElement(x.group, out)
+    return x._new(x.den * y.den, {t: v for t, v in out.items() if v})
 
 
 # -- normally ordered polynomials P_l ----------------------------------

@@ -218,7 +218,6 @@ class WreathContext:
         self._rows = {}
         self._characters = None
         self._structure = None
-        self._element_types = None
 
     @classmethod
     def get(cls, group, n):
@@ -262,8 +261,8 @@ class WreathContext:
         k = len(self.types)
         table = [[[0] * k for _ in range(k)] for _ in range(k)]
         group = self.group
-        for a in self._elements_with_types():
-            x, r = a
+        for x in enumerate_group(group, self.n):
+            r = self.type_index[type_of(group, x)]
             xinv = wreath_inv(group, x)
             for t, z in enumerate(self.reps):
                 y = wreath_mul(group, xinv, z)
@@ -271,14 +270,6 @@ class WreathContext:
                 table[r][s][t] += 1
         self._structure = table
         return table
-
-    def _elements_with_types(self):
-        if self._element_types is None:
-            self._element_types = [
-                (x, self.type_index[type_of(self.group, x)])
-                for x in enumerate_group(self.group, self.n)
-            ]
-        return self._element_types
 
 
 # -- characters of Gamma_n ---------------------------------------------

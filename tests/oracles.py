@@ -53,6 +53,7 @@ from classalg.wreath import (
     WreathContext,
     WreathElement,
     canonical_representative,
+    enumerate_group,
     type_of,
     wreath_inv,
     wreath_mul,
@@ -237,10 +238,10 @@ def oracle_stable_structure_constants(group, cap):
 
 def to_group_algebra(f):
     """A WreathClassFunction as the element sum_x f(x) x of C[Gamma_n]."""
-    ctx = WreathContext.get(f.group, f.n)
+    coeffs = f.coeffs
     out = {}
-    for x, r in ctx._elements_with_types():
-        v = f.coeffs.get(ctx.types[r])
+    for x in enumerate_group(f.group, f.n):
+        v = coeffs.get(type_of(f.group, x))
         if v:
             out[x] = v
     return GroupAlgebraElement(f.group, f.n, out)
@@ -311,7 +312,7 @@ def induce_product(f, g):
     coeffs = {}
     for rho, x in zip(ctx.types, ctx.reps):
         acc = 0
-        for y, _ in ctx._elements_with_types():
+        for y in enumerate_group(group, total):
             z = wreath_mul(group, wreath_inv(group, y), wreath_mul(group, x, y))
             if any((z.sigma[i] in first) != (i in first) for i in range(total)):
                 continue

@@ -123,11 +123,15 @@ def test_xi_power_sum_zero():
 def test_group_algebra_coefficients_stay_integers():
     # integer class sums and JM elements keep the products in int arithmetic
     g = load_group("cyclic2")
-    values = [
-        *jm_element(g, 3, 3).coeffs.values(),
-        *xi_power_sum(g, 3, 2, k_basis(g, 1)).coeffs.values(),
+    rho, sigma = enumerate_types(g, 3)[1:3]
+    vectors = [
+        jm_element(g, 3, 3),
+        xi_power_sum(g, 3, 2, k_basis(g, 1)),
+        convolve_n(k_class(g, 3, rho), k_class(g, 3, sigma)),
     ]
-    assert values and all(type(v) is int for v in values)
+    for vec in vectors:
+        assert vec.den == 1 and vec.nums
+        assert all(type(v) is int for v in vec.nums.values())
 
 
 def test_centrality_conversion_rejects_noncentral():

@@ -409,3 +409,41 @@ def test_conductor_below_1_is_a_usage_error(conductor, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert f"conductor must be a positive integer, got {conductor}" in err
+
+
+def _two_element_file(tmp_path, characters):
+    path = tmp_path / "c2.txt"
+    path.write_text("order 2\n0 1\n1 0\n" + characters)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["group", "info"], ["all", "--level", "1"]])
+def test_zero_denominator_in_a_character_is_a_usage_error(command, tmp_path, capsys):
+    path = _two_element_file(tmp_path, "characters\n1, 1\n1, 1/0\n")
+    code, out, err = capture(capsys, [*command, "--group", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'1/0'" in err
+
+
+@pytest.mark.parametrize("header", ["characters cnductor 2", "characters conductor"])
+def test_malformed_characters_header_is_a_usage_error(header, tmp_path, capsys):
+    path = _two_element_file(tmp_path, f"{header}\n1, 1\n1, -1\n")
+    code, out, err = capture(capsys, ["group", "info", "--group", path])
+    assert (code, out) == (2, "")
+    assert path in err and repr(header) in err
+
+
+def test_character_row_of_wrong_length_is_a_usage_error(tmp_path, capsys):
+    path = _two_element_file(tmp_path, "characters\n1, 1\n1\n")
+    code, out, err = capture(capsys, ["group", "info", "--group", path])
+    assert (code, out) == (2, "")
+    assert "row 1 has 1 values for 2 classes" in err
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    argv = ["fock", "verify", "heisenberg", "--level", "1", "--out", str(target)]
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("# heisenberg:") and "error:" in err
+    assert not target.exists()
