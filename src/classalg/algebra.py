@@ -10,8 +10,8 @@ the denominators (the Fock space's FockVector and the W-algebra's
 DiffOpElement are SparseVectors too); conversion of central elements
 to class functions, Jucys-Murphy elements, the twisted power sums
 Xi_n^k(alpha), the eta/epsilon products, elementary symmetric
-functions of JM elements, and subalgebra generation by exact linear
-algebra.
+functions of JM elements, and subalgebra generation by exact
+elimination on int numerators (scalars._RowSpace).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 from .groups import ClassFunctionG, k_basis, unit_g
 from .partitions import TypeFunction, class_size, enumerate_types
-from .scalars import inverse as scalar_inverse
+from .scalars import _RowSpace
 from .wreath import (
     WreathContext,
     WreathElement,
@@ -201,11 +201,6 @@ class WreathClassFunction(_LevelVector):
                 raise ValueError(f"type of size {rho.norm} in R(Gamma_{n})")
         super().__init__(group, n, coeffs)
 
-    def vector(self, ctx):
-        """Dense coefficient vector over ctx.types."""
-        coeffs = self.coeffs
-        return [coeffs.get(rho, Fraction(0)) for rho in ctx.types]
-
     def __repr__(self):
         inner = ", ".join(
             f"{rho.label()}: {v}" for rho, v in sorted(
@@ -366,55 +361,24 @@ def elementary_symmetric_jm(group, i, gamma, n):
 # -- exact linear algebra over the K^rho basis ------------------------
 
 
-class _RowSpace:
-    """Row space in reduced echelon form over the rationals (exact)."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = {}  # pivot column -> row (list of scalars)
-
-    def reduce(self, vec):
-        v = list(vec)
-        for piv in sorted(self.rows):
-            if v[piv]:
-                coef = v[piv]
-                row = self.rows[piv]
-                for j in range(piv, self.dim):
-                    v[j] = v[j] - coef * row[j]
-        return v
-
-    def insert(self, vec):
-        """Insert vector; return True if it enlarged the space."""
-        v = self.reduce(vec)
-        piv = next((j for j in range(self.dim) if v[j]), None)
-        if piv is None:
-            return False
-        coef = scalar_inverse(v[piv])
-        v = [coef * x for x in v]
-        for p, row in self.rows.items():
-            if row[piv]:
-                c = row[piv]
-                self.rows[p] = [a - c * b for a, b in zip(row, v)]
-        self.rows[piv] = v
-        return True
-
-
 def subalgebra_generated(gens, group, n):
     """Dimension and basis of the unital subalgebra generated by gens.
 
-    Exact Gaussian elimination in the K^rho basis.  The basis starts
-    with the unit and the generators, and each of its elements, those
-    added on the way included, is multiplied by every generator once:
-    the span then holds 1 and is closed under multiplication by the
-    generators.  The walk ends because the basis has at most
-    dim R(Gamma_n) elements.
+    Exact elimination in the K^rho basis, in the fraction-free
+    scalars._RowSpace on the int numerators of each element: scaling a
+    vector does not change the span.  The gens must be rational.  The
+    basis starts with the unit and the generators, and each of its
+    elements, those added on the way included, is multiplied by every
+    generator once: the span then holds 1 and is closed under
+    multiplication by the generators.  The walk ends because the basis
+    has at most dim R(Gamma_n) elements.
     """
     ctx = WreathContext.get(group, n)
     space = _RowSpace(len(ctx.types))
     basis_elems = []
 
     def add(f):
-        if space.insert(f.vector(ctx)):
+        if space.insert([f.nums.get(rho, 0) for rho in ctx.types]):
             basis_elems.append(f)
 
     add(unit_class(group, n))

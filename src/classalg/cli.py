@@ -485,6 +485,7 @@ def run(argv=None):
         cfg = build_config(args)
         if table is not None and cfg.format == "csv":
             raise ConfigError(f"{args.command} {args.action} has no csv format")
+        wreath.enumeration_cap()  # a malformed CLASSALG_ENUM_CAP is a usage error
         group = load_group(cfg.group)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

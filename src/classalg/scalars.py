@@ -22,7 +22,9 @@ The arithmetic keeps that form without re-solving it on every operation:
 - A result whose non-constant coefficients vanish is returned as a
   ``Fraction``.  Only when Q(zeta_m) has a proper non-rational cyclotomic
   subfield (m = 8, 9, 12, ...) does a result go through :func:`_make`,
-  which finds the minimal conductor by exact linear algebra.
+  which finds the minimal conductor by exact linear algebra: the int rows
+  of :class:`_RowSpace`, the one exact elimination of the program (the
+  generators suite's rank too), fraction-free after Bareiss (1968).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 _RATIONAL = (int, Fraction)
 _ZERO = Fraction(0)
@@ -130,34 +132,59 @@ def _mul_vec(m, a, b):
     return tuple(out)
 
 
-def _solve_columns(cols, target):
-    """Solve sum_j y_j * cols[j] = target exactly; None if inconsistent."""
-    nrows = len(target)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if aug[r][col]), None)
+class _RowSpace:
+    """The span of int rows in fraction-free reduced echelon form: each
+    row primitive (the gcd of its entries is 1), its pivot positive, and
+    zero at every other row's pivot.  A rational row goes in with its
+    denominators cleared, since a scaled row spans the same line."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.rows = {}  # pivot column -> row (list of int)
+
+    def insert(self, vec):
+        """Insert vector; return True if it enlarged the space."""
+        if len(self.rows) == self.dim:  # the whole space: nothing to add
+            return False
+        v = list(vec)
+        for piv, row in self.rows.items():
+            c = v[piv]
+            if c:
+                a = row[piv]
+                v = [a * x - c * y for x, y in zip(v, row)]
+        piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
-    y = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        y[col] = aug[r][ncols]
+            return False
+        v = _primitive(v if v[piv] > 0 else [-x for x in v])
+        a = v[piv]
+        for p, row in self.rows.items():
+            c = row[piv]
+            if c:
+                self.rows[p] = _primitive([a * x - c * y for x, y in zip(row, v)])
+        self.rows[piv] = v
+        return True
+
+
+def _primitive(v):
+    """v, not all zero, divided by the gcd of its entries."""
+    g = gcd(*v)
+    return v if g == 1 else [x // g for x in v]
+
+
+def _solve_columns(cols, target):
+    """Solve sum_j y_j * cols[j] = target exactly; None if inconsistent.
+    The augmented rows go into a _RowSpace; the free unknowns are 0."""
+    ncols = len(cols)
+    space = _RowSpace(ncols + 1)
+    for i, t in enumerate(target):
+        row = [c[i] for c in cols] + [t]
+        den = lcm(*(x.denominator for x in row))
+        space.insert([x.numerator * (den // x.denominator) for x in row])
+    if ncols in space.rows:  # 0 = 1
+        return None
+    y = [_ZERO] * ncols
+    for p, row in space.rows.items():
+        y[p] = Fraction(row[-1], row[p])
     return y
 
 

@@ -43,8 +43,13 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 
 def enumeration_cap():
-    """The active enumeration cap (environment override honored)."""
+    """The active enumeration cap: CLASSALG_ENUM_CAP, a nonnegative
+    decimal integer, if it is set and not empty; else the default."""
     value = os.environ.get("CLASSALG_ENUM_CAP")
+    if value and not (value.isascii() and value.isdigit()):
+        raise ValueError(
+            f"CLASSALG_ENUM_CAP must be a nonnegative decimal integer, not {value!r}"
+        )
     return int(value) if value else DEFAULT_ENUMERATION_CAP
 
 

@@ -10,6 +10,9 @@ against.  Nothing under src/ imports this module.
   canonical element of each target type.
 - A class function as an element of the group algebra, and the
   bilinear form on R(Gamma_n) and on Fock vectors.
+- Exact elimination in Fraction arithmetic (Gauss-Jordan with unit
+  pivots): the generated subalgebra's dimension and the solution of a
+  linear system.
 - The Heisenberg operators by induction from the big group, by
   averaging over S_n, and as adjoints through the bilinear form.
 - The Fock operator calculus in Fraction arithmetic: an operator whose
@@ -35,7 +38,9 @@ from math import comb, factorial
 from classalg.algebra import (
     GroupAlgebraElement,
     WreathClassFunction,
+    convolve_n,
     to_class_function,
+    unit_class,
 )
 import classalg.fock as fock
 from classalg.fock import FockVector, basis_state, heis
@@ -262,6 +267,78 @@ def bilinear_form_n(f, g):
         if w:
             total = total + v * w * Fraction(1, rho.centralizer_order(group))
     return total if total else Fraction(0)
+
+
+# -- exact linear algebra over Fraction ---------------------------------
+
+
+class OracleRowSpace:
+    """Row space in reduced echelon form over the rationals, every pivot
+    1: the Gauss-Jordan elimination in Fraction arithmetic."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.rows = {}  # pivot column -> row (list of Fraction)
+
+    def reduce(self, vec):
+        v = [Fraction(x) for x in vec]
+        for piv in sorted(self.rows):
+            if v[piv]:
+                coef = v[piv]
+                row = self.rows[piv]
+                for j in range(piv, self.dim):
+                    v[j] = v[j] - coef * row[j]
+        return v
+
+    def insert(self, vec):
+        """Insert vector; return True if it enlarged the space."""
+        v = self.reduce(vec)
+        piv = next((j for j in range(self.dim) if v[j]), None)
+        if piv is None:
+            return False
+        coef = 1 / v[piv]
+        v = [coef * x for x in v]
+        for p, row in self.rows.items():
+            if row[piv]:
+                c = row[piv]
+                self.rows[p] = [a - c * b for a, b in zip(row, v)]
+        self.rows[piv] = v
+        return True
+
+
+def oracle_solve_columns(cols, target):
+    """sum_j y_j cols[j] = target by Gauss-Jordan on the augmented rows,
+    the free unknowns 0; None if inconsistent."""
+    ncols = len(cols)
+    space = OracleRowSpace(ncols + 1)
+    for i, t in enumerate(target):
+        space.insert([c[i] for c in cols] + [t])
+    if ncols in space.rows:
+        return None
+    y = [Fraction(0)] * ncols
+    for p, row in space.rows.items():
+        y[p] = row[-1]
+    return y
+
+
+def oracle_subalgebra_dim(gens, group, n):
+    """The dimension of the unital subalgebra generated by gens, by the
+    walk of subalgebra_generated on the reduced coefficients."""
+    types = WreathContext.get(group, n).types
+    space = OracleRowSpace(len(types))
+    basis = []
+
+    def add(f):
+        if space.insert([f.coeffs.get(rho, 0) for rho in types]):
+            basis.append(f)
+
+    add(unit_class(group, n))
+    for g in gens:
+        add(g)
+    for f in basis:
+        for g in gens:
+            add(convolve_n(f, g))
+    return len(space.rows)
 
 
 # -- the Heisenberg operators --------------------------------------------

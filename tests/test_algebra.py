@@ -19,11 +19,12 @@ from classalg.algebra import (
     verify_jm,
     xi_power_sum,
 )
-from classalg.fock import FockVector
+from classalg.fock import FockVector, p_i_vector
 from classalg.groups import k_basis, load_group
 from classalg.partitions import TypeFunction, class_size, enumerate_types
+from classalg.scalars import _RowSpace
 from classalg.wreath import WreathContext
-from oracles import bilinear_form_n, to_group_algebra
+from oracles import bilinear_form_n, oracle_subalgebra_dim, to_group_algebra
 
 
 def brute_force_product(f, g):
@@ -202,6 +203,79 @@ def test_subalgebra_multiplies_each_basis_element_once(name, n, monkeypatch):
     dim, basis = subalgebra_generated(gens, g, n)
     assert dim == len(basis) == len(enumerate_types(g, n))
     assert len(calls) == dim * len(gens)
+
+
+def _families(g, n, classes=None):
+    """The two generating families of verify_generators, over the given
+    classes (all by default)."""
+    classes = range(g.num_classes) if classes is None else classes
+    pairs = [(i, c) for i in range(n) for c in classes]
+    return (
+        [xi_power_sum(g, n, i, k_basis(g, c)) for i, c in pairs],
+        [p_i_vector(g, i, k_basis(g, c), n) for i, c in pairs],
+    )
+
+
+@pytest.mark.parametrize(
+    "name, n", [("trivial", 4), ("cyclic2", 3), ("sym3", 3), ("quaternion8", 2)]
+)
+def test_subalgebra_dimension_matches_fraction_oracle(name, n):
+    # the int elimination and Gauss-Jordan over Fraction find the same
+    # dimension, the whole class algebra, for both families
+    g = load_group(name)
+    expected = len(enumerate_types(g, n))
+    for gens in _families(g, n):
+        assert subalgebra_generated(gens, g, n)[0] == expected
+        assert oracle_subalgebra_dim(gens, g, n) == expected
+
+
+def test_proper_subalgebra_dimension_matches_fraction_oracle():
+    # the families over the identity class alone generate less
+    g = load_group("sym3")
+    for gens in _families(g, 3, classes=[0]):
+        dim = subalgebra_generated(gens, g, 3)[0]
+        assert dim == oracle_subalgebra_dim(gens, g, 3)
+        assert 1 < dim < len(enumerate_types(g, 3))
+
+
+def test_row_space_inserts_generator_numerators_without_fractions(monkeypatch):
+    # the rows subalgebra_generated inserts, replayed into a fresh
+    # _RowSpace, are reduced in int arithmetic alone
+    g = load_group("quaternion8")
+    inserted = []
+
+    class Recording(_RowSpace):
+        def insert(self, vec):
+            inserted.append(list(vec))
+            return super().insert(vec)
+
+    monkeypatch.setattr(algebra, "_RowSpace", Recording)
+    gens = _families(g, 2)[0]
+    dim = subalgebra_generated(gens, g, 2)[0]
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    space = _RowSpace(len(inserted[0]))
+    grew = [space.insert(vec) for vec in inserted]
+    assert made == []
+    assert sum(grew) == len(space.rows) == dim
+    assert len(inserted) > dim
+
+
+def test_row_space_zero_row():
+    space = _RowSpace(3)
+    assert space.insert([0, 0, 0]) is False
+    assert space.insert([2, -4, 6]) is True
+    assert space.rows == {0: [1, -2, 3]}
+    assert space.insert([0, 0, 0]) is False
+    assert space.insert([-1, 2, -3]) is False
+    assert space.insert([0, -3, 3]) is True
+    assert space.rows == {0: [1, 0, 1], 1: [0, 1, -1]}
 
 
 def test_embed_level_commutation():

@@ -198,6 +198,22 @@ def test_enumeration_cap_override(monkeypatch, tmp_path, capsys):
     assert code == 0 and json.loads(out)["pairs"]
 
 
+@pytest.mark.parametrize("value", ["abc", "1e6", "-5"])
+def test_malformed_enumeration_cap_is_a_usage_error(value, monkeypatch, capsys):
+    # read once before any suite runs, on a battery and on a table command
+    monkeypatch.setenv("CLASSALG_ENUM_CAP", value)
+    for argv in (
+        ["all", "--group", "trivial", "--level", "2"],
+        ["stable", "constants", "--group", "trivial", "--cap", "1"],
+    ):
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: CLASSALG_ENUM_CAP") and repr(value) in err
+    monkeypatch.setenv("CLASSALG_ENUM_CAP", "1000")
+    code, out, _ = capture(capsys, ["all", "--group", "trivial", "--level", "2"])
+    assert code == 0 and out
+
+
 def test_enumeration_cap_checked_before_any_level_table(monkeypatch, tmp_path, capsys):
     # without a character table, --cap 3 needs Gamma_6 of cyclic4
     # (2,949,120 elements): refused before any level is enumerated

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -10,12 +11,14 @@ from classalg.scalars import (
     ScalarParseError,
     _make,
     _phi,
+    _solve_columns,
     cyclotomic_poly,
     inverse,
     scalar_from_string,
     scalar_to_string,
     zeta,
 )
+from oracles import OracleRowSpace, oracle_solve_columns
 
 
 def test_zeta_order():
@@ -264,3 +267,67 @@ operands = st.one_of(
 def test_fast_paths_match_oracle(x, y):
     if isinstance(x, Cyc) or isinstance(y, Cyc):
         _check_arithmetic(x, y)
+
+
+# -- _solve_columns against Gauss-Jordan over Fraction -------------------
+
+
+def _random_system(rng):
+    """Columns with rational entries, some of them combinations of the
+    others, and a target that is one more combination or random."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 4)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def combination(cols):
+        coefs = [entry() for _ in cols]
+        return tuple(sum(a * c[i] for a, c in zip(coefs, cols)) for i in range(nrows))
+
+    cols = []
+    for _ in range(ncols):
+        if cols and rng.random() < 0.3:
+            cols.append(combination(cols))
+        else:
+            cols.append(tuple(entry() for _ in range(nrows)))
+    if rng.random() < 0.5:
+        target = combination(cols)
+    else:
+        target = tuple(entry() for _ in range(nrows))
+    return cols, target
+
+
+def _rank(vectors, dim):
+    space = OracleRowSpace(dim)
+    return sum(space.insert(v) for v in vectors)
+
+
+def test_solve_columns_matches_fraction_oracle():
+    rng = random.Random(20)
+    seen = {"inconsistent": 0, "rank_deficient": 0}
+    for _ in range(400):
+        cols, target = _random_system(rng)
+        y = _solve_columns(cols, target)
+        assert y == oracle_solve_columns(cols, target)
+        if y is None:
+            seen["inconsistent"] += 1
+        else:
+            assert all(type(v) is Fraction for v in y)
+            assert all(
+                sum(v * c[i] for v, c in zip(y, cols)) == t
+                for i, t in enumerate(target)
+            )
+        if _rank(cols, len(target)) < len(cols):
+            seen["rank_deficient"] += 1
+    assert seen["inconsistent"] > 20 and seen["rank_deficient"] > 20
+
+
+def test_solve_columns_inconsistent_is_none():
+    # y (1, 1) = (1, 2) has no solution; a zero column leaves y_1 free
+    cols = [(Fraction(1), Fraction(1)), (Fraction(0), Fraction(0))]
+    target = (Fraction(1), Fraction(2))
+    assert _solve_columns(cols, target) is None
+    assert oracle_solve_columns(cols, target) is None
+    target = (Fraction(1, 2), Fraction(1, 2))
+    assert _solve_columns(cols, target) == [Fraction(1, 2), Fraction(0)]
+    assert oracle_solve_columns(cols, target) == [Fraction(1, 2), Fraction(0)]
