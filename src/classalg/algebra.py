@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 from .groups import ClassFunctionG, k_basis, unit_g
 from .partitions import TypeFunction, class_size, enumerate_types
-from .scalars import _RowSpace
+from .scalars import _over_lcm, _RowSpace
 from .wreath import (
     WreathContext,
     WreathElement,
@@ -30,17 +30,6 @@ from .wreath import (
     wreath_identity,
     wreath_mul,
 )
-
-
-def _common(scalars):
-    """(den, numerators): the scalars over the lcm of their denominators.
-    A Fraction splits, and an int or a Cyc is its own numerator over 1."""
-    split = [
-        (s.numerator, s.denominator) if isinstance(s, Fraction) else (s, 1)
-        for s in scalars
-    ]
-    den = lcm(*(d for _, d in split))
-    return den, [n if d == den else n * (den // d) for n, d in split]
 
 
 def _lincomb(terms, den=1):
@@ -69,8 +58,9 @@ class SparseVector:
     """The finite linear combination sum_b nums[b] / den b over one basis.
 
     group is the finite group Gamma the space is built from; den is a
-    positive int, and a numerator is an int, or a Cyc (or the Fraction
-    that a sum of Cyc collapses to) where the scalars are cyclotomic.
+    positive int, and a numerator is an int, or where the scalars are
+    cyclotomic an algebraic integer: a Cyc over denominator 1 (or the
+    integral Fraction that a sum of them collapses to).
     No zero numerator is stored and the fraction is not reduced, so two
     vectors are equal when their numerators agree after cross-multiplying
     by the other's denominator.  Operands of + and - must lie in the
@@ -86,7 +76,7 @@ class SparseVector:
         coefficients."""
         coeffs = {b: v for b, v in (coeffs or {}).items() if v}
         self.group = group
-        self.den, nums = _common(coeffs.values())
+        self.den, nums = _over_lcm(coeffs.values())
         self.nums = dict(zip(coeffs, nums))
 
     def _new(self, den, nums):
@@ -123,7 +113,7 @@ class SparseVector:
         return self._new(*_lincomb([(1, self), (-1, other)]))
 
     def scale(self, s):
-        d, (n,) = _common([s])
+        d, (n,) = _over_lcm([s])
         return self._new(*_lincomb([(n, self)], d))
 
     def __eq__(self, other):
@@ -370,11 +360,13 @@ def subalgebra_generated(gens, group, n):
     basis starts with the unit and the generators, and each of its
     elements, those added on the way included, is multiplied by every
     generator once: the span then holds 1 and is closed under
-    multiplication by the generators.  The walk ends because the basis
-    has at most dim R(Gamma_n) elements.
+    multiplication by the generators.  The walk ends as soon as the span
+    is all of R(Gamma_n), and in any case because the basis has at most
+    dim R(Gamma_n) elements.
     """
     ctx = WreathContext.get(group, n)
-    space = _RowSpace(len(ctx.types))
+    full = len(ctx.types)
+    space = _RowSpace(full)
     basis_elems = []
 
     def add(f):
@@ -386,6 +378,8 @@ def subalgebra_generated(gens, group, n):
         add(g)
     for f in basis_elems:  # grows while it is walked
         for g in gens:
+            if len(space.rows) == full:
+                return full, basis_elems
             add(convolve_n(f, g))
     return len(space.rows), basis_elems
 

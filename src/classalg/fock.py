@@ -40,7 +40,6 @@ from math import factorial, lcm
 from .algebra import (
     SparseVector,
     WreathClassFunction,
-    _common,
     _lincomb,
     convolve_n,
     k_class,
@@ -58,6 +57,7 @@ from .groups import (
     unit_g,
 )
 from .partitions import EMPTY_TYPE, enumerate_types_upto
+from .scalars import _over_lcm
 from .wreath import WreathContext
 
 
@@ -146,7 +146,7 @@ def operator_sum(group, terms, identity=0):
     """The operator sum s op over (s, op) in terms plus identity times
     the identity; the weights are put over one denominator once, so
     each column is one integer combination of the terms' columns."""
-    den, nums = _common([s for s, _ in terms] + [identity])
+    den, nums = _over_lcm([s for s, _ in terms] + [identity])
     *nums, scalar = nums
     ops = [op for _, op in terms]
 
@@ -195,7 +195,7 @@ def heis_k(group, m, cid, vec):
 
 def heis(group, m, alpha, vec):
     """p_m(alpha) for a class function alpha, by linearity over K^c."""
-    den, nums = _common(alpha.values)
+    den, nums = _over_lcm(alpha.values)
     terms = [(n, heis_k(group, m, cid, vec)) for cid, n in enumerate(nums) if n]
     return _vector(group, *_lincomb(terms, den))
 
@@ -216,12 +216,11 @@ def _xi_class(group, n, k, cid):
 
 
 def xi_class_function(group, n, k, alpha):
-    """Xi_n^k(alpha) in R(Gamma_n), linear in alpha over the K basis."""
-    out = WreathClassFunction(group, n, {})
-    for cid, a in enumerate(alpha.values):
-        if a:
-            out = out + _xi_class(group, n, k, cid).scale(a)
-    return out
+    """Xi_n^k(alpha) in R(Gamma_n), linear in alpha over the K basis:
+    one combination of the Xi_n^k(K^c) over the values' denominator."""
+    den, nums = _over_lcm(alpha.values)
+    terms = [(a, _xi_class(group, n, k, cid)) for cid, a in enumerate(nums) if a]
+    return WreathClassFunction(group, n)._new(*_lincomb(terms, den))
 
 
 def op_O_op(group, k, alpha):
@@ -349,7 +348,7 @@ def normal_power_apply(group, k, tensor, mode, rho):
         )
         for mask in range(1 << k)
     ]
-    tden, nums = _common([coeff for _, coeff in tensor.terms])
+    tden, nums = _over_lcm([coeff for _, coeff in tensor.terms])
     zk = lcm(*group.zeta) ** k
     removed = {(): [(rho, 0, 1)]}
     out = {}
@@ -455,7 +454,7 @@ def _p_image(group, rho):
     for cid, lam in rho.items:
         src = group.inv_class[cid]
         colours = [gi for gi, row in enumerate(rows) if row.values[src]]
-        d, weights = _common([rows[gi].values[src] for gi in colours])
+        d, weights = _over_lcm([rows[gi].values[src] for gi in colours])
         den *= (group.zeta[cid] * d) ** lam.length
         for r in lam.parts:
             grown = {}
@@ -605,7 +604,7 @@ def verify_virasoro(group, max_level, max_mode=2):
         op = virasoro(n + m, bg)
         # d (L_n L_m - L_m L_n - (n - m) L_{n+m} - central) on K^rho,
         # central = e / d, must vanish
-        d, (e,) = _common([central])
+        d, (e,) = _over_lcm([central])
         for i, rho in enumerate(basis):
             terms = [
                 (d, nm.column(rho)),

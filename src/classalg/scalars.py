@@ -2,29 +2,31 @@
 
 A scalar is an ``int``, a ``Fraction`` (the fast path used by all
 combinatorial code), or a :class:`Cyc` living in the m-th cyclotomic
-field.  Every ``Cyc`` is kept in a canonical reduced form: ``coeffs`` is
-a tuple of ``Fraction`` of length phi(m), the coefficients of
-1, z, ..., z^(phi(m)-1) modulo the m-th cyclotomic polynomial, and the
-conductor m is minimal.  Rational values are always unwrapped to
-``Fraction``, so equality and hashing behave uniformly.  The public
-constructor ``Cyc(m, coeffs)`` raises ``ValueError`` on anything else;
-the arithmetic builds its results with the unchecked :func:`_cyc`.
+field.  A ``Cyc`` is sum_k nums[k] z^k / den, z = zeta_m, with phi(m)
+int numerators over one positive int denominator, the fraction reduced,
+as in ANTIC (Hart, 2015).  The form is canonical: m is minimal and the
+value is never rational (rationals are unwrapped to ``Fraction``), so
+equality and hashing behave uniformly.  ``coeffs`` reads the values
+nums[k] / den as ``Fraction``; ``numerator`` and ``denominator`` split a
+``Cyc`` as they split an ``int`` or a ``Fraction``, so :func:`_over_lcm`
+puts any of them over one denominator.  The public constructor
+``Cyc(m, coeffs)`` raises ``ValueError`` on anything but a canonical
+element; the arithmetic builds its results with the unchecked
+:func:`_cyc`, in ints:
 
-The arithmetic keeps that form without re-solving it on every operation:
-
-- ``Cyc * rational`` scales the coefficients and ``Cyc + rational``
-  shifts the constant one; neither can change the conductor.
-- Operands of one conductor are added or multiplied on their coefficient
-  tuples.  A product is reduced with a cached table of z^k for
-  phi(m) <= k <= 2 phi(m) - 2 (:func:`_mul_vec`).
-- Operands of different conductors are first lifted to the least common
-  multiple of the two.
-- A result whose non-constant coefficients vanish is returned as a
-  ``Fraction``.  Only when Q(zeta_m) has a proper non-rational cyclotomic
-  subfield (m = 8, 9, 12, ...) does a result go through :func:`_make`,
-  which finds the minimal conductor by exact linear algebra: the int rows
-  of :class:`_RowSpace`, the one exact elimination of the program (the
-  generators suite's rank too), fraction-free after Bareiss (1968).
+- One table, :func:`powers`, holds z^k mod Phi_m for 0 <= k < m; Phi_m
+  itself comes from exact division of x^m - 1 by the monic Phi_d.
+  Products (:func:`_mul_vec`), lifts to a multiple of the conductor, the
+  Galois conjugate and wreath.WreathCharacters all read it.
+- ``Cyc * rational`` scales the numerators and ``Cyc + rational`` shifts
+  the constant one; neither can change the conductor.  Operands of
+  different conductors are first lifted to the lcm of the two.
+- A result whose non-constant numerators vanish is a ``Fraction``.  Only
+  when Q(zeta_m) has a proper non-rational cyclotomic subfield (m = 8, 9,
+  12, ...) does :func:`_canon` search for the minimal conductor, by
+  exact linear algebra on the int rows of :class:`_RowSpace`, the one
+  exact elimination of the program (the generators suite's rank too),
+  fraction-free after Bareiss (1968).
 """
 
 from __future__ import annotations
@@ -42,44 +44,23 @@ _setattr = object.__setattr__
 # -- cyclotomic polynomials, as coefficient tuples lowest degree first --
 
 
-def poly_trim(c):
-    """The polynomial c as a tuple without trailing zeros."""
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
-
-
-def poly_divmod(num, den):
-    """Quotient and remainder of num by den, with rational coefficients."""
-    num = [Fraction(x) for x in num]
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    inv_lead = Fraction(1) / Fraction(den[-1])
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return tuple(q), poly_trim(num)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m):
-    """Coefficients (ascending) of the m-th cyclotomic polynomial."""
-    if m == 1:
-        return (-1, 1)
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
-    for d in range(1, m):
-        if m % d == 0:
-            num, r = poly_divmod(num, cyclotomic_poly(d))
-            if r:
-                raise ArithmeticError(f"Phi_{d} leaves a remainder dividing x^{m} - 1")
-    return tuple(int(c) for c in num)
-
-
-def _divisors(m):
-    return sorted(d for d in range(1, m + 1) if m % d == 0)
+    """Coefficients (ascending) of the m-th cyclotomic polynomial: x^m - 1
+    divided by every monic Phi_d, d | m, d < m, exactly in ints."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for den in [cyclotomic_poly(d) for d in range(1, m) if m % d == 0]:
+        k = len(den) - 1
+        quot = [0] * (len(num) - k)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = num[i + k]
+            if c:
+                for j, e in enumerate(den):
+                    num[i + j] -= c * e
+        if any(num):
+            raise ArithmeticError(f"a Phi_d leaves a remainder dividing x^{m} - 1")
+        num = quot
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
@@ -88,48 +69,65 @@ def _phi(m):
 
 
 @lru_cache(maxsize=None)
-def _power_vec(m, k):
-    """z_m^k reduced mod Phi_m, as a coefficient tuple of length phi(m)."""
-    phi = _phi(m)
-    p = [Fraction(0)] * (k % m) + [Fraction(1)]
-    _, r = poly_divmod(p, cyclotomic_poly(m))
-    r = list(r) + [Fraction(0)] * (phi - len(r))
-    return tuple(r[:phi])
+def powers(m):
+    """z^k mod Phi_m for 0 <= k < m, z = zeta_m, each as the phi(m) int
+    coefficients of 1, z, ..., z^(phi(m)-1)."""
+    poly = cyclotomic_poly(m)
+    row = (1,) + (0,) * (len(poly) - 2)
+    table = []
+    for _ in range(m):
+        table.append(row)
+        top = row[-1]  # z * row = shifted row + top z^phi, z^phi = -(Phi_m - z^phi)
+        row = tuple(a - top * p for a, p in zip((0,) + row[:-1], poly))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(m):
-    """``(k, ((i, c), ...))`` for phi(m) <= k <= 2 phi(m) - 2, where the
-    c are the nonzero (integer) coefficients of z^i in z_m^k mod Phi_m."""
-    phi = _phi(m)
-    return tuple(
-        (k, tuple((i, int(c)) for i, c in enumerate(_power_vec(m, k)) if c))
-        for k in range(phi, 2 * phi - 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _has_proper_subfield(m):
-    """Whether Q(zeta_m) contains some Q(zeta_d) other than Q, d < m."""
-    return any(2 < d < m for d in _divisors(m))
+def _subfields(m):
+    """The d, 2 < d < m, d | m, in increasing order: the conductors of the
+    proper non-rational cyclotomic subfields Q(zeta_d) of Q(zeta_m)."""
+    return tuple(d for d in range(3, m) if m % d == 0)
 
 
 def _mul_vec(m, a, b):
-    """Product of two coefficient tuples of Q(zeta_m), reduced mod Phi_m."""
+    """Product of two numerator tuples of Q(zeta_m), reduced mod Phi_m."""
     phi = len(a)
-    prod = [_ZERO] * (2 * phi - 1)
+    prod = [0] * (2 * phi - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
     out = prod[:phi]
-    for k, row in _reduction_table(m):
+    table = powers(m)
+    for k in range(phi, 2 * phi - 1):
         x = prod[k]
         if x:
-            for i, c in row:
-                out[i] += x * c
-    return tuple(out)
+            for i, c in enumerate(table[k % m]):  # 2 phi - 2 may reach m
+                if c:
+                    out[i] += x * c
+    return out
+
+
+def _power_map(m, nums, e):
+    """sum_k nums[k] z^(e k) in Q(zeta_m), reduced mod Phi_m."""
+    table = powers(m)
+    out = [0] * _phi(m)
+    for k, c in enumerate(nums):
+        if c:
+            for i, v in enumerate(table[e * k % m]):
+                if v:
+                    out[i] += c * v
+    return out
+
+
+def _over_lcm(scalars):
+    """(den, numerators): int, Fraction or Cyc scalars over the lcm of
+    their denominators; a numerator is an int or an algebraic-integer
+    Cyc."""
+    split = [(s.numerator, s.denominator) for s in scalars]
+    den = lcm(*(d for _, d in split))
+    return den, [n if d == den else n * (den // d) for n, d in split]
 
 
 class _RowSpace:
@@ -172,66 +170,66 @@ def _primitive(v):
 
 
 def _solve_columns(cols, target):
-    """Solve sum_j y_j * cols[j] = target exactly; None if inconsistent.
-    The augmented rows go into a _RowSpace; the free unknowns are 0."""
+    """Solve sum_j y_j * cols[j] = target exactly for rational entries:
+    (nums, den) with y_j = nums[j] / den, the free unknowns 0; None if
+    inconsistent.  The augmented rows go into a _RowSpace."""
     ncols = len(cols)
     space = _RowSpace(ncols + 1)
     for i, t in enumerate(target):
-        row = [c[i] for c in cols] + [t]
-        den = lcm(*(x.denominator for x in row))
-        space.insert([x.numerator * (den // x.denominator) for x in row])
+        space.insert(_over_lcm([c[i] for c in cols] + [t])[1])
     if ncols in space.rows:  # 0 = 1
         return None
-    y = [_ZERO] * ncols
+    den = lcm(*(row[p] for p, row in space.rows.items()))
+    nums = [0] * ncols
     for p, row in space.rows.items():
-        y[p] = Fraction(row[-1], row[p])
-    return y
+        nums[p] = row[-1] * (den // row[p])
+    return nums, den
 
 
-def _make(m, vec):
-    """Canonicalize a coefficient vector in Q(zeta_m); unwrap rationals."""
-    vec = tuple(Fraction(v) for v in vec)
-    if m == 1:
-        return vec[0] if vec else Fraction(0)
-    if all(v == 0 for v in vec[1:]):
-        return vec[0]
-    for d in _divisors(m):
-        if d == m or d == 1:
-            continue
-        cols = [_power_vec(m, (m // d) * j) for j in range(_phi(d))]
-        y = _solve_columns(cols, vec)
+def _canon(m, nums, den):
+    """The scalar sum_k nums[k] z^k / den of Q(zeta_m), den > 0, in
+    canonical form: a Fraction if rational, else a reduced Cyc of least
+    conductor."""
+    if not any(nums[1:]):
+        return Fraction(nums[0], den)
+    table = powers(m)
+    for d in _subfields(m):
+        y = _solve_columns([table[m // d * j] for j in range(_phi(d))], nums)
         if y is not None:
-            return _cyc(d, tuple(y))
-    return _cyc(m, vec)
+            return _reduced(d, y[0], den * y[1])
+    return _reduced(m, nums, den)
 
 
-def _canon(m, vec):
-    """Canonical form of a tuple of phi(m) ``Fraction`` in Q(zeta_m)."""
-    if not any(vec[1:]):
-        return vec[0]
-    if _has_proper_subfield(m):
-        return _make(m, vec)
-    return _cyc(m, vec)
+def _reduced(m, nums, den):
+    """The Cyc sum_k nums[k] z^k / den, given canonical up to the common
+    factor of den and nums, which is divided out."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return _cyc(m, tuple(nums), den)
+    return _cyc(m, tuple(n // g for n in nums), den // g)
 
 
-def _cyc(m, coeffs):
-    """A Cyc from an already canonical ``(m, coeffs)``, unchecked."""
+def _cyc(m, nums, den):
+    """A Cyc from an already canonical ``(m, nums, den)``, unchecked."""
     x = object.__new__(Cyc)
     _setattr(x, "m", m)
-    _setattr(x, "coeffs", coeffs)
+    _setattr(x, "nums", nums)
+    _setattr(x, "den", den)
     return x
 
 
 class Cyc:
-    """An element of the m-th cyclotomic field in canonical form.
+    """An element sum_k nums[k] zeta_m^k / den of the m-th cyclotomic
+    field in canonical form.
 
-    Immutable; interoperates with ``int`` and ``Fraction`` in arithmetic.
-    ``Cyc(m, coeffs)`` raises ``ValueError`` unless ``coeffs`` holds
-    phi(m) values whose element is not rational and has conductor
-    exactly m; :func:`zeta` and arithmetic build any other value.
+    Immutable, and true (it is never 0); interoperates with ``int`` and
+    ``Fraction`` in arithmetic.  ``Cyc(m, coeffs)`` raises ``ValueError``
+    unless ``coeffs`` holds phi(m) values whose element is not rational
+    and has conductor exactly m; :func:`zeta` and arithmetic build any
+    other value.
     """
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "nums", "den")
 
     def __init__(self, m, coeffs):
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -241,46 +239,60 @@ class Cyc:
             raise ValueError(
                 f"Q(zeta_{m}) needs {_phi(m)} coefficients, got {len(coeffs)}"
             )
-        canon = _make(m, coeffs)
+        den, nums = _over_lcm(coeffs)
+        canon = _canon(m, nums, den)
         if not isinstance(canon, Cyc) or canon.m != m:
             raise ValueError(
                 f"Cyc({m}, {[str(c) for c in coeffs]}) is not canonical: "
                 f"it equals {scalar_to_string(canon)}"
             )
         _setattr(self, "m", m)
-        _setattr(self, "coeffs", coeffs)
+        _setattr(self, "nums", canon.nums)
+        _setattr(self, "den", canon.den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyc is immutable")
 
+    @property
+    def coeffs(self):
+        """The phi(m) coefficients nums[k] / den, as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
+    def numerator(self):
+        """self * den, an algebraic integer."""
+        return self if self.den == 1 else _cyc(self.m, self.nums, 1)
+
+    @property
+    def denominator(self):
+        return self.den
+
     def _lift(self, m):
-        """Coefficient tuple of self in Q(zeta_m), self.m | m."""
+        """The numerators of self in Q(zeta_m), self.m | m."""
         if m == self.m:
-            return self.coeffs
-        step = m // self.m
-        out = [Fraction(0)] * _phi(m)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for i, v in enumerate(_power_vec(m, step * k)):
-                    out[i] += c * v
-        return tuple(out)
+            return self.nums
+        return _power_map(m, self.nums, m // self.m)
 
     def __add__(self, other):
         if isinstance(other, _RATIONAL):
             if not other:
                 return self
-            c = self.coeffs
-            return _cyc(self.m, (c[0] + other,) + c[1:])
+            p, q = other.numerator, other.denominator
+            nums, den = self.nums, self.den
+            return _reduced(
+                self.m, [nums[0] * q + p * den] + [n * q for n in nums[1:]], den * q
+            )
         if not isinstance(other, Cyc):
             return NotImplemented
         m = lcm(self.m, other.m)
         a, b = self._lift(m), other._lift(m)
-        return _canon(m, tuple(x + y for x, y in zip(a, b)))
+        da, db = self.den, other.den
+        return _canon(m, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _cyc(self.m, tuple(-c for c in self.coeffs))
+        return _cyc(self.m, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (*_RATIONAL, Cyc)):
@@ -296,23 +308,23 @@ class Cyc:
         if isinstance(other, _RATIONAL):
             if not other:
                 return _ZERO
-            return _cyc(self.m, tuple(c * other if c else c for c in self.coeffs))
+            p, q = other.numerator, other.denominator
+            return _reduced(self.m, [n * p for n in self.nums], self.den * q)
         if not isinstance(other, Cyc):
             return NotImplemented
         m = lcm(self.m, other.m)
-        return _canon(m, _mul_vec(m, self._lift(m), other._lift(m)))
+        prod = _mul_vec(m, self._lift(m), other._lift(m))
+        return _canon(m, prod, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse: y with self * y = 1, solved exactly on
-        the columns self * z^j."""
-        m = self.m
-        cols = [_mul_vec(m, self.coeffs, _power_vec(m, j)) for j in range(_phi(m))]
-        y = _solve_columns(cols, (Fraction(1),) + (_ZERO,) * (_phi(m) - 1))
-        if y is None:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        return _make(m, y)
+        """Multiplicative inverse: den * y with nums * y = 1, solved
+        exactly on the columns nums * z^j.  It has the conductor of self."""
+        m, table = self.m, powers(self.m)
+        cols = [_mul_vec(m, self.nums, table[j]) for j in range(_phi(m))]
+        y, e = _solve_columns(cols, table[0])
+        return _reduced(m, [self.den * v for v in y], e)
 
     def __truediv__(self, other):
         if not isinstance(other, (*_RATIONAL, Cyc)):
@@ -325,26 +337,19 @@ class Cyc:
         return self.inverse() * other
 
     def conjugate(self):
-        """Galois conjugate sending zeta to zeta^{-1}."""
-        out = [Fraction(0)] * _phi(self.m)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for i, v in enumerate(_power_vec(self.m, (-k) % self.m)):
-                    out[i] += c * v
-        return _make(self.m, out)
+        """Galois conjugate sending zeta to zeta^{-1}, of the same
+        conductor."""
+        return _reduced(self.m, _power_map(self.m, self.nums, -1), self.den)
 
     def __eq__(self, other):
         if isinstance(other, _RATIONAL):
             return False  # canonical Cyc is never rational
         if isinstance(other, Cyc):
-            return self.m == other.m and self.coeffs == other.coeffs
+            return self.m == other.m and self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.m, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
+        return hash((self.m, self.nums, self.den))
 
     def __repr__(self):
         return scalar_to_string(self)
@@ -352,7 +357,7 @@ class Cyc:
 
 def zeta(m, k=1):
     """The primitive m-th root of unity zeta_m^k, canonicalized."""
-    return _make(m, _power_vec(m, k))
+    return _canon(m, powers(m)[k % m], 1)
 
 
 def inverse(x):

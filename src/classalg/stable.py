@@ -274,11 +274,12 @@ def check_stability(group, cap, levels, stable):
 def forgetful_image(group, rho, n):
     """Sum of the underlying group elements over the orbit of type rho,
     as a central class function at level n."""
-    total = GroupAlgebraElement(group, n, {})
+    positions = tuple(range(n))
+    counts = {}
     for y, a in enumerate_orbit(group, rho, n):
-        full = embed_support(group, a, y, tuple(range(n)))
-        total = total + GroupAlgebraElement(group, n, {full: 1})
-    return to_class_function(total)
+        full = embed_support(group, a, y, positions)
+        counts[full] = counts.get(full, 0) + 1
+    return to_class_function(GroupAlgebraElement(group, n, counts))
 
 
 def padding_factor(group, rho, n):
@@ -336,11 +337,12 @@ def verify_forgetful(group, cap, n, stable):
     for rho in types:
         for sigma in types:
             lhs = convolve_n(images[rho], images[sigma])
-            rhs = WreathClassFunction(group, n, {})
+            rhs = {}  # sum_nu d binom(...) K^{nu padded to n}
             for nu, d in stable[(rho, sigma)].items():
                 if nu.norm <= n:
-                    rhs = rhs + padded_class_multiple(group, nu, n).scale(d)
-            if lhs != rhs:
+                    key = nu.pad_to(n)
+                    rhs[key] = rhs.get(key, 0) + d * padding_factor(group, nu, n)
+            if lhs != WreathClassFunction(group, n, rhs):
                 failures.append(
                     f"homomorphism: {rho.label()} * {sigma.label()}"
                 )

@@ -37,7 +37,7 @@ from .partitions import (
     class_size,
     enumerate_types,
 )
-from .scalars import Cyc, _power_vec
+from .scalars import Cyc, powers
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -301,25 +301,18 @@ def _rim_hooks(parts, r):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_reduction(m):
-    """The columns of x^i mod Phi_m, 0 <= i < m: the j-th column holds
-    the coefficient of x^j in each of them, as integers."""
-    return tuple(zip(*([int(c) for c in _power_vec(m, i)] for i in range(m))))
-
-
 def _lift(value, m):
     """A character value of Gamma as m integers in Z[x]/(x^m - 1)."""
-    out = [Fraction(0)] * m
+    if value.denominator != 1:
+        raise ArithmeticError(f"character value {value} is not an algebraic integer")
+    out = [0] * m
     if isinstance(value, Cyc):
         step = m // value.m
-        for k, c in enumerate(value.coeffs):
+        for k, c in enumerate(value.nums):
             out[k * step] = c
     else:
-        out[0] = Fraction(value)
-    if any(c.denominator != 1 for c in out):
-        raise ArithmeticError(f"character value {value} is not an algebraic integer")
-    return tuple(int(c) for c in out)
+        out[0] = value.numerator
+    return tuple(out)
 
 
 class WreathCharacters:
@@ -373,6 +366,7 @@ class WreathCharacters:
 
         self.ctx = ctx
         self.modulus = m
+        self._columns = tuple(zip(*powers(m)))  # column j: the z^j-parts of z^0..z^(m-1)
         self.labels = enumerate_types(ctx.group, ctx.n)
         cycles = [
             tuple(sorted(((r, c) for c, lam in rho.items for r in lam.parts), reverse=True))
@@ -386,8 +380,8 @@ class WreathCharacters:
 
     def _reduce(self, poly):
         """The value at zeta_m of a polynomial of degree < m, as phi(m)
-        integers on the power basis (its canonical form)."""
-        return tuple(sum(map(mul, poly, col)) for col in _cyclotomic_reduction(self.modulus))
+        integers on the power basis: its numerators, by scalars.powers."""
+        return tuple(sum(map(mul, poly, col)) for col in self._columns)
 
     def degrees(self):
         """chi(1) for each label, checked to divide |Gamma_n|."""

@@ -13,6 +13,10 @@ against.  Nothing under src/ imports this module.
 - Exact elimination in Fraction arithmetic (Gauss-Jordan with unit
   pivots): the generated subalgebra's dimension and the solution of a
   linear system.
+- The cyclotomic field over Fraction: polynomial long division for the
+  cyclotomic polynomials and the powers of zeta_m modulo them, and the
+  canonical form of an element (the least conductor, found by solving on
+  each subfield's power basis).
 - The Heisenberg operators by induction from the big group, by
   averaging over S_n, and as adjoints through the bilinear form.
 - The Fock operator calculus in Fraction arithmetic: an operator whose
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from classalg.algebra import (
@@ -51,7 +56,6 @@ from classalg.partitions import (
     enumerate_types,
     enumerate_types_upto,
 )
-from classalg.scalars import poly_trim
 from classalg.stable import embed_support, enumerate_orbit, orbit_size
 import classalg.winf as winf
 from classalg.wreath import (
@@ -319,6 +323,71 @@ def oracle_solve_columns(cols, target):
     for p, row in space.rows.items():
         y[p] = row[-1]
     return y
+
+
+# -- the cyclotomic field over Fraction -----------------------------------
+
+
+def poly_trim(c):
+    """The polynomial c as a tuple without trailing zeros."""
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def poly_divmod(num, den):
+    """Quotient and remainder of num by den, with rational coefficients."""
+    num = [Fraction(x) for x in num]
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    inv_lead = Fraction(1) / Fraction(den[-1])
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1] * inv_lead
+        if c:
+            q[i] = c
+            for j, d in enumerate(den):
+                num[i + j] -= c * d
+    return tuple(q), poly_trim(num)
+
+
+@lru_cache(maxsize=None)
+def oracle_cyclotomic_poly(m):
+    """Phi_m, as Fractions lowest degree first: x^m - 1 divided by Phi_d
+    for each proper divisor d of m."""
+    num = (Fraction(-1),) + (Fraction(0),) * (m - 1) + (Fraction(1),)
+    for d in range(1, m):
+        if m % d == 0:
+            num, r = poly_divmod(num, oracle_cyclotomic_poly(d))
+            if r:
+                raise ArithmeticError(f"Phi_{d} does not divide x^{m} - 1")
+    return num
+
+
+def oracle_phi(m):
+    return len(oracle_cyclotomic_poly(m)) - 1
+
+
+@lru_cache(maxsize=None)
+def oracle_power_vec(m, k):
+    """z_m^k mod Phi_m, as phi(m) Fractions."""
+    _, r = poly_divmod((Fraction(0),) * (k % m) + (Fraction(1),), oracle_cyclotomic_poly(m))
+    return r + (Fraction(0),) * (oracle_phi(m) - len(r))
+
+
+def oracle_canonical(m, vec):
+    """sum_k vec[k] z_m^k, for phi(m) rationals vec: a Fraction if it is
+    rational, else (d, coeffs) on the power basis of Q(zeta_d), d the
+    least divisor of m whose field holds it."""
+    vec = tuple(Fraction(v) for v in vec)
+    if not any(vec[1:]):
+        return vec[0]
+    for d in range(3, m):
+        if m % d == 0:
+            cols = [oracle_power_vec(m, m // d * j) for j in range(oracle_phi(d))]
+            y = oracle_solve_columns(cols, vec)
+            if y is not None:
+                return d, tuple(y)
+    return m, vec
 
 
 def oracle_subalgebra_dim(gens, group, n):

@@ -24,7 +24,12 @@ from classalg.groups import k_basis, load_group
 from classalg.partitions import TypeFunction, class_size, enumerate_types
 from classalg.scalars import _RowSpace
 from classalg.wreath import WreathContext
-from oracles import bilinear_form_n, oracle_subalgebra_dim, to_group_algebra
+from oracles import (
+    OracleRowSpace,
+    bilinear_form_n,
+    oracle_subalgebra_dim,
+    to_group_algebra,
+)
 
 
 def brute_force_product(f, g):
@@ -185,7 +190,9 @@ def test_subalgebra_full():
 
 @pytest.mark.parametrize("name, n", [("cyclic2", 4), ("sym3", 3), ("quaternion8", 2)])
 def test_subalgebra_multiplies_each_basis_element_once(name, n, monkeypatch):
-    # one convolution per basis element and generator: dim * |gens|
+    # at most one convolution per basis element and generator, and none
+    # once the span is the whole class algebra: replaying the products in
+    # the order they were made, the span fills only with the last one
     g = load_group(name)
     gens = [
         xi_power_sum(g, n, i, k_basis(g, c))
@@ -196,13 +203,24 @@ def test_subalgebra_multiplies_each_basis_element_once(name, n, monkeypatch):
     original = algebra.convolve_n
 
     def counted(f, h):
-        calls.append(1)
-        return original(f, h)
+        product = original(f, h)
+        calls.append((f, h, product))
+        return product
 
     monkeypatch.setattr(algebra, "convolve_n", counted)
     dim, basis = subalgebra_generated(gens, g, n)
-    assert dim == len(basis) == len(enumerate_types(g, n))
-    assert len(calls) == dim * len(gens)
+    types = enumerate_types(g, n)
+    assert dim == len(basis) == len(types)
+    pairs = [(id(f), id(h)) for f, h, _ in calls]
+    assert len(set(pairs)) == len(pairs)
+    space = OracleRowSpace(dim)
+    for f in [unit_class(g, n)] + gens:
+        space.insert([f.coeffs.get(rho, 0) for rho in types])
+    for _, _, product in calls:
+        assert len(space.rows) < dim
+        space.insert([product.coeffs.get(rho, 0) for rho in types])
+    assert len(space.rows) == dim
+    assert len(calls) < dim * len(gens)
 
 
 def _families(g, n, classes=None):

@@ -1,6 +1,8 @@
+import operator
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,16 +11,23 @@ from hypothesis import strategies as st
 from classalg.scalars import (
     Cyc,
     ScalarParseError,
-    _make,
     _phi,
     _solve_columns,
     cyclotomic_poly,
     inverse,
+    powers,
     scalar_from_string,
     scalar_to_string,
     zeta,
 )
-from oracles import OracleRowSpace, oracle_solve_columns
+from oracles import (
+    OracleRowSpace,
+    oracle_canonical,
+    oracle_cyclotomic_poly,
+    oracle_phi,
+    oracle_power_vec,
+    oracle_solve_columns,
+)
 
 
 def test_zeta_order():
@@ -156,15 +165,32 @@ def test_public_constructor_rejects_non_canonical():
     assert hash(Cyc(8, (1, 1, 0, 0))) == hash(1 + zeta(8))
 
 
-# Oracle for the arithmetic fast paths: exact arithmetic in
-# Q[x]/(x^m - 1) (cyclic convolution), reduced mod Phi_m by long
-# division, then canonicalized by the slow ``_make``.
+# Oracle for the arithmetic: exact arithmetic in Q[x]/(x^m - 1) (cyclic
+# convolution), reduced mod Phi_m by long division over Fraction, then
+# canonicalized by the Fraction solver of tests/oracles.py.  An oracle
+# value is a Fraction or (conductor, coeffs).
 
-CONDUCTORS = (3, 4, 5, 8, 12)
+CONDUCTORS = (3, 4, 5, 8, 9, 12, 15, 21)
 
 
 def _conductor(x):
     return x.m if isinstance(x, Cyc) else 1
+
+
+def _form(x):
+    """A library scalar in the oracle's terms."""
+    return (x.m, x.coeffs) if isinstance(x, Cyc) else x
+
+
+def _value(form):
+    """The library scalar of an oracle value."""
+    return Cyc(*form) if isinstance(form, tuple) else form
+
+
+def _oracle_string(form):
+    if isinstance(form, tuple):
+        return scalar_to_string(SimpleNamespace(m=form[0], coeffs=form[1]))
+    return scalar_to_string(form)
 
 
 def _cyclic(x, m):
@@ -179,8 +205,9 @@ def _cyclic(x, m):
     return w
 
 
-def _oracle(m, w):
-    phi_m = cyclotomic_poly(m)
+def _reduce(m, w):
+    """w in Q[x]/(x^m - 1) mod Phi_m, as phi(m) Fractions."""
+    phi_m = oracle_cyclotomic_poly(m)
     deg = len(phi_m) - 1
     w = list(w)
     for k in range(m - 1, deg - 1, -1):
@@ -188,7 +215,11 @@ def _oracle(m, w):
         if c:
             for j, p in enumerate(phi_m):
                 w[k - deg + j] -= c * p
-    return _make(m, w[:deg])
+    return w[:deg]
+
+
+def _oracle(m, w):
+    return oracle_canonical(m, _reduce(m, w))
 
 
 def _oracle_add(x, y, sign=1):
@@ -196,23 +227,46 @@ def _oracle_add(x, y, sign=1):
     return _oracle(m, [a + sign * b for a, b in zip(_cyclic(x, m), _cyclic(y, m))])
 
 
-def _oracle_mul(x, y):
-    m = lcm(_conductor(x), _conductor(y))
-    a, b = _cyclic(x, m), _cyclic(y, m)
+def _convolve(m, a, b):
     w = [Fraction(0)] * m
     for i, u in enumerate(a):
         for j, v in enumerate(b):
             w[(i + j) % m] += u * v
-    return _oracle(m, w)
+    return w
+
+
+def _oracle_mul(x, y):
+    m = lcm(_conductor(x), _conductor(y))
+    return _oracle(m, _convolve(m, _cyclic(x, m), _cyclic(y, m)))
+
+
+def _oracle_inverse(x):
+    """y with x y = 1, solved on the columns x z^j of Q(zeta_m), each a
+    cyclic shift of x reduced mod Phi_m."""
+    m = _conductor(x)
+    a = _cyclic(x, m)
+    cols = [_reduce(m, a[m - j:] + a[:m - j]) for j in range(oracle_phi(m))]
+    unit = [Fraction(1)] + [Fraction(0)] * (oracle_phi(m) - 1)
+    return oracle_canonical(m, oracle_solve_columns(cols, unit))
 
 
 def _assert_canonical(v):
     if isinstance(v, Cyc):
-        assert type(v.coeffs) is tuple and len(v.coeffs) == _phi(v.m)
+        assert type(v.nums) is tuple and len(v.nums) == _phi(v.m)
+        assert all(type(n) is int for n in v.nums)
+        assert type(v.den) is int and v.den > 0 and gcd(v.den, *v.nums) == 1
         assert all(type(c) is Fraction for c in v.coeffs)
-        assert _make(v.m, v.coeffs) == v  # not rational, minimal conductor
+        assert v.numerator.den == 1 and v.denominator == v.den
+        # not rational, minimal conductor
+        assert oracle_canonical(v.m, v.coeffs) == (v.m, v.coeffs)
     else:
         assert type(v) is Fraction
+
+
+def _check(result, expected, *context):
+    assert _form(result) == expected, (*context, result, expected)
+    assert scalar_to_string(result) == _oracle_string(expected)
+    _assert_canonical(result)
 
 
 def _check_arithmetic(x, y):
@@ -224,8 +278,7 @@ def _check_arithmetic(x, y):
         (x * y, _oracle_mul(x, y)),
         (y * x, _oracle_mul(x, y)),
     ]:
-        assert result == expected, (x, y, result, expected)
-        _assert_canonical(result)
+        _check(result, expected, x, y)
 
 
 RATIONALS = [0, 1, -1, 2, Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 7)]
@@ -254,7 +307,7 @@ def field_elements(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         k = draw(st.integers(min_value=0, max_value=m - 1))
         w[k] += draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
-    return _oracle(m, w)
+    return _value(_oracle(m, w))
 
 
 operands = st.one_of(
@@ -267,6 +320,82 @@ operands = st.one_of(
 def test_fast_paths_match_oracle(x, y):
     if isinstance(x, Cyc) or isinstance(y, Cyc):
         _check_arithmetic(x, y)
+
+
+def test_cyclotomic_table_matches_long_division():
+    for m in range(1, 31):
+        assert cyclotomic_poly(m) == oracle_cyclotomic_poly(m)
+        assert powers(m) == tuple(oracle_power_vec(m, k) for k in range(m))
+
+
+def _random_element(rng, m):
+    """A random element of Q(zeta_m), through the oracle: a few small
+    rational multiples of powers of z_m, never 0."""
+    while True:
+        w = [Fraction(0)] * m
+        for _ in range(rng.randint(1, 4)):
+            w[rng.randrange(m)] += Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        form = _oracle(m, w)
+        if form:
+            return _value(form)
+
+
+def test_seeded_arithmetic_matches_oracle():
+    # sums, products, inverses and quotients over conductors 5 to 21, the
+    # second operand from a conductor of the same field or a mixed one
+    rng = random.Random(21)
+    seen = {"rational": 0, "subfield": 0, "mixed": 0}
+    for m in range(5, 22):
+        partners = [d for d in range(3, 22) if lcm(m, d) <= 42]
+        for _ in range(6):
+            x = _random_element(rng, m)
+            y = _random_element(rng, rng.choice(partners))
+            inv = _oracle_inverse(y)
+            for result, expected in [
+                (x + y, _oracle_add(x, y)),
+                (x - y, _oracle_add(x, y, -1)),
+                (x * y, _oracle_mul(x, y)),
+                (inverse(y), inv),
+                (x / y, _oracle_mul(x, _value(inv))),
+            ]:
+                _check(result, expected, x, y)
+                if not isinstance(expected, tuple):
+                    seen["rational"] += 1
+                elif expected[0] < lcm(_conductor(x), _conductor(y)):
+                    seen["subfield"] += 1
+            if _conductor(x) != _conductor(y) and isinstance(y, Cyc):
+                seen["mixed"] += 1
+    assert min(seen.values()) > 5, seen
+
+
+def test_cyc_sums_and_products_make_no_fraction(monkeypatch):
+    # + - * between Cyc of conductors 3, 5 and 8 run on int numerators:
+    # no Fraction is made unless the result is rational
+    values = [
+        zeta(3), 1 + zeta(3) * Fraction(1, 2), zeta(5, 2) * Fraction(-3, 4),
+        zeta(5) + zeta(5, 3), zeta(8), zeta(8, 3) * Fraction(2, 3), 1 + zeta(8),
+        zeta(4) * Fraction(1, 6),
+    ]
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    results = []
+    for x in values:
+        for y in values:
+            for op in (operator.add, operator.sub, operator.mul):
+                before = len(made)
+                z = op(x, y)
+                if isinstance(z, Cyc):
+                    assert len(made) == before, (op, x, y, z)
+                    results.append(z)
+    assert made  # the rational results, and the counter is live
+    assert any(z.m == 4 for z in results) and any(z.m == 8 for z in results)
+    assert {z.m for z in results} >= {3, 5, 8, 15, 24, 40}
 
 
 # -- _solve_columns against Gauss-Jordan over Fraction -------------------
@@ -307,12 +436,15 @@ def test_solve_columns_matches_fraction_oracle():
     seen = {"inconsistent": 0, "rank_deficient": 0}
     for _ in range(400):
         cols, target = _random_system(rng)
-        y = _solve_columns(cols, target)
+        solved = _solve_columns(cols, target)
+        y = None if solved is None else [Fraction(v, solved[1]) for v in solved[0]]
         assert y == oracle_solve_columns(cols, target)
         if y is None:
             seen["inconsistent"] += 1
         else:
-            assert all(type(v) is Fraction for v in y)
+            # ints over one positive int denominator
+            assert all(type(v) is int for v in solved[0])
+            assert type(solved[1]) is int and solved[1] > 0
             assert all(
                 sum(v * c[i] for v, c in zip(y, cols)) == t
                 for i, t in enumerate(target)
@@ -329,5 +461,5 @@ def test_solve_columns_inconsistent_is_none():
     assert _solve_columns(cols, target) is None
     assert oracle_solve_columns(cols, target) is None
     target = (Fraction(1, 2), Fraction(1, 2))
-    assert _solve_columns(cols, target) == [Fraction(1, 2), Fraction(0)]
+    assert _solve_columns(cols, target) == ([1, 0], 2)
     assert oracle_solve_columns(cols, target) == [Fraction(1, 2), Fraction(0)]

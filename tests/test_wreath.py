@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from classalg.cli import run
 from classalg.fock import verify_covcomm, xi_class_function
 from classalg.groups import PRESETS, load_group, unit_g
 from classalg.partitions import TypeFunction, class_size, enumerate_types
-from classalg.scalars import zeta
+from classalg.scalars import Cyc, zeta
 from classalg.wreath import (
     ResourceCapError,
     WreathContext,
@@ -295,3 +296,14 @@ def test_non_integral_class_table_entry_is_a_failure(monkeypatch, capsys):
         "ArithmeticError",
         "class-table entry (10, 3, 1) at n=4 is 5/2, not a nonnegative integer",
     ]]
+
+
+def test_lift_rejects_values_that_are_not_algebraic_integers():
+    # a character value goes into Z[x]/(x^m - 1) only over denominator 1
+    for value, m in [(Cyc(3, (Fraction(1, 2), Fraction(1, 2))), 3), (Fraction(1, 2), 1)]:
+        with pytest.raises(ArithmeticError):
+            wreath._lift(value, m)
+    assert wreath._lift(zeta(3), 6) == (0, 0, 1, 0, 0, 0)
+    assert wreath._lift(1 + zeta(4), 4) == (1, 1, 0, 0)
+    assert wreath._lift(Fraction(-2), 3) == (-2, 0, 0)
+    assert wreath._lift(5, 1) == (5,)
