@@ -10,6 +10,12 @@ character table included), ResourceCapError and an --out path that
 cannot be written stay usage errors.
 Reports are deterministic for a given configuration and seed (timings
 go to stderr); all scalars are emitted as exact strings, never floats.
+
+At module level this imports only the standard library, groups and
+scalars (which groups loads anyway).  Each suite setup and table function imports
+the layer it runs when it is called, so a command compiles and loads
+only what it uses; a new layer import belongs inside the setup that
+needs it.  The suites read functions through the module at call time.
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ import sys
 import time
 from typing import Callable, NamedTuple
 
-from . import algebra, fock, stable, winf, wreath
 from .groups import CharacterTableError, k_basis, load_group, require_character_table
-from .partitions import class_size, enumerate_types
 from .scalars import scalar_to_string
 
 USAGE_ERROR = 2
@@ -172,11 +176,13 @@ JM_MAX_ELEMENTS = 20000  # jm checks only the levels n with |Gamma_n| <= this
 
 
 def _heisenberg(group, cfg):
+    from . import fock
     params = {"level": cfg.level, "max_mode": 3}
     return params, lambda: fock.verify_heisenberg(group, cfg.level, 3)
 
 
 def _jm(group, cfg):
+    from . import algebra, wreath
     levels = [
         n
         for n in range(1, cfg.level + 1)
@@ -188,15 +194,18 @@ def _jm(group, cfg):
 
 
 def _virasoro(group, cfg):
+    from . import fock
     params = {"level": cfg.level, "max_mode": 2}
     return params, lambda: fock.verify_virasoro(group, cfg.level, 2)
 
 
 def _cubic(group, cfg):
+    from . import fock
     return {"level": cfg.level}, lambda: fock.verify_cubic(group, cfg.level)
 
 
 def _covcomm(group, cfg):
+    from . import fock
     # a covcomm cell names its type by its repr, as its reports always have
     return {"level": cfg.level, "max_k": cfg.k}, lambda: [
         (k, b, c, repr(rho))
@@ -205,10 +214,12 @@ def _covcomm(group, cfg):
 
 
 def _dictionary(group, cfg):
+    from . import fock
     return {"degree": cfg.level}, lambda: fock.verify_dictionary(group, cfg.level)
 
 
 def _vo(group, cfg):
+    from . import winf
     level = min(cfg.level, 3)
     params = {
         "level": level,
@@ -228,6 +239,7 @@ def _vo(group, cfg):
 
 
 def _level_one(group, cfg):
+    from . import winf
     level, max_k = min(cfg.level, 3), min(cfg.k, 3)
     params = {"level": level, "pairs": cfg.pairs, "seed": cfg.seed, "max_k": max_k}
     return params, lambda: [
@@ -237,6 +249,7 @@ def _level_one(group, cfg):
 
 
 def _bracket(group, cfg):
+    from . import winf
     return {"triples": cfg.triples, "seed": cfg.seed}, lambda: [
         *winf.verify_bracket_laws(group, cfg.triples, cfg.seed),
         *(
@@ -248,6 +261,7 @@ def _bracket(group, cfg):
 
 
 def _stable(group, cfg):
+    from . import stable
     # off the trivial group an unset cap is at most 2
     cap = cfg.cap
     if "cap" not in cfg.explicit and group.order != 1:
@@ -265,6 +279,7 @@ def _stable(group, cfg):
 
 
 def _generators(group, cfg):
+    from . import fock
     n = cfg.n if cfg.n is not None else (4 if group.order == 1 else 3)
 
     def check():
@@ -335,6 +350,7 @@ def table_group_info(group, cfg):
 
 
 def table_wreath_classes(group, cfg):
+    from .partitions import class_size, enumerate_types
     n = cfg.n if cfg.n is not None else cfg.level
     return [
         {
@@ -347,6 +363,7 @@ def table_wreath_classes(group, cfg):
 
 
 def table_jm(group, cfg):
+    from . import algebra
     n = cfg.n if cfg.n is not None else cfg.level
     out = {"group": group.name, "n": n, "xi": [], "power_sums": []}
     for j in range(1, n + 1):
@@ -372,6 +389,7 @@ def table_jm(group, cfg):
 
 
 def table_stable_constants(group, cfg):
+    from . import stable
     if cfg.n is None:
         table = stable.stable_structure_constants(group, cfg.cap)
     else:
@@ -395,6 +413,7 @@ def table_stable_constants(group, cfg):
 
 
 def table_pl(group, cfg):
+    from . import winf
     return {"l": cfg.l, "P_l": winf.p_l_string(cfg.l)}
 
 
@@ -479,6 +498,7 @@ def build_parser():
 
 
 def run(argv=None):
+    from . import wreath  # its enumeration cap is read in the config stage
     args = build_parser().parse_args(argv)
     table = TABLES.get((args.command, getattr(args, "action", None)))
     try:

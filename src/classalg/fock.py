@@ -327,21 +327,16 @@ def _creations(slots, degree, rho):
     return [(state, num) for state, _, num in out]
 
 
-def normal_power_apply(group, k, tensor, mode, rho):
-    """The image of K^rho under mode `mode` of the normally ordered
-    k-th power of the field, with class-function slots given by an
-    arity-k tensor.
-
-    Factors are ordered with smaller Heisenberg degree to the left
-    (creation before annihilation); p_0 terms vanish.  Every term is an
-    integer over T Z^k, with T the lcm of the denominators of the
-    tensor's coefficients and Z the lcm of the zeta_c: the terms of one
-    tensor coefficient are summed as integers, and a cyclotomic
-    coefficient multiplies each of those sums once.
-    """
+def _normal_power(group, k, tensor):
+    """The constants of one normally ordered k-th power, computed once
+    per operator: (terms, T, Z^k), with T the lcm of the denominators of
+    the tensor's coefficients and Z the lcm of the zeta_c.  Each term is
+    (numerator of its coefficient over T, its 2^k splits), a split being
+    (the annihilation slots' classes as a tuple, the creation slots'
+    classes as a list)."""
     if tensor.arity != k:
         raise ValueError("tensor arity mismatch")
-    splits = [
+    masks = [
         (
             [i for i in range(k) if mask >> i & 1],
             [i for i in range(k) if not mask >> i & 1],
@@ -349,16 +344,30 @@ def normal_power_apply(group, k, tensor, mode, rho):
         for mask in range(1 << k)
     ]
     tden, nums = _over_lcm([coeff for _, coeff in tensor.terms])
-    zk = lcm(*group.zeta) ** k
+    terms = [
+        (num, [(tuple(key[i] for i in a), [key[i] for i in c]) for a, c in masks])
+        for (key, _), num in zip(tensor.terms, nums)
+    ]
+    return terms, tden, lcm(*group.zeta) ** k
+
+
+def normal_power_apply(group, power, mode, rho):
+    """The image of K^rho under mode `mode` of the normally ordered
+    power of the field whose constants are power (_normal_power).
+
+    Factors are ordered with smaller Heisenberg degree to the left
+    (creation before annihilation); p_0 terms vanish.  Every term is an
+    integer over T Z^k: the terms of one tensor coefficient are summed
+    as integers, and a cyclotomic coefficient multiplies each of those
+    sums once.
+    """
+    terms, tden, zk = power
     removed = {(): [(rho, 0, 1)]}
     out = {}
-    for (key, _), num in zip(tensor.terms, nums):
+    for num, splits in terms:
         sums = {}
-        for ann, cre in splits:
-            created = [key[i] for i in cre]
-            for state, total, den in _annihilations(
-                group, tuple(key[i] for i in ann), removed
-            ):
+        for ann, created in splits:
+            for state, total, den in _annihilations(group, ann, removed):
                 degree = total - mode
                 if degree < len(created) or (degree and not created):
                     continue
@@ -379,20 +388,22 @@ def _scaled_pushforward(beta, k, s):
     )
 
 
+def _normal_power_op(group, k, beta, scale, mode):
+    """Mode `mode` of scale : p^k : through tau_{k*} beta, on columns."""
+    power = _normal_power(group, k, _scaled_pushforward(beta, k, scale))
+    return FockOperator(
+        group, lambda rho: normal_power_apply(group, power, mode, rho)
+    )
+
+
 def virasoro_op(group, n, beta):
     """L_n(beta) = 1/2 : p^2 :_n through tau_{2*} beta."""
-    tensor = _scaled_pushforward(beta, 2, Fraction(1, 2))
-    return FockOperator(
-        group, lambda rho: normal_power_apply(group, 2, tensor, n, rho)
-    )
+    return _normal_power_op(group, 2, beta, Fraction(1, 2), n)
 
 
 def cubic_op(group, beta):
     """(1/6) : p^3 :_0 through tau_{3*} beta."""
-    tensor = _scaled_pushforward(beta, 3, Fraction(1, 6))
-    return FockOperator(
-        group, lambda rho: normal_power_apply(group, 3, tensor, 0, rho)
-    )
+    return _normal_power_op(group, 3, beta, Fraction(1, 6), 0)
 
 
 # -- the polynomial model and the characteristic map -------------------
