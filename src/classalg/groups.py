@@ -509,9 +509,11 @@ def _load_group_file(path):
     """Parse a group table file; see the README for the grammar."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("order "):
-        raise ValueError(f"{path}: expected 'order N' header")
-    n = int(lines[0].split()[1])
+    head = re.fullmatch(r"order\s+([0-9]+)", lines[0]) if lines else None
+    if head is None or int(head[1]) < 1:
+        got = repr(lines[0]) if lines else "an empty file"
+        raise ValueError(f"{path}: expected an 'order <N>' header with N >= 1, got {got}")
+    n = int(head[1])
     if len(lines) < 1 + n:
         raise ValueError(f"{path}: expected {n} table rows")
     mul = [[int(v) for v in lines[1 + i].split()] for i in range(n)]

@@ -14,10 +14,12 @@ puts any of them over one denominator.  The public constructor
 element; the arithmetic builds its results with the unchecked
 :func:`_cyc`, in ints:
 
-- One table, :func:`powers`, holds z^k mod Phi_m for 0 <= k < m; Phi_m
-  itself comes from exact division of x^m - 1 by the monic Phi_d.
-  Products (:func:`_mul_vec`), lifts to a multiple of the conductor, the
-  Galois conjugate and wreath.WreathCharacters all read it.
+- One function, :func:`_reduce`, reduces an int polynomial of any
+  degree mod Phi_m, by long division after z^m = 1; Phi_m itself comes
+  from exact division of x^m - 1 by the monic Phi_d.  Products, lifts,
+  the Galois conjugate, the table :func:`powers` and the characters of
+  wreath.WreathCharacters (lifted by :func:`_integral_numerators`) all
+  go through it.
 - ``Cyc * rational`` scales the numerators and ``Cyc + rational`` shifts
   the constant one; neither can change the conductor.  Operands of
   different conductors are first lifted to the lcm of the two.
@@ -72,14 +74,7 @@ def _phi(m):
 def powers(m):
     """z^k mod Phi_m for 0 <= k < m, z = zeta_m, each as the phi(m) int
     coefficients of 1, z, ..., z^(phi(m)-1)."""
-    poly = cyclotomic_poly(m)
-    row = (1,) + (0,) * (len(poly) - 2)
-    table = []
-    for _ in range(m):
-        table.append(row)
-        top = row[-1]  # z * row = shifted row + top z^phi, z^phi = -(Phi_m - z^phi)
-        row = tuple(a - top * p for a, p in zip((0,) + row[:-1], poly))
-    return tuple(table)
+    return tuple(tuple(_reduce(m, (0,) * k + (1,))) for k in range(m))
 
 
 @lru_cache(maxsize=None)
@@ -89,36 +84,54 @@ def _subfields(m):
     return tuple(d for d in range(3, m) if m % d == 0)
 
 
+def _reduce(m, poly):
+    """The phi(m) numerators of sum_k poly[k] z^k, z = zeta_m, for int
+    coefficients poly of any length: the one reduction mod Phi_m."""
+    out = [0] * m
+    for k, c in enumerate(poly):
+        out[k % m] += c
+    divisor = cyclotomic_poly(m)
+    phi = len(divisor) - 1
+    for k in range(m - 1, phi - 1, -1):
+        c = out[k]
+        if c:
+            for j, p in enumerate(divisor, k - phi):
+                out[j] -= c * p
+    return out[:phi]
+
+
 def _mul_vec(m, a, b):
     """Product of two numerator tuples of Q(zeta_m), reduced mod Phi_m."""
-    phi = len(a)
-    prod = [0] * (2 * phi - 1)
+    prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    out = prod[:phi]
-    table = powers(m)
-    for k in range(phi, 2 * phi - 1):
-        x = prod[k]
-        if x:
-            for i, c in enumerate(table[k % m]):  # 2 phi - 2 may reach m
-                if c:
-                    out[i] += x * c
-    return out
+    return _reduce(m, prod)
 
 
 def _power_map(m, nums, e):
     """sum_k nums[k] z^(e k) in Q(zeta_m), reduced mod Phi_m."""
-    table = powers(m)
-    out = [0] * _phi(m)
+    poly = [0] * m
     for k, c in enumerate(nums):
-        if c:
-            for i, v in enumerate(table[e * k % m]):
-                if v:
-                    out[i] += c * v
-    return out
+        poly[e * k % m] += c
+    return _reduce(m, poly)
+
+
+def _integral_numerators(rows):
+    """(m, rows of numerator tuples): each value of a character table's
+    ``rows`` as its phi(m) int numerators in Q(zeta_m), m the least
+    common conductor (1 when every value is rational).  Raises
+    ArithmeticError on a value that is not an algebraic integer."""
+    m = lcm(1, *(v.m for row in rows for v in row if isinstance(v, Cyc)))
+    bad = next((v for row in rows for v in row if v.denominator != 1), None)
+    if bad is not None:
+        raise ArithmeticError(f"character value {bad} is not an algebraic integer")
+    return m, [
+        [tuple(v._lift(m) if isinstance(v, Cyc) else _reduce(m, (v.numerator,))) for v in row]
+        for row in rows
+    ]
 
 
 def _over_lcm(scalars):

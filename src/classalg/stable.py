@@ -242,7 +242,9 @@ def check_stability(group, cap, levels, stable):
         for sigma in types:
             reference = stable[(rho, sigma)]
             for n in per_level:
-                observed = per_level[n][(rho, sigma)]
+                # a pair with a factor above level n has no row there, and
+                # by the filtration every nu of its reference is above n
+                observed = per_level[n].get((rho, sigma), {})
                 expected = {
                     nu: d for nu, d in reference.items() if nu.norm <= n
                 }

@@ -477,19 +477,19 @@ def verify_vo(group, gamma_index, max_level, order, corrected=True):
 # -- level-one homomorphism check ---------------------------------------
 
 
-def sample_elements(group, rng, max_l=2, max_abs_k=2, max_conv_k=2):
+def sample_elements(group, rng):
     """A deterministic pool of bracket-test elements."""
     ct = require_character_table(group)
     pool = []
     for gi in range(len(ct.rows)):
-        for l in range(max_l + 1):
-            for k in range(-max_abs_k, max_abs_k + 1):
+        for l in range(3):
+            for k in range(-2, 3):
                 pool.append(basis_J(group, l, k, gi))
         for m in (-2, -1, 1, 2):
             pool.append(basis_J(group, 0, m, gi))
-        for k in range(max_conv_k + 1):
+        for k in range(3):
             pool.append(convdiff_image(group, k, gi))
-    for k in range(max_conv_k + 1):
+    for k in range(3):
         pool.append(convdiff_image_unit(group, k))
     rng.shuffle(pool)
     return pool

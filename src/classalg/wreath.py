@@ -12,13 +12,15 @@ The structure constants of the class sums K^rho (the class table that
 algebra.convolve_n reads) come from the irreducible characters of
 Gamma_n when Gamma has a character table.  WreathCharacters computes
 them by the wreath Murnaghan-Nakayama rule from Gamma's table and
-partitions alone; each row N[r][s][.] is then an exact integer sum over
-the characters, computed on first use.  The enumerated table, which
-multiplies every element of Gamma_n by every class representative, is
-the oracle for those rows and the only path for a group file without a
-character table.  A group keeps its per-level contexts (types,
-representatives, characters, filled rows) in ``group.wreath_contexts``,
-so they are freed with the group.
+partitions alone, each value held as the phi(m) int numerators that
+scalars.Cyc uses, m the least common conductor of Gamma's table; each
+row N[r][s][.] is then an exact integer sum over the characters,
+reduced mod Phi_m by the one reduction of scalars, computed on first
+use.  The enumerated table, which multiplies every element of Gamma_n
+by every class representative, is the oracle for those rows and the
+only path for a group file without a character table.  A group keeps
+its per-level contexts (types, representatives, characters, filled
+rows) in ``group.wreath_contexts``, so they are freed with the group.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 from typing import NamedTuple
 
@@ -37,7 +39,7 @@ from .partitions import (
     class_size,
     enumerate_types,
 )
-from .scalars import Cyc, powers
+from .scalars import _integral_numerators, _mul_vec, _reduce, powers
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -301,20 +303,6 @@ def _rim_hooks(parts, r):
     return tuple(out)
 
 
-def _lift(value, m):
-    """A character value of Gamma as m integers in Z[x]/(x^m - 1)."""
-    if value.denominator != 1:
-        raise ArithmeticError(f"character value {value} is not an algebraic integer")
-    out = [0] * m
-    if isinstance(value, Cyc):
-        step = m // value.m
-        for k, c in enumerate(value.nums):
-            out[k * step] = c
-    else:
-        out[0] = value.numerator
-    return tuple(out)
-
-
 class WreathCharacters:
     """The irreducible characters of Gamma_n by the wreath
     Murnaghan-Nakayama rule (Macdonald, Ch. I, App. B).
@@ -322,25 +310,28 @@ class WreathCharacters:
     chi^lam is labelled by lam : Irr(Gamma) -> partitions with total size
     n, a TypeFunction over the row indices of Gamma's character table;
     ``labels`` lists them in the order of ``enumerate_types``.  Its value
-    at a type rho is computed one cycle (r, c) of rho at a time: remove
-    an r-rim hook from some lam(gamma), with factor
-    (-1)^height gamma(c), memoised on (lam, remaining cycles).
+    at a type rho is computed one cycle (r, c) of rho at a time: the sum
+    over gamma and the r-rim hooks of lam(gamma) of (-1)^height gamma(c)
+    times the value of what is left, memoised on (lam, remaining cycles).
+    Multiplication by gamma(c) is an int matrix on the power basis, built
+    once per Gamma_n with scalars._mul_vec.
 
     ``values[i][t]`` is chi^{labels[i]} at the class ``ctx.types[t]``,
-    as m integers: the coefficients of 1, x, ..., x^{m-1} in
-    Z[x]/(x^m - 1) with x = zeta_m, m (``modulus``) the least common
-    conductor of Gamma's character values; a rational table has m = 1.
+    as the phi(m) int numerators of a ``Cyc`` on the power basis of
+    Q(zeta_m), m (``modulus``) the least common conductor of Gamma's
+    character values; a rational table has m = 1.
     """
 
     def __init__(self, ctx):
-        rows = [row.values for row in ctx.group.character_table.rows]
-        m = 1
-        for row in rows:
-            for v in row:
-                if isinstance(v, Cyc):
-                    m = lcm(m, v.m)
-        gamma = [[_lift(v, m) for v in row] for row in rows]
-        one = (1,) + (0,) * (m - 1)
+        m, gamma = _integral_numerators(
+            [row.values for row in ctx.group.character_table.rows]
+        )
+        basis = powers(m)[: len(gamma[0][0])]  # z^j for j < phi(m): the unit vectors
+        one, phi = basis[0], len(basis)
+        # gamma(c) times a value, as int rows: row k gives the z^k numerator
+        times = [
+            [tuple(zip(*(_mul_vec(m, g, z) for z in basis))) for g in row] for row in gamma
+        ]
         memo = {}
 
         def chi(lam, cycles):
@@ -350,23 +341,18 @@ class WreathCharacters:
             value = memo.get(key)
             if value is None:
                 (r, c), rest = cycles[0], cycles[1:]
-                acc = [0] * m
+                acc = [0] * phi
                 for i, parts in enumerate(lam):
-                    g = gamma[i][c]
                     for left, height in _rim_hooks(parts, r):
                         sub = chi(lam[:i] + (left,) + lam[i + 1:], rest)
                         sign = -1 if height % 2 else 1
-                        for a, ga in enumerate(g):
-                            if ga:
-                                for b, sb in enumerate(sub):
-                                    if sb:
-                                        acc[(a + b) % m] += sign * ga * sb
+                        for k, row in enumerate(times[i][c]):
+                            acc[k] += sign * sum(map(mul, row, sub))
                 value = memo[key] = tuple(acc)
             return value
 
         self.ctx = ctx
         self.modulus = m
-        self._columns = tuple(zip(*powers(m)))  # column j: the z^j-parts of z^0..z^(m-1)
         self.labels = enumerate_types(ctx.group, ctx.n)
         cycles = [
             tuple(sorted(((r, c) for c, lam in rho.items for r in lam.parts), reverse=True))
@@ -374,21 +360,16 @@ class WreathCharacters:
         ]
         self.values = []
         for label in self.labels:
-            lam = tuple(label.partition(i).parts for i in range(len(rows)))
+            lam = tuple(label.partition(i).parts for i in range(len(gamma)))
             self.values.append([chi(lam, cyc) for cyc in cycles])
         self._prepare_rows()
-
-    def _reduce(self, poly):
-        """The value at zeta_m of a polynomial of degree < m, as phi(m)
-        integers on the power basis: its numerators, by scalars.powers."""
-        return tuple(sum(map(mul, poly, col)) for col in self._columns)
 
     def degrees(self):
         """chi(1) for each label, checked to divide |Gamma_n|."""
         ident = self.ctx.type_index[TypeFunction().pad_to(self.ctx.n)]
         out = []
         for row in self.values:
-            value = self._reduce(row[ident])
+            value = row[ident]
             if any(value[1:]) or value[0] <= 0 or self.ctx.order % value[0]:
                 raise ArithmeticError(f"character degree {value} does not divide |Gamma_n|")
             out.append(value[0])
@@ -409,19 +390,19 @@ class WreathCharacters:
             for w, row in zip(self._weights, self.values)
         )
         self._bits = bound.bit_length() + 2
+        self._top = 3 * len(self.values[0][0]) - 3  # the degree of a triple product
         self._packed = [
             [sum(c << (self._bits * i) for i, c in enumerate(row[t])) for row in self.values]
             for t in classes
         ]
-        # a linear character takes values +-x^e = zeta_{2m}^a, a = 2e (+ m)
+        # a linear character takes values +-z^e = zeta_{2m}^a, a = 2e (+ m)
         roots = {}
         for e in range(m):
             for sign, shift in ((1, 0), (-1, m)):
-                poly = [0] * m
-                poly[e] = sign
-                roots.setdefault(self._reduce(poly), (2 * e + shift) % (2 * m))
+                root = tuple(_reduce(m, (0,) * e + (sign,)))
+                roots.setdefault(root, (2 * e + shift) % (2 * m))
         self._root_exponents = [
-            [roots[self._reduce(row[t])] for t in classes]
+            [roots[row[t]] for t in classes]
             for row, d in zip(self.values, degrees)
             if d == 1
         ]
@@ -431,19 +412,19 @@ class WreathCharacters:
             self._by_signature.setdefault(sig, []).append(t)
 
     def _value(self, packed):
-        """The value at zeta_m of a packed polynomial of degree < 3m - 2:
-        its signed base-2^bits digits, folded by x^m = 1, then reduced."""
-        m, bits = self.modulus, self._bits
+        """The numerators at zeta_m of a packed polynomial of degree at
+        most 3 phi(m) - 3: its signed base-2^bits digits, reduced."""
+        bits = self._bits
         mask, half, base = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
-        folded = [0] * m
-        for i in range(3 * m - 3):
+        digits = []
+        for _ in range(self._top):
             d = packed & mask
             if d >= half:
                 d -= base
-            folded[i % m] += d
+            digits.append(d)
             packed = (packed - d) >> bits
-        folded[(3 * m - 3) % m] += packed
-        return self._reduce(folded)
+        digits.append(packed)
+        return _reduce(self.modulus, digits)
 
     def _row(self, r, s):
         """N[r][s][t] = |C_r||C_s|/|Gamma_n|^2

@@ -143,6 +143,21 @@ def test_deterministic_output(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--group", "trivial", "--cap", "2", "--n", "1"],
+        ["--group", "cyclic2", "--n", "1"],
+        ["--group", "trivial", "--n", "0"],
+    ],
+)
+def test_stable_verify_below_the_cap_passes(args, capsys):
+    code, out, _ = capture(capsys, ["stable", "verify", *args])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["status"], report["failures"]) == ("pass", [])
+
+
 def test_csv_format(capsys):
     code, out, _ = capture(
         capsys,
@@ -447,6 +462,15 @@ def test_malformed_characters_header_is_a_usage_error(header, tmp_path, capsys):
     code, out, err = capture(capsys, ["group", "info", "--group", path])
     assert (code, out) == (2, "")
     assert path in err and repr(header) in err
+
+
+@pytest.mark.parametrize("header", ["order 2 3", "order -1", "order 0", "order two"])
+def test_malformed_order_header_is_a_usage_error(header, tmp_path, capsys):
+    path = tmp_path / "c2.txt"
+    path.write_text(f"{header}\n0 1\n1 0\n")
+    code, out, err = capture(capsys, ["group", "info", "--group", str(path)])
+    assert (code, out) == (2, "")
+    assert str(path) in err and repr(header) in err
 
 
 def test_character_row_of_wrong_length_is_a_usage_error(tmp_path, capsys):

@@ -55,3 +55,15 @@ def test_library_modules_read_every_imported_name():
         for line, name in unused_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert offenders == []
+
+
+def test_only_scalars_imports_cyc():
+    # every other module reads cyclotomic values as scalars or as the
+    # int numerators that scalars hands out
+    offenders = [
+        path.name
+        for path in SOURCES
+        if path.name != "scalars.py"
+        and "Cyc" in imported_modules(ast.parse(path.read_text(), str(path)))
+    ]
+    assert offenders == []

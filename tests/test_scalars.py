@@ -20,6 +20,7 @@ from classalg.scalars import (
     scalar_to_string,
     zeta,
 )
+from classalg.scalars import _reduce as reduce_mod_phi
 from oracles import (
     OracleRowSpace,
     oracle_canonical,
@@ -27,6 +28,7 @@ from oracles import (
     oracle_phi,
     oracle_power_vec,
     oracle_solve_columns,
+    poly_divmod,
 )
 
 
@@ -326,6 +328,17 @@ def test_cyclotomic_table_matches_long_division():
     for m in range(1, 31):
         assert cyclotomic_poly(m) == oracle_cyclotomic_poly(m)
         assert powers(m) == tuple(oracle_power_vec(m, k) for k in range(m))
+
+
+def test_reduction_matches_long_division():
+    rng = random.Random(23)
+    for m in range(1, 31):
+        phi = oracle_phi(m)
+        degrees = [0, phi - 1, phi, m - 1, m, 2 * m, 3 * m]
+        for degree in degrees + rng.sample(range(3 * m + 1), 4):
+            poly = [rng.randint(-9, 9) for _ in range(degree + 1)]
+            _, rem = poly_divmod(poly, oracle_cyclotomic_poly(m))
+            assert reduce_mod_phi(m, poly) == list(rem) + [0] * (phi - len(rem)), (m, poly)
 
 
 def _random_element(rng, m):

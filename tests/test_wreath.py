@@ -12,7 +12,7 @@ from classalg.cli import run
 from classalg.fock import verify_covcomm, xi_class_function
 from classalg.groups import PRESETS, load_group, unit_g
 from classalg.partitions import TypeFunction, class_size, enumerate_types
-from classalg.scalars import Cyc, zeta
+from classalg.scalars import Cyc, _integral_numerators, zeta
 from classalg.wreath import (
     ResourceCapError,
     WreathContext,
@@ -26,7 +26,7 @@ from classalg.wreath import (
     wreath_mul,
     wreath_order,
 )
-from oracles import oracle_type_of, oracle_wreath_mul, permutation_cycles
+from oracles import oracle_power_vec, oracle_type_of, oracle_wreath_mul, permutation_cycles
 
 
 def random_element(group, n, rng):
@@ -199,14 +199,23 @@ def _scalar(chars, i, t):
     """The character value chars.values[i][t] as an exact scalar."""
     value = chars.values[i][t]
     total = value[0]
-    for k in range(1, chars.modulus):
+    for k in range(1, len(value)):
         total = total + value[k] * zeta(chars.modulus, k)
     return total
 
 
 @pytest.mark.parametrize(
     "name, n",
-    [("trivial", 10), ("cyclic2", 6), ("sym3", 4), ("cyclic3", 3), ("quaternion8", 2)],
+    [
+        ("trivial", 10),
+        ("cyclic2", 6),
+        ("sym3", 4),
+        ("cyclic3", 3),
+        ("quaternion8", 2),
+        ("cyclic4", 3),
+        ("cyclic5", 2),
+        ("cyclic6", 2),
+    ],
 )
 def test_character_table_relations(name, n):
     ctx = WreathContext(load_group(name), n)
@@ -298,12 +307,19 @@ def test_non_integral_class_table_entry_is_a_failure(monkeypatch, capsys):
     ]]
 
 
+def _power_sum(m, exponents):
+    """sum_k z_m^k over the exponents, as phi(m) ints from the oracle."""
+    return tuple(int(sum(c)) for c in zip(*(oracle_power_vec(m, k) for k in exponents)))
+
+
 def test_lift_rejects_values_that_are_not_algebraic_integers():
-    # a character value goes into Z[x]/(x^m - 1) only over denominator 1
-    for value, m in [(Cyc(3, (Fraction(1, 2), Fraction(1, 2))), 3), (Fraction(1, 2), 1)]:
+    # a character value has numerators only over denominator 1
+    for value in [Cyc(3, (Fraction(1, 2), Fraction(1, 2))), Fraction(1, 2)]:
         with pytest.raises(ArithmeticError):
-            wreath._lift(value, m)
-    assert wreath._lift(zeta(3), 6) == (0, 0, 1, 0, 0, 0)
-    assert wreath._lift(1 + zeta(4), 4) == (1, 1, 0, 0)
-    assert wreath._lift(Fraction(-2), 3) == (-2, 0, 0)
-    assert wreath._lift(5, 1) == (5,)
+            _integral_numerators([[1, value]])
+    # the table goes over the least common conductor, lcm(3, 4) = 12
+    assert _integral_numerators([[zeta(3), 1 + zeta(4), Fraction(-2)]]) == (
+        12,
+        [[_power_sum(12, [4]), _power_sum(12, [0, 3]), _power_sum(12, [6, 6])]],
+    )
+    assert _integral_numerators([[Fraction(-2), 5]]) == (1, [[(-2,), (5,)]])
