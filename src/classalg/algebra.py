@@ -34,10 +34,10 @@ from .wreath import (
 
 def _lincomb(terms, den=1):
     """(den', nums): the sum of n vec / den over (n, vec) in terms, for
-    int or Cyc numerators n, as numerators without a zero over den'
-    = den times the lcm of the vectors' denominators."""
-    if len(terms) == 1:  # one nonzero term cancels nothing
-        n, vec = terms[0]
+    int or Cyc n (TypeError on a Fraction), as numerators without a zero
+    over den' = den times the lcm of the vectors' denominators."""
+    if len(terms) == 1 and type(terms[0][0]) is not Fraction:
+        n, vec = terms[0]  # one nonzero term cancels nothing
         if n == 1:
             return den * vec.den, vec.nums
         if n:
@@ -46,6 +46,8 @@ def _lincomb(terms, den=1):
     out = {}
     get = out.get
     for n, vec in terms:
+        if type(n) is Fraction:
+            raise TypeError(f"multiplier {n} is a Fraction, not a numerator")
         if vec.den != common:
             n = n * (common // vec.den)
         for b, w in vec.nums.items():
@@ -58,9 +60,8 @@ class SparseVector:
     """The finite linear combination sum_b nums[b] / den b over one basis.
 
     group is the finite group Gamma the space is built from; den is a
-    positive int, and a numerator is an int, or where the scalars are
-    cyclotomic an algebraic integer: a Cyc over denominator 1 (or the
-    integral Fraction that a sum of them collapses to).
+    positive int; a numerator is an int, or where the scalars are
+    cyclotomic an algebraic-integer Cyc over denominator 1, never a Fraction.
     No zero numerator is stored and the fraction is not reduced, so two
     vectors are equal when their numerators agree after cross-multiplying
     by the other's denominator.  Operands of + and - must lie in the

@@ -206,11 +206,8 @@ def _cubic(group, cfg):
 
 def _covcomm(group, cfg):
     from . import fock
-    # a covcomm cell names its type by its repr, as its reports always have
-    return {"level": cfg.level, "max_k": cfg.k}, lambda: [
-        (k, b, c, repr(rho))
-        for k, b, c, rho in fock.verify_covcomm(group, cfg.k, cfg.level)
-    ]
+    params = {"level": cfg.level, "max_k": cfg.k}
+    return params, lambda: fock.verify_covcomm(group, cfg.k, cfg.level)
 
 
 def _dictionary(group, cfg):
@@ -260,12 +257,14 @@ def _bracket(group, cfg):
     ]
 
 
+def _stable_cap(group, cfg):
+    """The stable cap: off the trivial group an unset cap is at most 2."""
+    return cfg.cap if "cap" in cfg.explicit or group.order == 1 else min(cfg.cap, 2)
+
+
 def _stable(group, cfg):
     from . import stable
-    # off the trivial group an unset cap is at most 2
-    cap = cfg.cap
-    if "cap" not in cfg.explicit and group.order != 1:
-        cap = min(cap, 2)
+    cap = _stable_cap(group, cfg)
     levels = [2 * cap, 2 * cap + 1] if cfg.n is None else [cfg.n, cfg.n + 1]
 
     def check():
@@ -390,10 +389,11 @@ def table_jm(group, cfg):
 
 def table_stable_constants(group, cfg):
     from . import stable
+    cap = _stable_cap(group, cfg)
     if cfg.n is None:
-        table = stable.stable_structure_constants(group, cfg.cap)
+        table = stable.stable_structure_constants(group, cap)
     else:
-        table = stable.orbit_product_table(group, cfg.cap, cfg.n)
+        table = stable.orbit_product_table(group, cap, cfg.n)
     pairs = []
     for (rho, sigma), row in sorted(
         table.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
@@ -409,7 +409,7 @@ def table_stable_constants(group, cfg):
             for nu, d in sorted(row.items(), key=lambda kv: kv[0].sort_key())
         ]
         pairs.append({"rho": rho.label(), "sigma": sigma.label(), "terms": terms})
-    return {"group": group.name, "cap": cfg.cap, "n": cfg.n, "pairs": pairs}
+    return {"group": group.name, "cap": cap, "n": cfg.n, "pairs": pairs}
 
 
 def table_pl(group, cfg):

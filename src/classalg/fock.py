@@ -661,7 +661,7 @@ def verify_covcomm(group, max_k, max_level):
     Each operator is built once and shares its cached columns across
     the cells that use it; (ad b)^k f is the commutator of b with
     (ad b)^{k-1} f, whose columns are already cached.  Returns the
-    failing (k, b, c, rho) cells.
+    failing (k, b, c, rho label) cells.
     """
     classes = range(group.num_classes)
     basis = [k_basis(group, c) for c in classes]
@@ -680,7 +680,7 @@ def verify_covcomm(group, max_k, max_level):
                 lhs = commutator(conv, create[c])
                 rhs = ad_chain[b, c] = commutator(b_op, ad_chain[b, c])
                 bad = operator_difference_cells(group, lhs, rhs, max_level)
-                failures.extend((k, b, c, rho) for rho in bad)
+                failures.extend((k, b, c, rho.label()) for rho in bad)
     return failures
 
 

@@ -7,7 +7,6 @@ size is n) and the basis of the stable algebra (any total size).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -295,7 +294,7 @@ def class_size(rho, group, n=None):
         raise ValueError("class_size requires ||rho|| = n")
     order_gn = factorial(n) * group.order**n
     z = rho.centralizer_order(group)
-    size = Fraction(order_gn, z)
-    if size.denominator != 1:
+    size, rest = divmod(order_gn, z)
+    if rest:
         raise ArithmeticError(f"centralizer order {z} does not divide |Gamma_{n}|")
-    return int(size)
+    return size

@@ -5,14 +5,14 @@ combinatorial code), or a :class:`Cyc` living in the m-th cyclotomic
 field.  A ``Cyc`` is sum_k nums[k] z^k / den, z = zeta_m, with phi(m)
 int numerators over one positive int denominator, the fraction reduced,
 as in ANTIC (Hart, 2015).  The form is canonical: m is minimal and the
-value is never rational (rationals are unwrapped to ``Fraction``), so
-equality and hashing behave uniformly.  ``coeffs`` reads the values
-nums[k] / den as ``Fraction``; ``numerator`` and ``denominator`` split a
-``Cyc`` as they split an ``int`` or a ``Fraction``, so :func:`_over_lcm`
-puts any of them over one denominator.  The public constructor
-``Cyc(m, coeffs)`` raises ``ValueError`` on anything but a canonical
-element; the arithmetic builds its results with the unchecked
-:func:`_cyc`, in ints:
+value is never rational, so equality and hashing behave uniformly; a
+``Cyc`` operation or :func:`zeta` returns an integer as an ``int``.
+``coeffs`` reads the values nums[k] / den as ``Fraction``; ``numerator``
+and ``denominator`` split a ``Cyc`` as they split an ``int`` or a
+``Fraction``, so :func:`_over_lcm` puts any of them over one
+denominator.  The public constructor ``Cyc(m, coeffs)`` raises
+``ValueError`` on anything but a canonical element; the arithmetic
+builds its results with the unchecked :func:`_cyc`, in ints:
 
 - One function, :func:`_reduce`, reduces an int polynomial of any
   degree mod Phi_m, by long division after z^m = 1; Phi_m itself comes
@@ -23,7 +23,8 @@ element; the arithmetic builds its results with the unchecked
 - ``Cyc * rational`` scales the numerators and ``Cyc + rational`` shifts
   the constant one; neither can change the conductor.  Operands of
   different conductors are first lifted to the lcm of the two.
-- A result whose non-constant numerators vanish is a ``Fraction``.  Only
+- A result whose non-constant numerators vanish is rational: an ``int``
+  when den divides the constant numerator, else a ``Fraction``.  Only
   when Q(zeta_m) has a proper non-rational cyclotomic subfield (m = 8, 9,
   12, ...) does :func:`_canon` search for the minimal conductor, by
   exact linear algebra on the int rows of :class:`_RowSpace`, the one
@@ -39,7 +40,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 _RATIONAL = (int, Fraction)
-_ZERO = Fraction(0)
 _setattr = object.__setattr__
 
 
@@ -201,10 +201,10 @@ def _solve_columns(cols, target):
 
 def _canon(m, nums, den):
     """The scalar sum_k nums[k] z^k / den of Q(zeta_m), den > 0, in
-    canonical form: a Fraction if rational, else a reduced Cyc of least
-    conductor."""
+    canonical form: an int if integral, a Fraction if otherwise rational,
+    else a reduced Cyc of least conductor."""
     if not any(nums[1:]):
-        return Fraction(nums[0], den)
+        return Fraction(nums[0], den) if nums[0] % den else nums[0] // den
     table = powers(m)
     for d in _subfields(m):
         y = _solve_columns([table[m // d * j] for j in range(_phi(d))], nums)
@@ -320,7 +320,7 @@ class Cyc:
     def __mul__(self, other):
         if isinstance(other, _RATIONAL):
             if not other:
-                return _ZERO
+                return 0
             p, q = other.numerator, other.denominator
             return _reduced(self.m, [n * p for n in self.nums], self.den * q)
         if not isinstance(other, Cyc):

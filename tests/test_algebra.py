@@ -339,6 +339,21 @@ def test_sparse_container_contract(kind):
         hash(x)
 
 
+def test_lincomb_rejects_a_fraction_multiplier():
+    # a numerator is an int or a Cyc, so a Fraction multiplier is refused
+    # on the one-term path and on the general path, even when integral
+    g = load_group("cyclic2")
+    x = _vector(WreathClassFunction, g, 2, [1, 2])
+    for terms in [
+        [(Fraction(1), x)],
+        [(Fraction(1, 2), x)],
+        [(1, x), (Fraction(3), x)],
+    ]:
+        with pytest.raises(TypeError):
+            algebra._lincomb(terms)
+    assert algebra._lincomb([(2, x), (-1, x)]) == (1, x.nums)
+
+
 def test_class_function_rejects_type_of_other_level():
     g = load_group("cyclic2")
     with pytest.raises(ValueError):

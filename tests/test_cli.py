@@ -88,6 +88,16 @@ def test_stable_constants_json(capsys):
     }
 
 
+def test_stable_constants_caps_an_unset_cap_like_stable_verify(capsys):
+    # off the trivial group an unset cap is 2; the report prints it
+    argv = ["stable", "constants", "--group", "cyclic2"]
+    code, out, _ = capture(capsys, argv)
+    assert (code, out) == capture(capsys, [*argv, "--cap", "2"])[:2]
+    assert json.loads(out)["cap"] == 2
+    code, out, _ = capture(capsys, ["stable", "constants", "--group", "trivial"])
+    assert code == 0 and json.loads(out)["cap"] == 3
+
+
 def test_unknown_group_exit_2(capsys):
     code, _, err = capture(capsys, ["group", "info", "--group", "nonesuch"])
     assert code == 2

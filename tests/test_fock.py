@@ -233,12 +233,12 @@ def test_fock_vector_is_one_integer_vector_over_one_denominator():
     from_fractions = FockVector(g, {rho: Fraction(1, 2), sigma: Fraction(-2, 3)})
     assert (from_fractions.den, from_fractions.nums) == (6, {rho: 3, sigma: -4})
     # ints over a larger denominator, and Cyc numerators whose sum
-    # collapses to a rational, are the same vector
+    # collapses to an integer (stored as an int), are the same vector
     over_twelve = fock._vector(g, 12, {rho: 6, sigma: -8})
     collapsed = FockVector(g, {rho: z, sigma: Fraction(-2, 3)}) + FockVector(
         g, {rho: Fraction(1, 2) - z}
     )
-    assert isinstance(collapsed.nums[rho], Fraction)
+    assert type(collapsed.nums[rho]) is int
     assert from_fractions == over_twelve == collapsed
     assert over_twelve != from_fractions.scale(2)
     # coeffs reads the reduced values and cannot be written
@@ -250,6 +250,17 @@ def test_fock_vector_is_one_integer_vector_over_one_denominator():
     assert FockVector(g, {rho: z}).scale(Fraction(1, 2)).coeffs == {rho: z * Fraction(1, 2)}
     with pytest.raises(TypeError):
         hash(from_fractions)
+
+
+def test_apply_rejects_a_fraction_numerator():
+    # apply passes each stored numerator to _lincomb as a multiplier
+    g = load_group("cyclic3")
+    rho = TypeFunction.from_label("c1:[1]")
+    with pytest.raises(TypeError):
+        op_b(g).apply(fock._vector(g, 1, {rho: Fraction(2)}))
+    assert op_b(g).apply(fock._vector(g, 1, {rho: 2})) == op_b(g).apply(
+        basis_state(g, rho)
+    ).scale(2)
 
 
 # -- cached-column operators against the direct functions ---------------
@@ -606,7 +617,7 @@ def test_covcomm_catches_wrong_power_sum(monkeypatch):
     )
     # O^2 doubled at level 2 only: p_-1 lifts K^(1) to level 2
     cells = verify_covcomm(g, 2, 2)
-    assert (2, 0, 0, TypeFunction.from_label("c0:[1]")) in cells
+    assert (2, 0, 0, "c0:[1]") in cells
 
 
 def test_heisenberg_catches_wrong_creation_factor(monkeypatch):

@@ -252,7 +252,7 @@ def _oracle_inverse(x):
     return oracle_canonical(m, oracle_solve_columns(cols, unit))
 
 
-def _assert_canonical(v):
+def _assert_canonical(v, operands):
     if isinstance(v, Cyc):
         assert type(v.nums) is tuple and len(v.nums) == _phi(v.m)
         assert all(type(n) is int for n in v.nums)
@@ -261,14 +261,16 @@ def _assert_canonical(v):
         assert v.numerator.den == 1 and v.denominator == v.den
         # not rational, minimal conductor
         assert oracle_canonical(v.m, v.coeffs) == (v.m, v.coeffs)
+    elif v.denominator == 1 and any(isinstance(x, Cyc) for x in operands):
+        assert type(v) is int  # a Cyc operation returns an integer as an int
     else:
         assert type(v) is Fraction
 
 
-def _check(result, expected, *context):
-    assert _form(result) == expected, (*context, result, expected)
+def _check(result, expected, *operands):
+    assert _form(result) == expected, (*operands, result, expected)
     assert scalar_to_string(result) == _oracle_string(expected)
-    _assert_canonical(result)
+    _assert_canonical(result, operands)
 
 
 def _check_arithmetic(x, y):
@@ -296,7 +298,7 @@ def test_fast_paths_fall_into_subfields():
     assert (zeta(4) - zeta(8)) + zeta(8) == zeta(4)
     z = zeta(5)
     assert z + 0 is z and 0 + z is z
-    assert z * 0 == 0 and type(z * 0) is Fraction
+    assert z * 0 == 0 and type(z * 0) is int
     for x in SPECIAL:
         for y in SPECIAL + RATIONALS:
             _check_arithmetic(x, y)
@@ -364,14 +366,14 @@ def test_seeded_arithmetic_matches_oracle():
             x = _random_element(rng, m)
             y = _random_element(rng, rng.choice(partners))
             inv = _oracle_inverse(y)
-            for result, expected in [
-                (x + y, _oracle_add(x, y)),
-                (x - y, _oracle_add(x, y, -1)),
-                (x * y, _oracle_mul(x, y)),
-                (inverse(y), inv),
-                (x / y, _oracle_mul(x, _value(inv))),
+            for result, expected, operands in [
+                (x + y, _oracle_add(x, y), (x, y)),
+                (x - y, _oracle_add(x, y, -1), (x, y)),
+                (x * y, _oracle_mul(x, y), (x, y)),
+                (inverse(y), inv, (y,)),
+                (x / y, _oracle_mul(x, _value(inv)), (x, y)),
             ]:
-                _check(result, expected, x, y)
+                _check(result, expected, *operands)
                 if not isinstance(expected, tuple):
                     seen["rational"] += 1
                 elif expected[0] < lcm(_conductor(x), _conductor(y)):
@@ -383,11 +385,16 @@ def test_seeded_arithmetic_matches_oracle():
 
 def test_cyc_sums_and_products_make_no_fraction(monkeypatch):
     # + - * between Cyc of conductors 3, 5 and 8 run on int numerators:
-    # no Fraction is made unless the result is rational
+    # no Fraction is made unless the result is a rational that is not an
+    # integer, and an integral result is an int, also over a denominator
+    # that divides its constant numerator: (1 + z8)/2 + (1 - z8)/2 = 4/4
+    half_plus = (1 + zeta(8)) * Fraction(1, 2)
+    half_minus = (1 - zeta(8)) * Fraction(1, 2)
     values = [
-        zeta(3), 1 + zeta(3) * Fraction(1, 2), zeta(5, 2) * Fraction(-3, 4),
-        zeta(5) + zeta(5, 3), zeta(8), zeta(8, 3) * Fraction(2, 3), 1 + zeta(8),
-        zeta(4) * Fraction(1, 6),
+        zeta(3), zeta(3, 2), 1 + zeta(3) * Fraction(1, 2),
+        zeta(5, 2) * Fraction(-3, 4), zeta(5) + zeta(5, 3), zeta(8),
+        zeta(8, 3) * Fraction(2, 3), 1 + zeta(8), zeta(4) * Fraction(1, 6),
+        half_plus, half_minus,
     ]
     made = []
     original = Fraction.__new__
@@ -403,12 +410,19 @@ def test_cyc_sums_and_products_make_no_fraction(monkeypatch):
             for op in (operator.add, operator.sub, operator.mul):
                 before = len(made)
                 z = op(x, y)
-                if isinstance(z, Cyc):
+                if isinstance(z, Cyc) or type(z) is int:
                     assert len(made) == before, (op, x, y, z)
                     results.append(z)
-    assert made  # the rational results, and the counter is live
-    assert any(z.m == 4 for z in results) and any(z.m == 8 for z in results)
-    assert {z.m for z in results} >= {3, 5, 8, 15, 24, 40}
+                else:
+                    assert type(z) is Fraction and z.denominator != 1, (op, x, y, z)
+    assert made  # the other rational results, and the counter is live
+    cycs = [z for z in results if isinstance(z, Cyc)]
+    assert any(z.m == 4 for z in cycs) and any(z.m == 8 for z in cycs)
+    assert {z.m for z in cycs} >= {3, 5, 8, 15, 24, 40}
+    before = len(made)
+    assert type(half_plus + half_minus) is int and half_plus + half_minus == 1
+    assert {z for z in results if type(z) is int} >= {-1, 0, 1}
+    assert len(made) == before
 
 
 # -- _solve_columns against Gauss-Jordan over Fraction -------------------

@@ -426,3 +426,29 @@ def test_failure_cells_match_the_K_basis_path(monkeypatch):
     monkeypatch.setattr(winf, "realize_J_mode", oracle_realize_J_mode)
     monkeypatch.setattr(winf, "to_p_basis", lambda group, vec: vec)
     assert cells == (verify_winf_level_one(g, 2, 12), verify_convdiff(g, 2, 1))
+
+
+
+@pytest.mark.parametrize("name", ["cyclic3", "cyclic6"])
+def test_operator_columns_hold_no_fraction_numerator(name, monkeypatch):
+    # every column a FockOperator computes for the vo and convdiff checks
+    # holds int or Cyc numerators: a Cyc sum or product that is an
+    # integer comes back as an int
+    g = load_group(name)
+    numerators = []
+    init = fock.FockOperator.__init__
+
+    def recording_init(self, group, column_of):
+        def column(rho):
+            col = column_of(rho)
+            numerators.extend(col.nums.values())
+            return col
+
+        init(self, group, column)
+
+    monkeypatch.setattr(fock.FockOperator, "__init__", recording_init)
+    assert verify_vo(g, 1, 2, 2) == []
+    assert verify_convdiff(g, 2, 2) == []
+    fractions = sum(isinstance(v, Fraction) for v in numerators)
+    assert fractions == 0, (fractions, len(numerators))
+    assert any(isinstance(v, Cyc) for v in numerators)

@@ -291,7 +291,7 @@ def test_covcomm_catches_flipped_rim_hook_sign(monkeypatch, capsys):
     code = run(["fock", "verify", "covcomm", "--group", "cyclic2"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert [2, 0, 0, "TypeFunction(c0:[4])"] in report["failures"]
+    assert [2, 0, 0, "c0:[4]"] in report["failures"]
 
 
 def test_non_integral_class_table_entry_is_a_failure(monkeypatch, capsys):
