@@ -11,6 +11,15 @@ cannot be written stay usage errors.
 Reports are deterministic for a given configuration and seed (timings
 go to stderr); all scalars are emitted as exact strings, never floats.
 
+`all` runs its suites on two CPUs when the process may use two or more
+(os.sched_getaffinity): the fock suites here, and the others in one
+forked worker that sends its reports and suite lines back over a pipe.
+The split is fixed by suite, so stdout and the work each process does
+repeat from run to run.  The reports and the `# <suite>: <t>s` lines
+come out in the order of SUITES, the lines once every suite has run.
+With one CPU nothing is forked and each line is printed as its suite
+ends.
+
 At module level this imports only the standard library, groups and
 scalars (which groups loads anyway).  Each suite setup and table function imports
 the layer it runs when it is called, so a command compiles and loads
@@ -121,11 +130,12 @@ def _stringify(value):
     return scalar_to_string(value)
 
 
-def run_suite(name, group, cfg):
+def run_suite(name, group, cfg, log=None):
     """Run the suite SUITES[name] and build its report.
 
     A ValueError or ArithmeticError raised by the check is its one
-    failure; a missing character table stays a usage error.
+    failure; a missing character table stays a usage error.  The line
+    `# <name>: <t>s` goes to log, else to sys.stderr.
     """
     parameters, check = SUITES[name].setup(group, cfg)
     start = time.monotonic()
@@ -135,7 +145,10 @@ def run_suite(name, group, cfg):
         raise
     except (ValueError, ArithmeticError) as exc:
         failures = [("exception", type(exc).__name__, str(exc))]
-    print(f"# {name}: {time.monotonic() - start:.2f}s", file=sys.stderr)
+    print(
+        f"# {name}: {time.monotonic() - start:.2f}s",
+        file=sys.stderr if log is None else log,
+    )
     return {
         "suite": name,
         "parameters": _stringify({"group": group.name, **parameters}),
@@ -318,6 +331,105 @@ SUITES = {
 def _suites_of(command):
     """The suites that `<command> verify` can run, in the order of `all`."""
     return [name for name, suite in SUITES.items() if suite.command == command]
+
+
+# -- the battery ------------------------------------------------------------
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on; 1 where it cannot tell."""
+    import os
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker(names, group, cfg, fd):
+    """Run the suites `names` in a forked worker; never returns.
+
+    Each suite sends one JSON line on the pipe fd: its report and its
+    suite line, or the hex of the pickled exception that run_suite
+    raised, after which no suite runs.  The worker writes nothing to
+    the stdout or stderr it inherited, and os._exit skips the exit
+    handlers and buffer flushes it inherited too.
+    """
+    import io
+    import os
+    try:
+        with open(fd, "w") as pipe:
+            for name in names:
+                log = io.StringIO()
+                try:
+                    record = {"report": run_suite(name, group, cfg, log)}
+                except BaseException as exc:
+                    import pickle
+                    pipe.write(json.dumps({"raised": pickle.dumps(exc).hex()}) + "\n")
+                    break
+                record["log"] = log.getvalue()
+                pipe.write(json.dumps(record) + "\n")
+                pipe.flush()
+    finally:
+        os._exit(0)
+
+
+def run_all(group, cfg):
+    """The reports of every suite, in the order of SUITES.
+
+    With two usable CPUs or more, one forked worker runs the suites
+    that are not fock's while this process runs the fock suites; once
+    both are done, the suite lines go to sys.stderr in the order of
+    SUITES.  With one CPU the suites run here in turn, each line
+    printed as its suite ends.  An exception that run_suite raises on
+    either side is raised here, the earlier suite in SUITES winning,
+    after the lines of the suites before it.
+    """
+    import os
+    names = list(SUITES)
+    if _usable_cpus() < 2:
+        return [run_suite(name, group, cfg) for name in names]
+    import io
+    import signal
+    forked = [name for name in names if SUITES[name].command != "fock"]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _worker(forked, group, cfg, write_fd)
+    os.close(write_fd)
+    logs, reports = {}, {}
+    stop, error = len(names), None  # the first suite that raised, and what
+    try:
+        with open(read_fd, "rb") as pipe:
+            for i, name in enumerate(names):
+                if name in forked:
+                    continue
+                log = io.StringIO()
+                try:
+                    reports[name] = run_suite(name, group, cfg, log)
+                except Exception as exc:
+                    stop, error = i, exc
+                    break
+                logs[name] = log.getvalue()
+            for i, name in enumerate(names[:stop]):
+                if name not in forked:
+                    continue
+                line = pipe.readline()
+                if not line.endswith(b"\n"):
+                    raise ChildProcessError(
+                        f"the worker of all ended before suite {name} reported"
+                    )
+                record = json.loads(line)
+                if "raised" in record:
+                    import pickle
+                    stop, error = i, pickle.loads(bytes.fromhex(record["raised"]))
+                    break
+                logs[name], reports[name] = record["log"], record["report"]
+    finally:
+        if len(reports) < len(names):
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    sys.stderr.write("".join(logs[name] for name in names[:stop]))
+    if error is not None:
+        raise error
+    return [reports[name] for name in names]
 
 
 # -- table emission --------------------------------------------------------
@@ -517,7 +629,7 @@ def run(argv=None):
             return 0
         if args.command == "all":
             require_character_table(group)  # vo, level-one and bracket need it
-            report = [run_suite(name, group, cfg) for name in SUITES]
+            report = run_all(group, cfg)
         else:  # a verify command, or generators
             report = run_suite(getattr(args, "identity", args.command), group, cfg)
         emit(report, cfg)

@@ -235,19 +235,6 @@ class TypeFunction:
             for c, lam in self.items
         )
 
-    @staticmethod
-    def from_label(text):
-        if text.strip() == "empty":
-            return TypeFunction()
-        data = {}
-        for piece in text.split("|"):
-            cpart, ppart = piece.split(":")
-            cid = int(cpart.lstrip("c"))
-            inner = ppart.strip()[1:-1]
-            parts = [int(v) for v in inner.split(",")] if inner else []
-            data[cid] = Partition(parts)
-        return TypeFunction(data)
-
     def __repr__(self):
         return f"TypeFunction({self.label()})"
 

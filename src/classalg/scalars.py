@@ -374,9 +374,11 @@ def zeta(m, k=1):
 
 
 def inverse(x):
+    """1/x, an int when it is integral, as a Cyc operation returns."""
     if isinstance(x, Cyc):
         return x.inverse()
-    return Fraction(1) / Fraction(x)
+    q = 1 / Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def scalar_to_string(x):

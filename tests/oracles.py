@@ -1,6 +1,8 @@
 """Slow, independent constructions that the tests compare the library
 against.  Nothing under src/ imports this module.
 
+- A type read back from its label (``type_from_label``), for tests
+  that name types by label.
 - The wreath-element kernel: ``type_of`` by listing the cycles of sigma
   and multiplying each cycle product separately, and ``wreath_mul``
   through the inverse permutation.
@@ -68,6 +70,19 @@ from classalg.wreath import (
     wreath_mul,
     wreath_order,
 )
+
+
+def type_from_label(text):
+    """The TypeFunction whose label() is text, e.g. 'c0:[2,1]|c1:[1]'."""
+    if text.strip() == "empty":
+        return TypeFunction()
+    data = {}
+    for piece in text.split("|"):
+        cpart, ppart = piece.split(":")
+        inner = ppart.strip()[1:-1]
+        parts = [int(v) for v in inner.split(",")] if inner else []
+        data[int(cpart.lstrip("c"))] = Partition(parts)
+    return TypeFunction(data)
 
 
 # -- the wreath-element kernel -------------------------------------------

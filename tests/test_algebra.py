@@ -29,6 +29,7 @@ from oracles import (
     bilinear_form_n,
     oracle_subalgebra_dim,
     to_group_algebra,
+    type_from_label,
 )
 
 
@@ -58,14 +59,14 @@ def test_convolution_against_group_algebra():
 def test_transposition_square_s3():
     # brute force over S3: K^{(2,1)} o K^{(2,1)} = 3 K^{(1^3)} + 3 K^{(3)}
     g = load_group("trivial")
-    rho = TypeFunction.from_label("c0:[2,1]")
+    rho = type_from_label("c0:[2,1]")
     sq = convolve_n(k_class(g, 3, rho), k_class(g, 3, rho))
     expected = WreathClassFunction(
         g,
         3,
         {
-            TypeFunction.from_label("c0:[1,1,1]"): Fraction(3),
-            TypeFunction.from_label("c0:[3]"): Fraction(3),
+            type_from_label("c0:[1,1,1]"): Fraction(3),
+            type_from_label("c0:[3]"): Fraction(3),
         },
     )
     assert sq == expected
@@ -113,7 +114,7 @@ def test_xi_power_sum_transposition_class():
     g = load_group("cyclic3")
     f = xi_power_sum(g, 3, 1, k_basis(g, 0))
     assert f == WreathClassFunction(
-        g, 3, {TypeFunction.from_label("c0:[2,1]"): Fraction(1)}
+        g, 3, {type_from_label("c0:[2,1]"): Fraction(1)}
     )
 
 
@@ -122,7 +123,7 @@ def test_xi_power_sum_zero():
     g = load_group("cyclic2")
     f = xi_power_sum(g, 2, 0, k_basis(g, 1))
     assert f == WreathClassFunction(
-        g, 2, {TypeFunction.from_label("c0:[1]|c1:[1]"): Fraction(1)}
+        g, 2, {type_from_label("c0:[1]|c1:[1]"): Fraction(1)}
     )
 
 

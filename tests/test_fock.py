@@ -37,7 +37,7 @@ from classalg.groups import (
     require_character_table,
     unit_g,
 )
-from classalg.partitions import TypeFunction, enumerate_types, enumerate_types_upto
+from classalg.partitions import enumerate_types, enumerate_types_upto
 from classalg.scalars import Cyc
 from classalg.winf import (
     CENTRAL,
@@ -63,6 +63,7 @@ from oracles import (
     oracle_verify_cubic,
     oracle_verify_virasoro,
     oracle_virasoro_L,
+    type_from_label,
 )
 
 
@@ -70,7 +71,7 @@ def test_vacuum_and_basis():
     g = load_group("cyclic2")
     v = vacuum(g)
     assert max_level_of(v) == 0
-    rho = TypeFunction.from_label("c1:[2]")
+    rho = type_from_label("c1:[2]")
     b = basis_state(g, rho)
     assert max_level_of(b) == 2
     assert bilinear_form_n(b, b) != 0
@@ -127,7 +128,7 @@ def test_power_sum_transposition_value():
     g = load_group("trivial")
     f = xi_class_function(g, 3, 1, unit_g(g))
     assert f == WreathClassFunction(
-        g, 3, {TypeFunction.from_label("c0:[2,1]"): Fraction(1)}
+        g, 3, {type_from_label("c0:[2,1]"): Fraction(1)}
     )
 
 
@@ -153,7 +154,7 @@ def test_virasoro_small():
 def test_virasoro_weight():
     # L_n lowers the level by n
     g = load_group("cyclic2")
-    v = basis_state(g, TypeFunction.from_label("c0:[2]|c1:[1]"))
+    v = basis_state(g, type_from_label("c0:[2]|c1:[1]"))
     out = virasoro_op(g, 1, unit_g(g))(v)
     assert out.is_zero() or max_level_of(out) == 2
 
@@ -190,7 +191,7 @@ def test_characteristic_map_basics():
 
 def test_characteristic_map_intertwines():
     g = load_group("cyclic2")
-    rho = TypeFunction.from_label("c0:[1]|c1:[1]")
+    rho = type_from_label("c0:[1]|c1:[1]")
     p = {rho: Fraction(1)}
     lifted = characteristic_map(g, sym_create(g, 2, 1, p))
     direct = heis(g, -2, k_basis(g, 1), characteristic_map(g, p))
@@ -228,7 +229,7 @@ def test_ad_power_zeroth():
 
 def test_fock_vector_is_one_integer_vector_over_one_denominator():
     g = load_group("cyclic3")
-    rho, sigma = (TypeFunction.from_label(s) for s in ("c1:[1]", "c0:[2]"))
+    rho, sigma = (type_from_label(s) for s in ("c1:[1]", "c0:[2]"))
     z = Cyc(3, (0, 1))
     from_fractions = FockVector(g, {rho: Fraction(1, 2), sigma: Fraction(-2, 3)})
     assert (from_fractions.den, from_fractions.nums) == (6, {rho: 3, sigma: -4})
@@ -255,7 +256,7 @@ def test_fock_vector_is_one_integer_vector_over_one_denominator():
 def test_apply_rejects_a_fraction_numerator():
     # apply passes each stored numerator to _lincomb as a multiplier
     g = load_group("cyclic3")
-    rho = TypeFunction.from_label("c1:[1]")
+    rho = type_from_label("c1:[1]")
     with pytest.raises(TypeError):
         op_b(g).apply(fock._vector(g, 1, {rho: Fraction(2)}))
     assert op_b(g).apply(fock._vector(g, 1, {rho: 2})) == op_b(g).apply(
@@ -269,7 +270,7 @@ def test_apply_rejects_a_fraction_numerator():
 def _vector(g, terms):
     """A Fock vector from (type label, coefficient) pairs."""
     return FockVector(
-        g, {TypeFunction.from_label(label): v for label, v in terms}
+        g, {type_from_label(label): v for label, v in terms}
     )
 
 
@@ -444,9 +445,9 @@ def test_oracle_inputs_are_cyclotomic_on_cyclic3():
     beta = require_character_table(g).irreducible(g.num_classes - 1)
     tensor = fock._scaled_pushforward(beta, 2, Fraction(1, 2))
     assert any(isinstance(c, Cyc) for _, c in tensor.terms)
-    image = to_p_basis(g, basis_state(g, TypeFunction.from_label("c1:[1]")))
+    image = to_p_basis(g, basis_state(g, type_from_label("c1:[1]")))
     assert any(isinstance(c, Cyc) for c in image.coeffs.values())
-    column = virasoro_op(g, -1, beta).column(TypeFunction.from_label("c0:[1]"))
+    column = virasoro_op(g, -1, beta).column(type_from_label("c0:[1]"))
     assert any(isinstance(n, Cyc) for n in column.nums.values())
 
 

@@ -21,12 +21,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 LOADED = (
     "import json, sys\n"
     "{code}\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'classalg')))\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
 )
 
 
-def loaded_after(code):
-    """The classalg modules loaded after running code in a fresh process."""
+def modules_after(code):
+    """The modules loaded after running code in a fresh process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -37,6 +37,11 @@ def loaded_after(code):
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def loaded_after(code):
+    """The classalg modules loaded after running code in a fresh process."""
+    return {m for m in modules_after(code) if m.split(".")[0] == "classalg"}
 
 
 def after_cli(*argv):
@@ -54,6 +59,14 @@ def test_loading_a_group_loads_only_the_cli_and_its_group_layers():
     assert loaded_after(code) == {
         "classalg", "classalg.cli", "classalg.groups", "classalg.scalars",
     }
+
+
+def test_loading_a_group_loads_no_process_module():
+    # the worker of `all` is forked without these; pickle carries only
+    # a worker's exception, imported when one is raised
+    code = "import classalg.cli\nclassalg.cli.load_group('cyclic2')"
+    loaded = {m.split(".")[0] for m in modules_after(code)}
+    assert not loaded & {"pickle", "multiprocessing", "concurrent"}
 
 
 def test_importing_the_package_loads_no_submodule():

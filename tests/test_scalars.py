@@ -252,7 +252,7 @@ def _oracle_inverse(x):
     return oracle_canonical(m, oracle_solve_columns(cols, unit))
 
 
-def _assert_canonical(v, operands):
+def _assert_canonical(v, operands, ints=False):
     if isinstance(v, Cyc):
         assert type(v.nums) is tuple and len(v.nums) == _phi(v.m)
         assert all(type(n) is int for n in v.nums)
@@ -261,16 +261,16 @@ def _assert_canonical(v, operands):
         assert v.numerator.den == 1 and v.denominator == v.den
         # not rational, minimal conductor
         assert oracle_canonical(v.m, v.coeffs) == (v.m, v.coeffs)
-    elif v.denominator == 1 and any(isinstance(x, Cyc) for x in operands):
-        assert type(v) is int  # a Cyc operation returns an integer as an int
+    elif v.denominator == 1 and (ints or any(isinstance(x, Cyc) for x in operands)):
+        assert type(v) is int  # a Cyc operation or inverse returns an integer as an int
     else:
         assert type(v) is Fraction
 
 
-def _check(result, expected, *operands):
+def _check(result, expected, *operands, ints=False):
     assert _form(result) == expected, (*operands, result, expected)
     assert scalar_to_string(result) == _oracle_string(expected)
-    _assert_canonical(result, operands)
+    _assert_canonical(result, operands, ints)
 
 
 def _check_arithmetic(x, y):
@@ -359,23 +359,25 @@ def test_seeded_arithmetic_matches_oracle():
     # sums, products, inverses and quotients over conductors 5 to 21, the
     # second operand from a conductor of the same field or a mixed one
     rng = random.Random(21)
-    seen = {"rational": 0, "subfield": 0, "mixed": 0}
+    seen = {"rational": 0, "subfield": 0, "mixed": 0, "integral inverse": 0}
     for m in range(5, 22):
         partners = [d for d in range(3, 22) if lcm(m, d) <= 42]
         for _ in range(6):
             x = _random_element(rng, m)
             y = _random_element(rng, rng.choice(partners))
             inv = _oracle_inverse(y)
-            for result, expected, operands in [
-                (x + y, _oracle_add(x, y), (x, y)),
-                (x - y, _oracle_add(x, y, -1), (x, y)),
-                (x * y, _oracle_mul(x, y), (x, y)),
-                (inverse(y), inv, (y,)),
-                (x / y, _oracle_mul(x, _value(inv)), (x, y)),
+            # inverse follows the int rule on a rational argument too
+            for result, expected, operands, ints in [
+                (x + y, _oracle_add(x, y), (x, y), False),
+                (x - y, _oracle_add(x, y, -1), (x, y), False),
+                (x * y, _oracle_mul(x, y), (x, y), False),
+                (inverse(y), inv, (y,), True),
+                (x / y, _oracle_mul(x, _value(inv)), (x, y), False),
             ]:
-                _check(result, expected, *operands)
+                _check(result, expected, *operands, ints=ints)
                 if not isinstance(expected, tuple):
                     seen["rational"] += 1
+                    seen["integral inverse"] += ints and expected.denominator == 1
                 elif expected[0] < lcm(_conductor(x), _conductor(y)):
                     seen["subfield"] += 1
             if _conductor(x) != _conductor(y) and isinstance(y, Cyc):

@@ -5,7 +5,7 @@ import pytest
 import classalg.stable as stable
 from classalg.cli import run
 from classalg.groups import PRESETS, load_group
-from classalg.partitions import TypeFunction, enumerate_types_upto
+from classalg.partitions import enumerate_types_upto
 from classalg.stable import (
     check_stability,
     embed_support,
@@ -25,11 +25,12 @@ from oracles import (
     oracle_orbit_product_table,
     oracle_stable_structure_constants,
     restrict_support,
+    type_from_label,
 )
 
 
 def lab(s):
-    return TypeFunction.from_label(s)
+    return type_from_label(s)
 
 
 def test_transposition_square_constants():

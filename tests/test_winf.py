@@ -10,7 +10,7 @@ import classalg.winf as winf
 from classalg.cli import run
 from classalg.fock import basis_state, to_p_basis
 from classalg.groups import CharacterTableError, load_group
-from classalg.partitions import TypeFunction, enumerate_types_upto
+from classalg.partitions import enumerate_types_upto
 from classalg.scalars import Cyc
 from classalg.series import HbarSeries
 from classalg.winf import (
@@ -41,6 +41,7 @@ from oracles import (
     poly_mul,
     poly_scale,
     poly_shift,
+    type_from_label,
 )
 
 
@@ -212,11 +213,10 @@ def test_level_one_realization():
 
 def test_realize_central_is_identity():
     from classalg.fock import basis_state
-    from classalg.partitions import TypeFunction
 
     g = load_group("trivial")
     x = DiffOpElement(g, {CENTRAL: Fraction(3)})
-    v = basis_state(g, TypeFunction.from_label("c0:[2]"))
+    v = basis_state(g, type_from_label("c0:[2]"))
     assert realize(g, x)(v) == v.scale(3)
 
 
@@ -309,13 +309,13 @@ def test_p_basis_heisenberg_algebra():
     # p_r(gamma) removes one with factor r times its multiplicity; the
     # mode k of P_1, the basic field itself, is p_k(gamma)
     g = load_group("cyclic3")
-    mono = TypeFunction.from_label("c1:[2,2,1]|c2:[1]")
+    mono = type_from_label("c1:[2,2,1]|c2:[1]")
     v = basis_state(g, mono)
     assert realize_J_mode(g, 0, -3, 1, v) == basis_state(
-        g, TypeFunction.from_label("c1:[3,2,2,1]|c2:[1]")
+        g, type_from_label("c1:[3,2,2,1]|c2:[1]")
     )
     assert realize_J_mode(g, 0, 2, 1, v) == basis_state(
-        g, TypeFunction.from_label("c1:[2,1]|c2:[1]")
+        g, type_from_label("c1:[2,1]|c2:[1]")
     ).scale(4)
     assert realize_J_mode(g, 0, 2, 2, v).is_zero()
 
@@ -325,9 +325,9 @@ def test_change_of_basis_on_a_one_part_state():
     g = load_group("cyclic3")
     rows = g.character_table.rows
     for cid in range(g.num_classes):
-        rho = TypeFunction.from_label(f"c{cid}:[2]")
+        rho = type_from_label(f"c{cid}:[2]")
         expected = {
-            TypeFunction.from_label(f"c{gi}:[2]"): row.values[g.inv_class[cid]]
+            type_from_label(f"c{gi}:[2]"): row.values[g.inv_class[cid]]
             * Fraction(1, 2 * g.zeta[cid])
             for gi, row in enumerate(rows)
         }
@@ -366,7 +366,7 @@ def test_level_one_runs_without_cyclotomic_arithmetic(monkeypatch):
     assert verify_winf_level_one(g, 2, 4) == []
     assert calls == []
     # the counters see the arithmetic that the change of basis does
-    to_p_basis(g, basis_state(g, TypeFunction.from_label("c1:[1]")))
+    to_p_basis(g, basis_state(g, type_from_label("c1:[1]")))
     assert calls
 
 

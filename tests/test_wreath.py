@@ -11,7 +11,7 @@ from classalg.algebra import convolve_n, k_class
 from classalg.cli import run
 from classalg.fock import verify_covcomm, xi_class_function
 from classalg.groups import PRESETS, load_group, unit_g
-from classalg.partitions import TypeFunction, class_size, enumerate_types
+from classalg.partitions import class_size, enumerate_types
 from classalg.scalars import Cyc, _integral_numerators, zeta
 from classalg.wreath import (
     ResourceCapError,
@@ -26,7 +26,13 @@ from classalg.wreath import (
     wreath_mul,
     wreath_order,
 )
-from oracles import oracle_power_vec, oracle_type_of, oracle_wreath_mul, permutation_cycles
+from oracles import (
+    oracle_power_vec,
+    oracle_type_of,
+    oracle_wreath_mul,
+    permutation_cycles,
+    type_from_label,
+)
 
 
 def random_element(group, n, rng):
@@ -246,7 +252,7 @@ def test_contexts_live_and_die_with_the_group(tmp_path):
         assert sorted(g.wreath_contexts) == [2, 3]
     assert not any(isinstance(v, dict) for v in vars(WreathContext).values())
     g = groups[0]
-    rho = TypeFunction.from_label("c1:[2,1]")
+    rho = type_from_label("c1:[2,1]")
     convolve_n(k_class(g, 3, rho), k_class(g, 3, rho))
     xi_class_function(g, 3, 2, unit_g(g))
     ref = weakref.ref(g)
@@ -263,8 +269,8 @@ def test_class_table_does_not_enumerate(monkeypatch):
         raise AssertionError(f"Gamma_{n} enumerated")
 
     monkeypatch.setattr(wreath, "enumerate_group", refuse)
-    rho = TypeFunction.from_label("c0:[2,1]|c1:[2]")
-    sigma = TypeFunction.from_label("c1:[3,1,1]")
+    rho = type_from_label("c0:[2,1]|c1:[2]")
+    sigma = type_from_label("c1:[3,1,1]")
     product = convolve_n(k_class(g, 5, rho), k_class(g, 5, sigma))
     mass = sum(v * class_size(nu, g, 5) for nu, v in product.coeffs.items())
     assert mass == class_size(rho, g, 5) * class_size(sigma, g, 5)
