@@ -22,14 +22,15 @@ their annihilators remove only parts that the state has, so no term
 that vanishes is enumerated.  The tests compare them with the unpruned
 enumeration of mode tuples (tests/oracles.py).
 
-Every such operator is linear, so the verification routines apply it
-through a FockOperator, whose column on K^rho is the FockVector that a
-direct function (heis_k, heis, normal_power_apply, or the convolution
-by Xi_n^k(alpha) for O^k(alpha)) returns on K^rho, computed once and
-kept.  Every kernel builds its numerators over one denominator, so
-sums, products and commutators of operators add numerators in integer
-arithmetic, and a Fraction is made only where coeffs reads a vector
-back.  The Fraction operator calculus is the oracle in tests/oracles.py.
+Every such operator is linear and has one constructor (heis, op_O,
+virasoro_op, cubic_op), which returns a FockOperator: its column on
+K^rho is the FockVector that a kernel (heis_k, the convolution by
+Xi_n^k(alpha), or normal_power_apply) returns on K^rho, computed once
+and kept, and .apply maps a vector.  Every kernel builds its
+numerators over one denominator, so sums, products and commutators of
+operators add numerators in integer arithmetic, and a Fraction is made
+only where coeffs reads a vector back.  The Fraction operator calculus
+is the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -193,15 +194,15 @@ def heis_k(group, m, cid, vec):
     return _vector(group, vec.den * group.zeta[cid], out)
 
 
-def heis(group, m, alpha, vec):
+def heis(group, m, alpha):
     """p_m(alpha) for a class function alpha, by linearity over K^c."""
     den, nums = _over_lcm(alpha.values)
-    terms = [(n, heis_k(group, m, cid, vec)) for cid, n in enumerate(nums) if n]
-    return _vector(group, *_lincomb(terms, den))
 
+    def image(vec):
+        terms = [(n, heis_k(group, m, cid, vec)) for cid, n in enumerate(nums) if n]
+        return _vector(group, *_lincomb(terms, den))
 
-def heis_op(group, m, alpha):
-    return operator_of(group, lambda v: heis(group, m, alpha, v))
+    return operator_of(group, image)
 
 
 # -- convolution operators O^k ----------------------------------------
@@ -223,7 +224,7 @@ def xi_class_function(group, n, k, alpha):
     return WreathClassFunction(group, n)._new(*_lincomb(terms, den))
 
 
-def op_O_op(group, k, alpha):
+def op_O(group, k, alpha):
     """O^k(alpha) on integer columns: the column of K^rho is the
     convolution of Xi_n^k(alpha), built once per level n, with K^rho."""
     xis = {}  # n -> Xi_n^k(alpha)
@@ -240,14 +241,9 @@ def op_O_op(group, k, alpha):
     return FockOperator(group, column_of)
 
 
-def op_O(group, k, alpha, vec):
-    """O^k(alpha) on a vector: levelwise convolution by Xi_n^k(alpha)."""
-    return op_O_op(group, k, alpha).apply(vec)
-
-
 def op_b(group):
     """The distinguished operator b = O^1(1)."""
-    return op_O_op(group, 1, unit_g(group))
+    return op_O(group, 1, unit_g(group))
 
 
 # -- operator calculus helpers -----------------------------------------
@@ -488,23 +484,15 @@ def to_p_basis(group, vec):
 # -- generators ---------------------------------------------------------
 
 
-def one_minus_k(group, k):
-    """1_{-k} |0> = p_{-1}(1)^k / k! applied to the vacuum."""
-    if k < 0:
-        return FockVector(group)
-    v = vacuum(group)
-    for _ in range(k):
-        v = heis(group, -1, unit_g(group), v)
-    return v.scale(Fraction(1, factorial(k)))
-
-
 def p_i_vector(group, i, alpha, n):
     """P_i(alpha, n) = p_{-i-1}(alpha) p_{-1}(1)^{n-i-1} |0> / (n-i-1)!."""
     if not 0 <= i < n:
         raise ValueError("need 0 <= i < n")
-    v = one_minus_k(group, n - i - 1)
-    v = heis(group, -(i + 1), alpha, v)
-    return v.component(n)
+    v, create = vacuum(group), heis(group, -1, unit_g(group))
+    for _ in range(n - i - 1):
+        v = create.apply(v)
+    v = heis(group, -(i + 1), alpha).apply(v)
+    return v.component(n).scale(Fraction(1, factorial(n - i - 1)))
 
 
 def verify_generators(group, n):
@@ -537,8 +525,8 @@ def verify_generators(group, n):
 def verify_heisenberg(group, max_level, max_mode=3):
     """[p_m(K^b), p_n(K^c)] = m delta_{m,-n} <K^b, K^c> id, exactly.
 
-    Each p_m(K^c) is a FockOperator over heis_k, read through the module
-    at call time, so each column is computed once for all the cells.
+    Each p_m(K^c) is built once by heis, so each column is computed once
+    for all the cells.
     The cells (m, n, b, c) and (n, m, c, b) read the same two products,
     so each unordered pair of operators is applied once.  Returns the
     list of failing (m, n, b, c, rho) cells, in the order of m, n, b, c
@@ -550,10 +538,7 @@ def verify_heisenberg(group, max_level, max_mode=3):
         for m in range(-max_mode, max_mode + 1)
         for c in range(group.num_classes)
     ]
-    ops = {
-        (m, c): operator_of(group, lambda v, m=m, c=c: heis_k(group, m, c, v))
-        for m, c in keys
-    }
+    ops = {(m, c): heis(group, m, k_basis(group, c)) for m, c in keys}
 
     def holds(m, n, b, c, rho, pq, qp):
         if m == -n and m != 0 and c == group.inv_class[b]:
@@ -648,7 +633,7 @@ def verify_cubic(group, max_level):
     for c in range(group.num_classes):
         beta = k_basis(group, c)
         bad = operator_difference_cells(
-            group, op_O_op(group, 1, beta), cubic_op(group, beta), max_level
+            group, op_O(group, 1, beta), cubic_op(group, beta), max_level
         )
         failures.extend((c, rho.label()) for rho in bad)
     return failures
@@ -666,16 +651,16 @@ def verify_covcomm(group, max_k, max_level):
     classes = range(group.num_classes)
     basis = [k_basis(group, c) for c in classes]
     b_op = op_b(group)
-    create = [heis_op(group, -1, alpha) for alpha in basis]
+    create = [heis(group, -1, alpha) for alpha in basis]
     ad_chain = {
-        (b, c): heis_op(group, -1, convolve_g(basis[b], basis[c]))
+        (b, c): heis(group, -1, convolve_g(basis[b], basis[c]))
         for b in classes
         for c in classes
     }
     failures = []
     for k in range(1, max_k + 1):
         for b in classes:
-            conv = op_O_op(group, k, basis[b])
+            conv = op_O(group, k, basis[b])
             for c in classes:
                 lhs = commutator(conv, create[c])
                 rhs = ad_chain[b, c] = commutator(b_op, ad_chain[b, c])

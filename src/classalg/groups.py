@@ -531,6 +531,11 @@ def _load_group_file(path):
             raise ValueError(
                 f"{path}: conductor must be a positive integer, got {conductor}"
             )
+        if 2 * group.exponent % conductor:  # Q(zeta_e) = Q(zeta_2e), e odd
+            raise ValueError(
+                f"{path}: conductor {conductor} does not divide twice the "
+                f"group exponent {group.exponent}"
+            )
         rows = []
         for line in rest[1:]:
             rows.append(

@@ -304,10 +304,10 @@ def p_rho_vector(group, rho, n):
     for cid, lam in rho.items:
         alpha = k_basis(group, cid)
         for r in lam.parts:
-            vec = heis(group, -r, alpha, vec)
-    unit = k_basis(group, group.class_of[group.identity])
+            vec = heis(group, -r, alpha).apply(vec)
+    create = heis(group, -1, k_basis(group, group.class_of[group.identity]))
     for _ in range(n - rho.norm):
-        vec = heis(group, -1, unit, vec)
+        vec = create.apply(vec)
     scale = Fraction(1, factorial(n - rho.norm)) / rho.ztilde()
     return vec.component(n).scale(scale)
 

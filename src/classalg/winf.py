@@ -26,8 +26,9 @@ K-basis realization is the oracle in tests/oracles.py.
 The vertex-operator identity O_hbar(gamma) = h Q/(Q-1)^2 (V_0(Q) - 1)
 is checked in the K basis, one hbar-coefficient at a time after both
 sides are multiplied by (Q-1)^2: each coefficient is an operator sum
-of cached integer columns, the O^k(gamma) on one side and the products
-of Heisenberg chains that make up V_0 on the other, with rational
+of cached integer columns, the O^k(gamma) (fock.op_O) on one side and
+on the other the products of Heisenberg chains that make up V_0, each
+chain applying the shared p_m(gamma) (fock.heis) in turn, with rational
 weights read off truncated power series in hbar (series.HbarSeries).
 No Fock vector carries a series, and no series has a pole: the one
 quotient, (q^d - 1)/(q^{-1} - 1) in the finite-difference lemma, is a
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
 
 from .algebra import SparseVector
@@ -49,7 +50,6 @@ from .fock import (
     compose,
     heis,
     op_O,
-    op_O_op,
     operator_of,
     operator_sum,
     to_p_basis,
@@ -382,10 +382,10 @@ def verify_convdiff(group, max_level, max_k=3):
         for gi in range(len(ct.rows)):
             gam = ct.irreducible(gi)
             op = realize(group, convdiff_image(group, k, gi), j_ops)
+            conv = op_O(group, k, gam)
             for rho in basis:
                 image = op.apply(p_basis.column(rho))
-                conv = op_O(group, k, gam, basis_state(group, rho))
-                if image != p_basis.apply(conv):
+                if image != p_basis.apply(conv.column(rho)):
                     failures.append((k, gi, rho.label()))
     return failures
 
@@ -417,18 +417,6 @@ def _partition_weight(lam, sign, exponent_scale, order):
     return out
 
 
-def _heis_chain(group, gamma, modes):
-    """p_{modes[-1]}(gamma) ... p_{modes[0]}(gamma), the first mode
-    applied first, as a FockOperator over heis."""
-
-    def chain(vec):
-        for m in modes:
-            vec = heis(group, m, gamma, vec)
-        return vec
-
-    return operator_of(group, chain)
-
-
 def verify_vo(group, gamma_index, max_level, order, corrected=True):
     """O_hbar(gamma) = overall Q'/(Q'-1)^2 (V_0(Q) - 1) through hbar^order
     on every K^rho of level <= max_level.  With h the group order over
@@ -452,13 +440,21 @@ def verify_vo(group, gamma_index, max_level, order, corrected=True):
         exponent, prefactor_exp, overall = h * h, 1, 1
     q = HbarSeries.exp_hbar(prefactor_exp, window)
     square = (q - 1) * (q - 1)
-    conv = [op_O_op(group, k, gam) for k in range(order + 1)]
+    conv = [op_O(group, k, gam) for k in range(order + 1)]
+    p = {m: heis(group, m, gam) for m in range(-max_level, max_level + 1)}
+
+    def chain(modes):
+        """p_{modes[-1]}(gamma) ... p_{modes[0]}(gamma) on the shared p."""
+        return operator_of(
+            group, lambda v: reduce(lambda w, m: p[m].apply(w), modes, v)
+        )
+
     zero_mode = []  # (weight series, p_{-lam_a} p_{lam_b})
     for w in range(1, max_level + 1):
         lams = partitions_of(w)
-        create = [_heis_chain(group, gam, [-r for r in lam]) for lam in lams]
+        create = [chain([-r for r in lam]) for lam in lams]
         for lam_b in lams:
-            kill = _heis_chain(group, gam, list(lam_b))
+            kill = chain(lam_b)
             weight_b = q * _partition_weight(lam_b, -1, exponent, window) * overall
             for lam_a, up in zip(lams, create):
                 weight = weight_b * _partition_weight(lam_a, 1, exponent, window)

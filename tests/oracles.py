@@ -544,7 +544,7 @@ def heis_annihilate_adjoint(group, r, alpha, vec):
         if n < r:
             continue
         for nu in enumerate_types(group, n - r):
-            probe = heis(group, -r, alpha, basis_state(group, nu.inverse(group)))
+            probe = heis(group, -r, alpha).apply(basis_state(group, nu.inverse(group)))
             out[nu] = bilinear_form_n(vec, probe) * nu.centralizer_order(group)
     return FockVector(group, out)
 
@@ -770,9 +770,10 @@ def oracle_verify_cubic(group, max_level):
     failures = []
     for c in range(group.num_classes):
         beta = k_basis(group, c)
+        conv = fock.op_O(group, 1, beta)
         for rho in enumerate_types_upto(group, max_level):
             v = basis_state(group, rho)
-            if fock.op_O(group, 1, beta, v) != oracle_cubic_zero_mode(group, beta, v):
+            if conv.apply(v) != oracle_cubic_zero_mode(group, beta, v):
                 failures.append((c, rho.label()))
     return failures
 
@@ -803,7 +804,7 @@ def oracle_realize_J_mode(group, l, k, gamma_index, vec):
                 continue
             w = vec
             for m in sorted(modes, reverse=True):
-                w = heis(group, m, gam, w)
+                w = heis(group, m, gam).apply(w)
                 if w.is_zero():
                     break
             else:

@@ -7,6 +7,7 @@ import pytest
 
 import classalg.algebra as algebra
 import classalg.fock as fock
+import classalg.scalars as scalars
 import classalg.wreath as wreath
 from classalg.cli import SUITES, RunConfig, run
 from classalg.wreath import ResourceCapError
@@ -456,6 +457,37 @@ def _two_element_file(tmp_path, characters):
     path = tmp_path / "c2.txt"
     path.write_text("order 2\n0 1\n1 0\n" + characters)
     return str(path)
+
+
+def test_conductor_not_dividing_twice_the_exponent_is_a_usage_error(
+    tmp_path, capsys, monkeypatch
+):
+    # every value lies in Q(zeta_e), e = 2 here: conductor 200003 is
+    # refused before any value is parsed, so no table of powers is built
+    def refuse(m):
+        raise AssertionError(f"powers({m}) was built")
+
+    monkeypatch.setattr(scalars, "powers", refuse)
+    path = _two_element_file(
+        tmp_path, "characters conductor 200003\n1, 1\n1, z^0 - 2\n"
+    )
+    code, out, err = capture(capsys, ["group", "info", "--group", path])
+    assert (code, out) == (2, "")
+    assert path in err and "conductor 200003" in err and "exponent 2" in err
+
+
+def test_conductor_twice_an_odd_exponent_is_accepted(tmp_path, capsys):
+    # Q(zeta_3) = Q(zeta_6): cyclic3 may declare conductor 6, z^2 = zeta_3
+    path = tmp_path / "c3.txt"
+    path.write_text(
+        "order 3\n0 1 2\n1 2 0\n2 0 1\ncharacters conductor 6\n"
+        "1, 1, 1\n1, z^2, z^4\n1, z^4, z^2\n"
+    )
+    code, out, err = capture(capsys, ["group", "info", "--group", str(path)])
+    assert code == 0, err
+    _, preset, _ = capture(capsys, ["group", "info", "--group", "cyclic3"])
+    table = json.loads(out)["character_table"]
+    assert table == json.loads(preset)["character_table"]
 
 
 @pytest.mark.parametrize("command", [["group", "info"], ["all", "--level", "1"]])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import classalg.fock as fock
-from classalg.algebra import WreathClassFunction
+from classalg.algebra import WreathClassFunction, convolve_n
 from classalg.cli import run
 from classalg.fock import (
     FockVector,
@@ -14,10 +14,9 @@ from classalg.fock import (
     compose,
     cubic_op,
     heis,
-    heis_op,
+    heis_k,
     op_b,
     op_O,
-    op_O_op,
     sym_create,
     to_p_basis,
     vacuum,
@@ -87,7 +86,7 @@ def test_creation_against_induction():
                     t for n in range(levels) for t in enumerate_types(g, n)
                 ]:
                     v = basis_state(g, rho)
-                    fast = heis(g, -r, k_basis(g, c), v)
+                    fast = heis(g, -r, k_basis(g, c)).apply(v)
                     slow = heis_create_bigsum(g, r, k_basis(g, c), v)
                     assert fast == slow, (name, r, c, rho.label())
 
@@ -98,7 +97,7 @@ def test_creation_against_averaging():
     for c in range(g.num_classes):
         for rho in [t for n in range(3) for t in enumerate_types(g, n)]:
             v = basis_state(g, rho)
-            fast = heis(g, -1, k_basis(g, c), v)
+            fast = heis(g, -1, k_basis(g, c)).apply(v)
             slow = heis_create_avg(g, k_basis(g, c), v)
             assert fast == slow
 
@@ -113,7 +112,7 @@ def test_annihilation_against_adjoint():
                     t for n in range(4) for t in enumerate_types(g, n)
                 ]:
                     v = basis_state(g, rho)
-                    fast = heis(g, r, k_basis(g, c), v)
+                    fast = heis(g, r, k_basis(g, c)).apply(v)
                     slow = heis_annihilate_adjoint(g, r, k_basis(g, c), v)
                     assert fast == slow
 
@@ -194,7 +193,7 @@ def test_characteristic_map_intertwines():
     rho = type_from_label("c0:[1]|c1:[1]")
     p = {rho: Fraction(1)}
     lifted = characteristic_map(g, sym_create(g, 2, 1, p))
-    direct = heis(g, -2, k_basis(g, 1), characteristic_map(g, p))
+    direct = heis(g, -2, k_basis(g, 1)).apply(characteristic_map(g, p))
     assert lifted == direct
 
 
@@ -212,8 +211,8 @@ def test_generator_dimensions():
 
 def test_commutator_of_creations_vanishes():
     g = load_group("sym3")
-    a = heis_op(g, -1, k_basis(g, 1))
-    b = heis_op(g, -2, k_basis(g, 2))
+    a = heis(g, -1, k_basis(g, 1))
+    b = heis(g, -2, k_basis(g, 2))
     comm = commutator(a, b)
     for rho in enumerate_types_upto(g, 2):
         assert comm(basis_state(g, rho)).is_zero()
@@ -221,7 +220,7 @@ def test_commutator_of_creations_vanishes():
 
 def test_ad_power_zeroth():
     g = load_group("trivial")
-    f = heis_op(g, -1, unit_g(g))
+    f = heis(g, -1, unit_g(g))
     same = ad_power(op_b(g), f, 0)
     v = vacuum(g)
     assert same(v) == f(v)
@@ -251,6 +250,20 @@ def test_fock_vector_is_one_integer_vector_over_one_denominator():
     assert FockVector(g, {rho: z}).scale(Fraction(1, 2)).coeffs == {rho: z * Fraction(1, 2)}
     with pytest.raises(TypeError):
         hash(from_fractions)
+
+
+def test_each_operator_constructor_returns_a_fock_operator():
+    g = load_group("cyclic3")
+    alpha = require_character_table(g).irreducible(1)
+    built = [
+        heis(g, -1, alpha),
+        op_O(g, 2, alpha),
+        op_b(g),
+        virasoro_op(g, 1, alpha),
+        cubic_op(g, alpha),
+        realize(g, basis_J(g, 1, -1, 1)),
+    ]
+    assert all(type(op) is fock.FockOperator for op in built)
 
 
 def test_apply_rejects_a_fraction_numerator():
@@ -308,13 +321,45 @@ def _j_op(g, l, k, gi):
     return j_ops[l, k, gi]
 
 
+def _direct_heis(g, m, alpha):
+    """p_m(alpha) on a vector, the sum of alpha(c) p_m(K^c) over heis_k."""
+
+    def apply(v):
+        out = FockVector(g)
+        for cid, a in enumerate(alpha.values):
+            if a:
+                out = out + heis_k(g, m, cid, v).scale(a)
+        return out
+
+    return apply
+
+
+def _direct_O(g, k, alpha):
+    """O^k(alpha) on a vector: its level-n part convolved with
+    Xi_n^k(alpha), and level 0 sent to zero."""
+
+    def apply(v):
+        out = FockVector(g)
+        for n in sorted({rho.norm for rho in v.nums} - {0}):
+            image = convolve_n(xi_class_function(g, n, k, alpha), v.component(n))
+            out = out + FockVector(g, dict(image.coeffs))
+        return out
+
+    return apply
+
+
 def _operator_cases(g):
     alpha = require_character_table(g).irreducible(1)
     half, sixth = Fraction(1, 2), Fraction(1, 6)
+    # values over the denominator 6, which the operators put their
+    # numerators over
+    mixed = alpha.scale(half) + k_basis(g, 1).scale(Fraction(1, 3))
     return [
-        ("p_2", lambda v: heis(g, 2, alpha, v), heis_op(g, 2, alpha)),
-        ("p_-1", lambda v: heis(g, -1, alpha, v), heis_op(g, -1, alpha)),
-        ("O^2", lambda v: op_O(g, 2, alpha, v), op_O_op(g, 2, alpha)),
+        ("p_2", _direct_heis(g, 2, alpha), heis(g, 2, alpha)),
+        ("p_-1", _direct_heis(g, -1, alpha), heis(g, -1, alpha)),
+        ("p_2 mixed", _direct_heis(g, 2, mixed), heis(g, 2, mixed)),
+        ("O^2", _direct_O(g, 2, alpha), op_O(g, 2, alpha)),
+        ("O^2 mixed", _direct_O(g, 2, mixed), op_O(g, 2, mixed)),
         ("L_1", _normal_power(g, 2, alpha, half, 1), virasoro_op(g, 1, alpha)),
         ("L_-2", _normal_power(g, 2, alpha, half, -2), virasoro_op(g, -2, alpha)),
         ("cubic", _normal_power(g, 3, alpha, sixth, 0), cubic_op(g, alpha)),
@@ -379,7 +424,7 @@ def _integer_and_oracle_operators(g):
     half, sixth = Fraction(1, 2), Fraction(1, 6)
 
     def heis_pair(m, f):
-        return heis_op(g, m, f), OracleFockOperator(g, lambda v: heis(g, m, f, v))
+        return heis(g, m, f), OracleFockOperator(g, _direct_heis(g, m, f))
 
     def virasoro_pair(n, f):
         return virasoro_op(g, n, f), oracle_normal_power_op(g, 2, f, half, n)
@@ -405,8 +450,8 @@ def _integer_and_oracle_operators(g):
         ),
         (
             "O^2(alpha)",
-            op_O_op(g, 2, alpha),
-            OracleFockOperator(g, lambda v: op_O(g, 2, alpha, v)),
+            op_O(g, 2, alpha),
+            OracleFockOperator(g, _direct_O(g, 2, alpha)),
         ),
         (
             "L_1 p_-1",
@@ -454,7 +499,7 @@ def test_oracle_inputs_are_cyclotomic_on_cyclic3():
 def test_cached_columns_compose_without_fractions(monkeypatch):
     g = load_group("cyclic2")
     alpha = k_basis(g, 1)
-    f, h = virasoro_op(g, 1, alpha), heis_op(g, -2, alpha)
+    f, h = virasoro_op(g, 1, alpha), heis(g, -2, alpha)
     prod, comm = compose(f, h), commutator(f, h)
     types = enumerate_types_upto(g, 2)
     # fill the factors' columns that the products read
@@ -555,16 +600,17 @@ def test_composite_operators_read_cached_columns(build):
     g = load_group("cyclic2")
     alpha = k_basis(g, 1)
     f = virasoro_op(g, 1, alpha)
-    h = heis_op(g, -2, alpha)
+    h = heis(g, -2, alpha)
     op = build(f, h)
     spread = _vector(g, SPREAD_VECTORS["cyclic2"])
     vectors = [spread] + [basis_state(g, rho) for rho in enumerate_types_upto(g, 2)]
 
     def direct(v):
-        fh = virasoro_op(g, 1, alpha)(heis(g, -2, alpha, v))
+        create = _direct_heis(g, -2, alpha)
+        fh = virasoro_op(g, 1, alpha)(create(v))
         if build is compose:
             return fh
-        return fh - heis(g, -2, alpha, virasoro_op(g, 1, alpha)(v))
+        return fh - create(virasoro_op(g, 1, alpha)(v))
 
     expected = [direct(v) for v in vectors]
     assert [op(v) for v in vectors] == expected

@@ -67,3 +67,18 @@ def test_only_scalars_imports_cyc():
         and "Cyc" in imported_modules(ast.parse(path.read_text(), str(path)))
     ]
     assert offenders == []
+
+
+def test_no_library_function_has_an_op_twin():
+    # one constructor per operator: no module defines both a public f
+    # and a public f_op
+    offenders = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        public = {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        }
+        offenders += [f"{path.name}: {f}" for f in sorted(public) if f + "_op" in public]
+    assert offenders == []

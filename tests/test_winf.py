@@ -411,6 +411,21 @@ def test_mode_terms_annihilate_only_the_parts_present():
     assert winf._mode_terms((0, 0), 1, ()) == {}
 
 
+def test_convdiff_builds_each_power_sum_once_per_level(monkeypatch):
+    # one O^k(gamma) per (k, gamma): 3 powers, 3 irreducibles, 2 levels
+    calls = []
+    original = fock.xi_class_function
+
+    def counted(group, n, k, alpha):
+        calls.append((n, k))
+        return original(group, n, k, alpha)
+
+    monkeypatch.setattr(fock, "xi_class_function", counted)
+    assert verify_convdiff(load_group("cyclic3"), 2, 2) == []
+    assert len(calls) == 18
+    assert {calls.count(key) for key in calls} == {3}
+
+
 def test_failure_cells_match_the_K_basis_path(monkeypatch):
     # under a fault shared by both paths, the p-basis checks name the
     # same K^rho cells as the checks run wholly in the K basis
