@@ -7,7 +7,8 @@ Exit codes: 0 all requested suites pass, 1 verification failure,
 while a suite runs is a counterexample: the suite reports it as a
 failure.  Errors in the configuration or the group file (a missing
 character table included), ResourceCapError and an --out path that
-cannot be written stay usage errors.
+cannot be written stay usage errors; an --out that is a directory or
+lies in no existing directory is refused before any suite runs.
 Reports are deterministic for a given configuration and seed (timings
 go to stderr); all scalars are emitted as exact strings, never floats.
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -42,12 +44,13 @@ USAGE_ERROR = 2
 
 
 class RunConfig(NamedTuple):
-    """Run parameters with documented defaults (L=4, N=4, cap=3)."""
+    """Run parameters with documented defaults (L=4, N=4; an unset cap
+    is 3 on the trivial group and 2 elsewhere, see _stable_cap)."""
 
     group: str = "trivial"
     level: int = 4
     order: int = 4
-    cap: int = 3
+    cap: int | None = None
     n: int | None = None
     k: int = 3
     l: int = 3
@@ -57,11 +60,8 @@ class RunConfig(NamedTuple):
     format: str = "json"
     out: str | None = None
 
-    # which fields came from an explicit flag or config entry
-    explicit: frozenset = frozenset()
 
-
-# Every RunConfig field but `explicit`: its flag's type and help text.
+# Every RunConfig field: its flag's type and help text.
 FLAGS = {
     "group": (str, "group preset name or table file"),
     "level": (int, "truncation level L"),
@@ -86,8 +86,9 @@ def build_config(args):
     """Merge defaults < --config file < explicit flags.
 
     A config value must have its flag's type exactly (so `true` is not
-    an int and `null` is no value at all), and a count, level or cap
-    must not be negative.
+    an int and `null` is no value at all), a count, level or cap must
+    not be negative, and an out path must name a file in a directory
+    that exists (checked before any suite runs; nothing is written).
     """
     values = {}
     if getattr(args, "config", None):
@@ -114,7 +115,10 @@ def build_config(args):
     for name in ("level", "order", "cap", "n", "k", "pairs", "triples"):
         if values.get(name, 0) < 0:
             raise ConfigError(f"{name} must not be negative")
-    return RunConfig(**values, explicit=frozenset(values))
+    out = values.get("out")
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ConfigError(f"out path {out} is a directory or its directory does not exist")
+    return RunConfig(**values)
 
 
 # -- report plumbing -----------------------------------------------------
@@ -271,8 +275,8 @@ def _bracket(group, cfg):
 
 
 def _stable_cap(group, cfg):
-    """The stable cap: off the trivial group an unset cap is at most 2."""
-    return cfg.cap if "cap" in cfg.explicit or group.order == 1 else min(cfg.cap, 2)
+    """The stable cap: an unset cap is 3 on the trivial group, else 2."""
+    return cfg.cap if cfg.cap is not None else (3 if group.order == 1 else 2)
 
 
 def _stable(group, cfg):

@@ -48,7 +48,6 @@ from .algebra import (
     xi_power_sum,
 )
 from .groups import (
-    TensorClassFunction,
     convolve_g,
     euler_class,
     k_basis,
@@ -326,11 +325,11 @@ def _creations(slots, degree, rho):
 def _normal_power(group, k, tensor):
     """The constants of one normally ordered k-th power, computed once
     per operator: (terms, T, Z^k), with T the lcm of the denominators of
-    the tensor's coefficients and Z the lcm of the zeta_c.  Each term is
-    (numerator of its coefficient over T, its 2^k splits), a split being
-    (the annihilation slots' classes as a tuple, the creation slots'
-    classes as a list)."""
-    if tensor.arity != k:
+    the coefficients of the tensor (terms as pushforward_tauk returns)
+    and Z the lcm of the zeta_c.  Each term is (numerator of its
+    coefficient over T, its 2^k splits), a split being (the annihilation
+    slots' classes as a tuple, the creation slots' classes as a list)."""
+    if any(len(key) != k for key, _ in tensor):
         raise ValueError("tensor arity mismatch")
     masks = [
         (
@@ -339,10 +338,10 @@ def _normal_power(group, k, tensor):
         )
         for mask in range(1 << k)
     ]
-    tden, nums = _over_lcm([coeff for _, coeff in tensor.terms])
+    tden, nums = _over_lcm([coeff for _, coeff in tensor])
     terms = [
         (num, [(tuple(key[i] for i in a), [key[i] for i in c]) for a, c in masks])
-        for (key, _), num in zip(tensor.terms, nums)
+        for (key, _), num in zip(tensor, nums)
     ]
     return terms, tden, lcm(*group.zeta) ** k
 
@@ -378,10 +377,7 @@ def normal_power_apply(group, power, mode, rho):
 
 def _scaled_pushforward(beta, k, s):
     """s tau_{k*} beta, the normal power's factor folded into its terms."""
-    tensor = pushforward_tauk(beta, k)
-    return TensorClassFunction(
-        tensor.group, k, tuple((key, coeff * s) for key, coeff in tensor.terms)
-    )
+    return tuple((key, coeff * s) for key, coeff in pushforward_tauk(beta, k))
 
 
 def _normal_power_op(group, k, beta, scale, mode):

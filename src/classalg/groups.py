@@ -6,7 +6,8 @@ validated).  Conjugacy classes are computed by orbit enumeration and
 ordered deterministically: identity class first, then by least element
 id.  On top of this sit exact class functions, the convolution product,
 the Frobenius bilinear form and trace, the diagonal pushforwards
-tau_{k*}, and the Euler class.
+tau_{k*} (read off the structure constants of R(Gamma)), and the
+Euler class.
 """
 
 from __future__ import annotations
@@ -241,72 +242,37 @@ def trace_g(f):
     return f.values[0] * Fraction(1, f.group.order)
 
 
-class TensorClassFunction(NamedTuple):
-    """An element of R(Gamma)^{tensor k} in the K^c x ... x K^c basis."""
-
-    group: FiniteGroup
-    arity: int
-    terms: tuple  # sorted tuple of ((c_1, ..., c_k), coeff)
-
-    @staticmethod
-    def from_dict(group, arity, data):
-        terms = tuple(
-            (key, val) for key, val in sorted(data.items()) if val
-        )
-        for key, _ in terms:
-            if len(key) != arity:
-                raise ValueError("tensor key arity mismatch")
-        return TensorClassFunction(group, arity, terms)
-
-
-def pushforward_tau2(f):
-    """tau_{2*} f, adjoint to convolution under the bilinear form.
-
-    In the K basis: coefficient of K^{a^{-1}} x K^{b^{-1}} equals
-    zeta_a zeta_b <f, K^a K^b>.
-    """
-    group = f.group
-    k = group.num_classes
-    data = {}
-    for a in range(k):
-        ka = k_basis(group, a)
-        for b in range(k):
-            val = bilinear_form(f, convolve_g(ka, k_basis(group, b)))
-            if val:
-                key = (group.inv_class[a], group.inv_class[b])
-                coeff = group.zeta[a] * group.zeta[b] * val
-                data[key] = data.get(key, 0) + coeff
-    return TensorClassFunction.from_dict(group, 2, data)
-
-
 def pushforward_tauk(f, k):
-    """tau_{k*} f, defined inductively by tau_{(j+1)*} = (tau_{2*} x id) tau_{j*}."""
-    group = f.group
+    """tau_{k*} f as a sorted tuple of ((c_1, ..., c_k), coefficient)
+    with no zero coefficient, by tau_{(j+1)*} = (tau_{2*} x id) tau_{j*}.
+
+    tau_{2*} is adjoint to convolution under the bilinear form, and the
+    dual of K^x is zeta_x K^{x^{-1}}, so the coefficient of
+    K^{x^{-1}} x K^{y^{-1}} in tau_{2*} K^a is
+    zeta_x zeta_y N[x][y][a^{-1}] / zeta_a, N the structure constants.
+    """
     if k < 1:
         raise ValueError("arity must be >= 1")
+    group = f.group
+    table, zeta, inv = group.structure_constants(), group.zeta, group.inv_class
     data = {(c,): v for c, v in enumerate(f.values) if v}
-    arity = 1
-    while arity < k:
+    for _ in range(k - 1):
         new = {}
-        for key, coeff in data.items():
-            head = pushforward_tau2(k_basis(group, key[0]))
-            for hk, hv in head.terms:
-                nk = hk + key[1:]
-                val = coeff * hv
-                if nk in new:
-                    new[nk] = new[nk] + val
-                else:
-                    new[nk] = val
+        for (a, *rest), coeff in data.items():
+            for x, row in enumerate(table):
+                for y, col in enumerate(row):
+                    if col[inv[a]]:
+                        key = (inv[x], inv[y], *rest)
+                        val = coeff * Fraction(zeta[x] * zeta[y] * col[inv[a]], zeta[a])
+                        new[key] = new[key] + val if key in new else val
         data = {key: v for key, v in new.items() if v}
-        arity += 1
-    return TensorClassFunction.from_dict(group, k, data)
+    return tuple(sorted(data.items()))
 
 
 def euler_class(group):
     """chi = (convolution o tau_{2*})(1), computed in the K basis."""
-    t2 = pushforward_tau2(unit_g(group))
     out = ClassFunctionG(group, tuple(Fraction(0) for _ in range(group.num_classes)))
-    for (a, b), coeff in t2.terms:
+    for (a, b), coeff in pushforward_tauk(unit_g(group), 2):
         out = out + convolve_g(k_basis(group, a), k_basis(group, b)).scale(coeff)
     return out
 
@@ -508,7 +474,17 @@ def _load_preset(source):
 def _load_group_file(path):
     """Parse a group table file; see the README for the grammar."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        numbered = [(k, ln.strip()) for k, ln in enumerate(fh, 1)]
+    numbered = [(k, ln) for k, ln in numbered if ln and not ln.startswith("#")]
+    lines = [ln for _, ln in numbered]
+
+    def entries(i, sep, value):
+        """The entries of data line i, each read by value."""
+        try:
+            return [value(part) for part in lines[i].split(sep)]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {numbered[i][0]}: {exc}") from None
+
     head = re.fullmatch(r"order\s+([0-9]+)", lines[0]) if lines else None
     if head is None or int(head[1]) < 1:
         got = repr(lines[0]) if lines else "an empty file"
@@ -516,7 +492,7 @@ def _load_group_file(path):
     n = int(head[1])
     if len(lines) < 1 + n:
         raise ValueError(f"{path}: expected {n} table rows")
-    mul = [[int(v) for v in lines[1 + i].split()] for i in range(n)]
+    mul = [entries(i, None, int) for i in range(1, 1 + n)]
     group = FiniteGroup(mul, name=path)
     rest = lines[1 + n:]
     if rest:
@@ -536,11 +512,10 @@ def _load_group_file(path):
                 f"{path}: conductor {conductor} does not divide twice the "
                 f"group exponent {group.exponent}"
             )
-        rows = []
-        for line in rest[1:]:
-            rows.append(
-                [scalar_from_string(part, conductor) for part in line.split(",")]
-            )
+        rows = [
+            entries(i, ",", lambda part: scalar_from_string(part, conductor))
+            for i in range(2 + n, len(lines))
+        ]
         group.character_table = CharacterTable(group, rows)
     return group
 

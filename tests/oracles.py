@@ -12,6 +12,8 @@ against.  Nothing under src/ imports this module.
   canonical element of each target type.
 - A class function as an element of the group algebra, and the
   bilinear form on R(Gamma_n) and on Fock vectors.
+- The diagonal pushforward tau_{k*} on R(Gamma) by its adjointness to
+  k-fold convolution, one bilinear form of a product per coefficient.
 - Exact elimination in Fraction arithmetic (Gauss-Jordan with unit
   pivots): the generated subalgebra's dimension and the solution of a
   linear system.
@@ -51,7 +53,12 @@ from classalg.algebra import (
 )
 import classalg.fock as fock
 from classalg.fock import FockVector, basis_state, heis
-from classalg.groups import require_character_table
+from classalg.groups import (
+    bilinear_form,
+    convolve_g,
+    k_basis,
+    require_character_table,
+)
 from classalg.partitions import (
     Partition,
     TypeFunction,
@@ -286,6 +293,24 @@ def bilinear_form_n(f, g):
         if w:
             total = total + v * w * Fraction(1, rho.centralizer_order(group))
     return total if total else Fraction(0)
+
+
+def oracle_pushforward_tauk(f, k):
+    """tau_{k*} f in the terms of groups.pushforward_tauk: the
+    coefficient of K^{a_1^{-1}} x ... x K^{a_k^{-1}} is
+    zeta_{a_1} ... zeta_{a_k} <f, K^{a_1} ... K^{a_k}>."""
+    group = f.group
+    data = {}
+    for classes in itertools.product(range(group.num_classes), repeat=k):
+        prod = k_basis(group, classes[0])
+        for a in classes[1:]:
+            prod = convolve_g(prod, k_basis(group, a))
+        val = bilinear_form(f, prod)
+        for a in classes:
+            val *= group.zeta[a]
+        if val:
+            data[tuple(group.inv_class[a] for a in classes)] = val
+    return tuple(sorted(data.items()))
 
 
 # -- exact linear algebra over Fraction ---------------------------------
@@ -588,7 +613,7 @@ def oracle_commutator(f, g):
 def oracle_pruned_normal_power_apply(group, k, tensor, mode, vec):
     """The pruned normal power of fock.normal_power_apply on a whole
     vector, each term built as one Fraction (times a Cyc scalar)."""
-    if tensor.arity != k:
+    if any(len(key) != k for key, _ in tensor):
         raise ValueError("tensor arity mismatch")
     out = {}
     splits = [
@@ -600,7 +625,7 @@ def oracle_pruned_normal_power_apply(group, k, tensor, mode, vec):
     ]
     for rho, v in vec.coeffs.items():
         removed = {(): [(rho, 0, 1)]}
-        for key, coeff in tensor.terms:
+        for key, coeff in tensor:
             scalar = coeff * v
             top, bottom = 1, 1
             if isinstance(scalar, Fraction):
@@ -698,13 +723,13 @@ def oracle_normal_power_apply(group, k, tensor, mode, vec):
     Factors are ordered with smaller Heisenberg degree to the left
     (creation before annihilation); p_0 terms vanish.
     """
-    if tensor.arity != k:
+    if any(len(key) != k for key, _ in tensor):
         raise ValueError("tensor arity mismatch")
     level = max_level_of(vec)
     out = FockVector(group)
     if level < 0:
         return out
-    for key, coeff in tensor.terms:
+    for key, coeff in tensor:
         for modes in _mode_tuples(k, mode, level):
             pairs = sorted(zip(modes, key), key=lambda p: p[0])
             w = vec

@@ -9,7 +9,8 @@ import classalg.algebra as algebra
 import classalg.fock as fock
 import classalg.scalars as scalars
 import classalg.wreath as wreath
-from classalg.cli import SUITES, RunConfig, run
+from classalg.cli import SUITES, RunConfig, _stable_cap, build_config, build_parser, run
+from classalg.groups import load_group
 from classalg.wreath import ResourceCapError
 from oracles import to_group_algebra
 
@@ -22,7 +23,19 @@ def capture(capsys, argv):
 
 def test_defaults():
     cfg = RunConfig()
-    assert (cfg.group, cfg.level, cfg.order, cfg.cap) == ("trivial", 4, 4, 3)
+    assert (cfg.group, cfg.level, cfg.order, cfg.cap) == ("trivial", 4, 4, None)
+
+
+def test_unset_cap_is_3_on_trivial_and_2_elsewhere(tmp_path):
+    def cap(group, *extra):
+        args = build_parser().parse_args(["stable", "verify", *extra])
+        return _stable_cap(load_group(group), build_config(args))
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"cap": 3}))
+    assert (cap("trivial"), cap("cyclic2")) == (3, 2)
+    assert cap("cyclic2", "--cap", "3") == 3
+    assert cap("cyclic2", "--config", str(path)) == 3
 
 
 def test_wreath_classes_json(capsys):
@@ -515,6 +528,40 @@ def test_malformed_order_header_is_a_usage_error(header, tmp_path, capsys):
     assert str(path) in err and repr(header) in err
 
 
+def test_indented_comment_lines_are_comments(tmp_path, capsys):
+    body = "order 2\n0 1\n{}1 0\ncharacters\n1, 1\n{}1, -1\n"
+    reports = []
+    for name, table_note, character_note in [
+        ("plain.txt", "", ""),
+        ("indented.txt", "  # note\n", "   # note\n"),
+    ]:
+        path = tmp_path / name
+        path.write_text(body.format(table_note, character_note))
+        code, out, _ = capture(capsys, ["group", "info", "--group", str(path)])
+        assert code == 0
+        reports.append({**json.loads(out), "name": None})
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("order 2\n0 1\n1 x\n", "line 3: invalid literal for int() with base 10: 'x'"),
+        (
+            "order 2\n0 1\n# note\n1 0\ncharacters\n1, 1\n1, y\n",
+            "line 7: cannot parse term 'y'",
+        ),
+    ],
+    ids=["table", "characters"],
+)
+def test_malformed_entry_names_the_file_and_line(text, where, tmp_path, capsys):
+    path = tmp_path / "c2.txt"
+    path.write_text(text)
+    code, out, err = capture(capsys, ["group", "info", "--group", str(path)])
+    assert (code, out) == (2, "")
+    assert f"{path}: {where}" in err
+
+
 def test_character_row_of_wrong_length_is_a_usage_error(tmp_path, capsys):
     path = _two_element_file(tmp_path, "characters\n1, 1\n1\n")
     code, out, err = capture(capsys, ["group", "info", "--group", path])
@@ -527,5 +574,16 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     argv = ["fock", "verify", "heisenberg", "--level", "1", "--out", str(target)]
     code, out, err = capture(capsys, argv)
     assert (code, out) == (2, "")
-    assert err.startswith("# heisenberg:") and "error:" in err
+    assert err.startswith("error:") and "# heisenberg:" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_path_is_refused_before_any_suite(where, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json" if where != "directory" else tmp_path
+    argv = ["all", "--group", "trivial", "--level", "1", "--out", str(target)]
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert not any(line.startswith("#") for line in err.splitlines())
+    assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+import classalg.groups as groups
 from classalg.groups import (
     CharacterTableError,
     ClassFunctionG,
@@ -13,12 +15,12 @@ from classalg.groups import (
     euler_class,
     k_basis,
     load_group,
-    pushforward_tau2,
     pushforward_tauk,
     require_character_table,
     trace_g,
     unit_g,
 )
+from oracles import oracle_pushforward_tauk
 
 
 def test_presets_load_and_validate():
@@ -112,8 +114,7 @@ def test_tau2_adjointness():
         f = ClassFunctionG(
             g, tuple(Fraction(c + 1, 2) for c in range(g.num_classes))
         )
-        t2 = f and pushforward_tau2(f)
-        got = dict(t2.terms)
+        got = dict(pushforward_tauk(f, 2))
         for a in range(g.num_classes):
             for b in range(g.num_classes):
                 lhs = sum(
@@ -129,21 +130,46 @@ def test_tau2_adjointness():
 
 
 def test_tau3_of_irreducible():
-    # tau3 of an irreducible gamma is h^2 gamma x gamma x gamma
-    g = load_group("cyclic2")
-    table = require_character_table(g)
-    for i in range(2):
-        gam = table.irreducible(i)
-        h = table.h[i]
-        t3 = dict(pushforward_tauk(gam, 3).terms)
-        expected = {}
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    v = h * h * gam.values[a] * gam.values[b] * gam.values[c]
+    # tau_{k*} of an irreducible gamma is h^{k-1} gamma x ... x gamma, k <= 3
+    for name in PRESETS:
+        g = load_group(name)
+        table = require_character_table(g)
+        for gam, h in zip(table.rows, table.h):
+            for k in (1, 2, 3):
+                expected = {}
+                for key in itertools.product(range(g.num_classes), repeat=k):
+                    v = h ** (k - 1)
+                    for c in key:
+                        v = v * gam.values[c]
                     if v:
-                        expected[(a, b, c)] = v
-        assert t3 == expected
+                        expected[key] = v
+                assert dict(pushforward_tauk(gam, k)) == expected, (name, k)
+
+
+def test_tauk_matches_the_adjointness_oracle():
+    # on every K^c and every irreducible
+    for name in PRESETS:
+        g = load_group(name)
+        classes = [k_basis(g, c) for c in range(g.num_classes)]
+        for f in classes + list(require_character_table(g).rows):
+            for k in (1, 2, 3):
+                assert pushforward_tauk(f, k) == oracle_pushforward_tauk(f, k), (
+                    name, f.values, k,
+                )
+
+
+def test_tauk_reads_the_structure_constants_alone(monkeypatch):
+    # no bilinear form and no convolution per coefficient
+    loaded = [load_group(name) for name in PRESETS]
+    expected = [pushforward_tauk(k_basis(g, g.num_classes - 1), 3) for g in loaded]
+
+    def refuse(*args):
+        raise AssertionError("pushforward_tauk ran a bilinear form or a convolution")
+
+    monkeypatch.setattr(groups, "bilinear_form", refuse)
+    monkeypatch.setattr(groups, "convolve_g", refuse)
+    got = [pushforward_tauk(k_basis(g, g.num_classes - 1), 3) for g in loaded]
+    assert got == expected
 
 
 def euler_number(group):
