@@ -23,14 +23,14 @@ that vanishes is enumerated.  The tests compare them with the unpruned
 enumeration of mode tuples (tests/oracles.py).
 
 Every such operator is linear and has one constructor (heis, op_O,
-virasoro_op, cubic_op), which returns a FockOperator: its column on
-K^rho is the FockVector that a kernel (heis_k, the convolution by
-Xi_n^k(alpha), or normal_power_apply) returns on K^rho, computed once
-and kept, and .apply maps a vector.  Every kernel builds its
-numerators over one denominator, so sums, products and commutators of
-operators add numerators in integer arithmetic, and a Fraction is made
-only where coeffs reads a vector back.  The Fraction operator calculus
-is the oracle in tests/oracles.py.
+virasoro_op, cubic_op), which returns a FockOperator.  A kernel (heis_k,
+the convolution by Xi_n^k(alpha), normal_power_apply, to_p_basis) maps
+one basis type rho to its column, the FockVector image of K^rho, which
+the operator computes once and keeps; .apply maps a vector.  Every
+kernel builds its numerators over one denominator, so sums, products
+and commutators of operators add numerators in integer arithmetic, and
+a Fraction is made only where coeffs reads a vector back.  The Fraction
+operator calculus is the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -159,17 +159,11 @@ def operator_sum(group, terms, identity=0):
     return FockOperator(group, column_of)
 
 
-def operator_of(group, fn):
-    """The FockOperator whose column on K^rho is fn(K^rho), for a linear
-    fn from FockVectors to FockVectors."""
-    return FockOperator(group, lambda rho: fn(basis_state(group, rho)))
-
-
 # -- Heisenberg operators, closed form --------------------------------
 
 
-def heis_k(group, m, cid, vec):
-    """p_m(K^c) on the K^rho basis.
+def heis_k(group, m, cid, rho):
+    """p_m(K^c) on K^rho.
 
     Creation (m < 0, r = -m) adds an r-part at class c with factor
     r * (multiplicity + 1); annihilation (m > 0, r = m) removes an
@@ -179,29 +173,21 @@ def heis_k(group, m, cid, vec):
         return FockVector(group)
     if m < 0:
         r = -m
-        out = {
-            rho.add_part(r, cid): v * r * (rho.multiplicity(r, cid) + 1)
-            for rho, v in vec.nums.items()
-        }
-        return _vector(group, vec.den, out)
-    src = group.inv_class[cid]
-    out = {}
-    for rho, v in vec.nums.items():
-        new = rho.remove_part(m, src)
-        if new is not None:
-            out[new] = v
-    return _vector(group, vec.den * group.zeta[cid], out)
+        factor = r * (rho.multiplicity(r, cid) + 1)
+        return _vector(group, 1, {rho.add_part(r, cid): factor})
+    new = rho.remove_part(m, group.inv_class[cid])
+    return _vector(group, group.zeta[cid], {} if new is None else {new: 1})
 
 
 def heis(group, m, alpha):
     """p_m(alpha) for a class function alpha, by linearity over K^c."""
     den, nums = _over_lcm(alpha.values)
 
-    def image(vec):
-        terms = [(n, heis_k(group, m, cid, vec)) for cid, n in enumerate(nums) if n]
+    def column_of(rho):
+        terms = [(n, heis_k(group, m, cid, rho)) for cid, n in enumerate(nums) if n]
         return _vector(group, *_lincomb(terms, den))
 
-    return operator_of(group, image)
+    return FockOperator(group, column_of)
 
 
 # -- convolution operators O^k ----------------------------------------
@@ -443,8 +429,8 @@ def characteristic_map(group, p):
 # each p_m(gamma) edits one colour with a rational factor.
 
 
-def _p_image(group, rho):
-    """K^rho in the p basis, a FockVector over the p-monomial types.
+def to_p_basis(group, rho):
+    """K^rho in the p basis: its column in the change to the p-monomials.
 
     K^rho = ztilde_rho^{-1} prod p_{-r}(K^c)|0> over the parts (r, c) of
     rho (the characteristic map), and column orthogonality gives
@@ -467,14 +453,6 @@ def _p_image(group, rho):
                     grown[key] = grown.get(key, 0) + v * w
             nums = {mono: v for mono, v in grown.items() if v}
     return _vector(group, den, nums)
-
-
-def to_p_basis(group, vec):
-    """The change of basis from the K^rho to the p-monomials."""
-    return _vector(
-        group,
-        *_lincomb([(n, _p_image(group, rho)) for rho, n in vec.nums.items()], vec.den),
-    )
 
 
 # -- generators ---------------------------------------------------------
@@ -671,15 +649,14 @@ def verify_dictionary(group, max_degree):
     failures = []
     for rho in enumerate_types_upto(group, max_degree):
         p = {rho: Fraction(1)}
-        image = characteristic_map(group, p)
         for r in range(1, max_degree + 1):
             for cid in range(group.num_classes):
                 created = characteristic_map(group, sym_create(group, r, cid, p))
-                if created != heis_k(group, -r, cid, image):
+                if created != heis_k(group, -r, cid, rho).scale(rho.ztilde()):
                     failures.append(("create", r, cid, rho.label()))
                 killed = characteristic_map(
                     group, sym_annihilate(group, r, cid, p)
                 )
-                if killed != heis_k(group, r, cid, image):
+                if killed != heis_k(group, r, cid, rho).scale(rho.ztilde()):
                     failures.append(("annihilate", r, cid, rho.label()))
     return failures

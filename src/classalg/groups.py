@@ -441,7 +441,14 @@ def load_group(source):
     """Load a group from a preset name (built once) or a
     multiplication-table file (parsed on every call)."""
     group = _load_preset(source)
-    return group if group is not None else _load_group_file(source)
+    if group is not None:
+        return group
+    try:
+        return _load_group_file(source)
+    except (GroupValidationError, CharacterTableError) as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+    except UnicodeDecodeError as exc:  # built from the codec state, not a message
+        raise ValueError(f"{source}: {exc}") from None
 
 
 @lru_cache(maxsize=None)
@@ -473,7 +480,7 @@ def _load_preset(source):
 
 def _load_group_file(path):
     """Parse a group table file; see the README for the grammar."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         numbered = [(k, ln.strip()) for k, ln in enumerate(fh, 1)]
     numbered = [(k, ln) for k, ln in numbered if ln and not ln.startswith("#")]
     lines = [ln for _, ln in numbered]
@@ -493,6 +500,9 @@ def _load_group_file(path):
     if len(lines) < 1 + n:
         raise ValueError(f"{path}: expected {n} table rows")
     mul = [entries(i, None, int) for i in range(1, 1 + n)]
+    for (k, _), row in zip(numbered[1:], mul):
+        if len(row) != n:
+            raise ValueError(f"{path}: line {k}: {len(row)} entries, expected {n}")
     group = FiniteGroup(mul, name=path)
     rest = lines[1 + n:]
     if rest:

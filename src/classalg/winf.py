@@ -17,11 +17,11 @@ algebra through the normally ordered polynomials P_l in the basic
 field and its derivatives; the central element acts as 1.
 
 It runs in the basis of monomials prod p_{-r}(gamma)|0> over the
-irreducible characters gamma (fock.to_p_basis), one Heisenberg algebra
-per irreducible, where a J-mode on the idempotent of gamma edits the
-colour gamma with rational factors.  The checks compare operators
-there and name failures by the K^rho, mapped into that basis; the
-K-basis realization is the oracle in tests/oracles.py.
+irreducible characters gamma, one Heisenberg algebra per irreducible:
+a J-mode kernel (realize_J_mode) maps one p-monomial to its column,
+editing the colour gamma with rational factors, as fock.to_p_basis maps
+one K^rho.  The checks compare operators there and name failures by
+the K^rho; the K-basis realization is the oracle in tests/oracles.py.
 
 The vertex-operator identity O_hbar(gamma) = h Q/(Q-1)^2 (V_0(Q) - 1)
 is checked in the K basis, one hbar-coefficient at a time after both
@@ -44,13 +44,13 @@ from math import comb, factorial
 
 from .algebra import SparseVector
 from .fock import (
+    FockOperator,
     _nonzero,
-    basis_state,
     commutator,
     compose,
     heis,
     op_O,
-    operator_of,
+    operator_difference_cells,
     operator_sum,
     to_p_basis,
 )
@@ -264,9 +264,9 @@ def _mode_terms(word, k, parts):
     return out
 
 
-def realize_J_mode(group, l, k, gamma_index, vec):
+def realize_J_mode(group, l, k, gamma_index, rho):
     """The realized J^l_k on an idempotent, via P_{l+1} mode extraction,
-    on a vector in the basis of p-monomials (fock.to_p_basis).
+    on the p-monomial of type rho: its column in the p basis.
 
     The modes are those of the Heisenberg algebra of the irreducible
     character itself: p_{-r}(gamma) adds an r-part at colour gamma with
@@ -275,23 +275,19 @@ def realize_J_mode(group, l, k, gamma_index, vec):
     modes are drawn only from the parts that the colour has.
     """
     require_character_table(group)
-    words = p_l_polynomial(l + 1)
+    parts = rho.partition(gamma_index).parts
     out = {}
-    for rho, v in vec.nums.items():
-        parts = rho.partition(gamma_index).parts
-        for word, kappa in words.items():
-            for (removed, created), c in _mode_terms(word, k, parts).items():
-                mono = rho
-                factor = kappa * c
-                for r in removed:
-                    factor *= _annihilation_factor(
-                        r, mono.multiplicity(r, gamma_index)
-                    )
-                    mono = mono.remove_part(r, gamma_index)
-                for r in created:
-                    mono = mono.add_part(r, gamma_index)
-                out[mono] = out.get(mono, 0) + v * factor
-    return _nonzero(group, vec.den * (l + 1), out)
+    for word, kappa in p_l_polynomial(l + 1).items():
+        for (removed, created), c in _mode_terms(word, k, parts).items():
+            mono = rho
+            factor = kappa * c
+            for r in removed:
+                factor *= _annihilation_factor(r, mono.multiplicity(r, gamma_index))
+                mono = mono.remove_part(r, gamma_index)
+            for r in created:
+                mono = mono.add_part(r, gamma_index)
+            out[mono] = out.get(mono, 0) + factor
+    return _nonzero(group, l + 1, out)
 
 
 def realize(group, x, j_ops=None):
@@ -314,8 +310,8 @@ def realize(group, x, j_ops=None):
     for key, c in weights.items():
         if c:
             if key not in j_ops:
-                j_ops[key] = operator_of(
-                    group, lambda v, key=key: realize_J_mode(group, *key, v)
+                j_ops[key] = FockOperator(
+                    group, lambda rho, key=key: realize_J_mode(group, *key, rho)
                 )
             terms.append((c, j_ops[key]))
     return operator_sum(group, terms, x.central)
@@ -370,23 +366,21 @@ def verify_convdiff(group, max_level, max_k=3):
     irreducible matches the group-theoretic convolution operator.
 
     Both sides are compared in the p basis on the image of each K^rho,
-    and a failure names the K^rho.  The change of basis is an operator
-    whose column on K^rho is to_p_basis(K^rho), read through the module
-    at call time; each column is computed once per call."""
+    and a failure names the K^rho.  The change of basis is the operator
+    whose column on K^rho is to_p_basis(group, rho), read through the
+    module at call time; each column is computed once per call."""
     ct = require_character_table(group)
-    basis = enumerate_types_upto(group, max_level)
-    p_basis = operator_of(group, lambda v: to_p_basis(group, v))
+    p_basis = FockOperator(group, lambda rho: to_p_basis(group, rho))
     failures = []
     j_ops = {}
     for k in range(max_k + 1):
         for gi in range(len(ct.rows)):
-            gam = ct.irreducible(gi)
             op = realize(group, convdiff_image(group, k, gi), j_ops)
-            conv = op_O(group, k, gam)
-            for rho in basis:
-                image = op.apply(p_basis.column(rho))
-                if image != p_basis.apply(conv.column(rho)):
-                    failures.append((k, gi, rho.label()))
+            conv = op_O(group, k, ct.irreducible(gi))
+            bad = operator_difference_cells(
+                group, compose(op, p_basis), compose(p_basis, conv), max_level
+            )
+            failures.extend((k, gi, rho.label()) for rho in bad)
     return failures
 
 
@@ -445,8 +439,10 @@ def verify_vo(group, gamma_index, max_level, order, corrected=True):
 
     def chain(modes):
         """p_{modes[-1]}(gamma) ... p_{modes[0]}(gamma) on the shared p."""
-        return operator_of(
-            group, lambda v: reduce(lambda w, m: p[m].apply(w), modes, v)
+        first, *rest = modes
+        column = p[first].column
+        return FockOperator(
+            group, lambda rho: reduce(lambda w, m: p[m].apply(w), rest, column(rho))
         )
 
     zero_mode = []  # (weight series, p_{-lam_a} p_{lam_b})
@@ -506,7 +502,7 @@ def verify_winf_level_one(group, max_level, num_pairs, seed=0):
         (rng.randrange(len(pool)), rng.randrange(len(pool)))
         for _ in range(num_pairs)
     ]
-    basis = enumerate_types_upto(group, max_level)
+    p_basis = FockOperator(group, lambda rho: to_p_basis(group, rho))
     failures = []
     for idx, (i, j) in enumerate(pairs):
         x, y = pool[i], pool[j]
@@ -514,12 +510,11 @@ def verify_winf_level_one(group, max_level, num_pairs, seed=0):
         rx, ry = realize(group, x, j_ops), realize(group, y, j_ops)
         rz = realize(group, winf_bracket(x, y), j_ops)
         lhs = commutator(rx, ry)
-        if all(lhs.column(rho) == rz.column(rho) for rho in basis):
-            continue
-        for rho in basis:
-            image = to_p_basis(group, basis_state(group, rho))
-            if lhs.apply(image) != rz.apply(image):
-                failures.append((idx, rho.label()))
+        if operator_difference_cells(group, lhs, rz, max_level):
+            bad = operator_difference_cells(
+                group, compose(lhs, p_basis), compose(rz, p_basis), max_level
+            )
+            failures.extend((idx, rho.label()) for rho in bad)
     return failures
 
 

@@ -23,6 +23,8 @@ against.  Nothing under src/ imports this module.
   each subfield's power basis).
 - The Heisenberg operators by induction from the big group, by
   averaging over S_n, and as adjoints through the bilinear form.
+- A kernel that maps one basis type to its column, applied to a whole
+  vector (``on_vector``).
 - The Fock operator calculus in Fraction arithmetic: an operator whose
   columns are FockVectors, compose and commutator on those columns, the
   pruned normal powers with one Fraction per term, and the level-one
@@ -463,6 +465,15 @@ def max_level_of(vec):
     return max((rho.norm for rho in vec.nums), default=-1)
 
 
+def on_vector(column, vec):
+    """sum c column(rho) over the coefficients c K^rho of a FockVector,
+    for a kernel column that maps one basis type to its column."""
+    out = FockVector(vec.group)
+    for rho, c in vec.coeffs.items():
+        out = out + column(rho).scale(c)
+    return out
+
+
 def single_cycle_type(r, cid):
     """The type of a single r-cycle with cycle product in class cid."""
     return TypeFunction({cid: Partition([r])})
@@ -665,7 +676,9 @@ def oracle_realize(group, x):
             if s:
                 op = OracleFockOperator(
                     group,
-                    lambda v, l=l, k=k, gi=gi: winf.realize_J_mode(group, l, k, gi, v),
+                    lambda v, l=l, k=k, gi=gi: on_vector(
+                        lambda rho: winf.realize_J_mode(group, l, k, gi, rho), v
+                    ),
                 )
                 terms.append((op, -c * s))
 
@@ -734,7 +747,7 @@ def oracle_normal_power_apply(group, k, tensor, mode, vec):
             pairs = sorted(zip(modes, key), key=lambda p: p[0])
             w = vec
             for m, cid in reversed(pairs):
-                w = fock.heis_k(group, m, cid, w)
+                w = on_vector(lambda rho: fock.heis_k(group, m, cid, rho), w)
                 if w.is_zero():
                     break
             else:

@@ -569,6 +569,35 @@ def test_character_row_of_wrong_length_is_a_usage_error(tmp_path, capsys):
     assert "row 1 has 1 values for 2 classes" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("order 2\n0 1\n# note\n1 0 1\n", "line 4: 3 entries, expected 2"),
+        ("order 2\n0 1\n1 1\n", "element 1 has no inverse"),
+        (
+            "order 2\n0 1\n1 0\ncharacters\n1, 1\n1, 2\n",
+            "row orthonormality fails on rows (0, 1): <,> = 3/2",
+        ),
+        ("order 2\n0 1\n1 0\ncharacters\n1, 1\n", "1 rows for 2 classes"),
+    ],
+    ids=["table row length", "group axiom", "orthonormality", "character rows"],
+)
+def test_invalid_group_file_error_names_the_file(text, message, tmp_path, capsys):
+    path = tmp_path / "c2.txt"
+    path.write_text(text)
+    code, out, err = capture(capsys, ["group", "info", "--group", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_undecodable_group_file_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "c2.txt"
+    path.write_bytes(b"order 2\n0 1\n1 0\n# \xff\n")
+    code, out, err = capture(capsys, ["group", "info", "--group", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     argv = ["fock", "verify", "heisenberg", "--level", "1", "--out", str(target)]

@@ -44,6 +44,8 @@ from classalg.winf import (
     convdiff_image,
     realize,
     realize_J_mode,
+    verify_convdiff,
+    verify_vo,
 )
 from oracles import (
     OracleFockOperator,
@@ -52,6 +54,7 @@ from oracles import (
     heis_create_avg,
     heis_create_bigsum,
     max_level_of,
+    on_vector,
     oracle_commutator,
     oracle_compose,
     oracle_cubic_zero_mode,
@@ -327,7 +330,7 @@ def _direct_heis(g, m, alpha):
         out = FockVector(g)
         for cid, a in enumerate(alpha.values):
             if a:
-                out = out + heis_k(g, m, cid, v).scale(a)
+                out = out + on_vector(lambda rho: heis_k(g, m, cid, rho), v).scale(a)
         return out
 
     return apply
@@ -364,12 +367,12 @@ def _operator_cases(g):
         ("cubic", _normal_power(g, 3, alpha, sixth, 0), cubic_op(g, alpha)),
         (
             "J^2_-1",
-            lambda v: realize_J_mode(g, 2, -1, 1, v),
+            lambda v: on_vector(lambda rho: realize_J_mode(g, 2, -1, 1, rho), v),
             _j_op(g, 2, -1, 1),
         ),
         (
             "J^1_1",
-            lambda v: realize_J_mode(g, 1, 1, 1, v),
+            lambda v: on_vector(lambda rho: realize_J_mode(g, 1, 1, 1, rho), v),
             _j_op(g, 1, 1, 1),
         ),
     ]
@@ -476,7 +479,7 @@ def test_integer_columns_match_fraction_oracle(name, level):
     # the realized operators)
     g = load_group(name)
     states = [basis_state(g, rho) for rho in enumerate_types_upto(g, level)]
-    vectors = states + [to_p_basis(g, v) for v in states]
+    vectors = states + [on_vector(lambda rho: to_p_basis(g, rho), v) for v in states]
     for label, op, oracle in _integer_and_oracle_operators(g):
         for v in vectors:
             assert op(v) == oracle(v), (label, v)
@@ -489,7 +492,7 @@ def test_oracle_inputs_are_cyclotomic_on_cyclic3():
     beta = require_character_table(g).irreducible(g.num_classes - 1)
     tensor = fock._scaled_pushforward(beta, 2, Fraction(1, 2))
     assert any(isinstance(c, Cyc) for _, c in tensor)
-    image = to_p_basis(g, basis_state(g, type_from_label("c1:[1]")))
+    image = to_p_basis(g, type_from_label("c1:[1]"))
     assert any(isinstance(c, Cyc) for c in image.coeffs.values())
     column = virasoro_op(g, -1, beta).column(type_from_label("c0:[1]"))
     assert any(isinstance(n, Cyc) for n in column.nums.values())
@@ -563,16 +566,13 @@ def test_faulty_pushforward_fails_the_same_cells_as_oracle(monkeypatch):
 
 
 def _count_heis_k(monkeypatch):
-    """Wrap fock.heis_k; the counts are keyed on (m, class, state) for a
-    basis-state argument and on None otherwise."""
+    """Wrap fock.heis_k; the counts are keyed on (m, class, state)."""
     counts = {}
     original = fock.heis_k
 
-    def counted(grp, m, cid, vec):
-        (rho, v), = vec.coeffs.items() if len(vec.coeffs) == 1 else ((None, 0),)
-        key = (m, cid, rho) if v == 1 else None
-        counts[key] = counts.get(key, 0) + 1
-        return original(grp, m, cid, vec)
+    def counted(grp, m, cid, rho):
+        counts[m, cid, rho] = counts.get((m, cid, rho), 0) + 1
+        return original(grp, m, cid, rho)
 
     monkeypatch.setattr(fock, "heis_k", counted)
     return counts
@@ -592,6 +592,20 @@ def test_heisenberg_computes_each_column_once(monkeypatch):
     assert verify_heisenberg(g, 3, 3) == []
     assert None not in counts
     assert counts and max(counts.values()) == 1
+
+
+def test_operator_columns_build_no_basis_state(monkeypatch):
+    # each kernel maps a basis type to its column, so no operator wraps
+    # K^rho in a one-term vector to compute a column
+    def refuse(group, rho):
+        raise AssertionError(f"basis_state built for {rho.label()}")
+
+    monkeypatch.setattr(fock, "basis_state", refuse)
+    assert verify_heisenberg(load_group("cyclic2"), 3) == []
+    g = load_group("cyclic3")
+    assert verify_covcomm(g, 2, 2) == []
+    assert verify_vo(g, 1, 2, 2) == []
+    assert verify_convdiff(g, 2, 1) == []
 
 
 @pytest.mark.parametrize("build", [compose, commutator])

@@ -55,3 +55,15 @@ def test_selftest_coverage_of_pinned_bindings():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_perfbench_selftest_passes():
+    # the whole self-test: coverage, and for every workload the stdout of
+    # two traced runs against an untraced one and their counts against
+    # each other; it writes nothing under perfbench/
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
