@@ -31,6 +31,11 @@ kernel builds its numerators over one denominator, so sums, products
 and commutators of operators add numerators in integer arithmetic, and
 a Fraction is made only where coeffs reads a vector back.  The Fraction
 operator calculus is the oracle in tests/oracles.py.
+
+Every identity is checked as a comparison of two operators, column by
+column (operator_difference_cells): the Heisenberg and Virasoro
+brackets compare a product P Q with the operator_sum of Q P, the other
+operators of the right side and the central term times the identity.
 """
 
 from __future__ import annotations
@@ -145,15 +150,16 @@ class FockOperator:
 def operator_sum(group, terms, identity=0):
     """The operator sum s op over (s, op) in terms plus identity times
     the identity; the weights are put over one denominator once, so
-    each column is one integer combination of the terms' columns."""
+    each column is one integer combination of the columns of the terms
+    whose weight is not zero."""
     den, nums = _over_lcm([s for s, _ in terms] + [identity])
     *nums, scalar = nums
     ops = [op for _, op in terms]
 
     def column_of(rho):
-        cols = [(n, op.column(rho)) for n, op in zip(nums, ops)]
+        cols = [(n, op.column(rho)) for n, op in zip(nums, ops) if n]
         if scalar:
-            cols.append((scalar, basis_state(group, rho)))
+            cols.append((scalar, _vector(group, 1, {rho: 1})))
         return _vector(group, *_lincomb(cols, den))
 
     return FockOperator(group, column_of)
@@ -496,109 +502,82 @@ def verify_generators(group, n):
 # -- verification routines ---------------------------------------------
 
 
-def verify_heisenberg(group, max_level, max_mode=3):
-    """[p_m(K^b), p_n(K^c)] = m delta_{m,-n} <K^b, K^c> id, exactly.
+def _bracket_cells(group, ops, right, max_level):
+    """The failing (m, n, b, c, rho) cells of P Q = right(m, n, b, c, Q P)
+    over P = ops[m, b] and Q = ops[n, c], rho of level <= max_level, in
+    the order of m, n, b, c and the basis.
 
-    Each p_m(K^c) is built once by heis, so each column is computed once
-    for all the cells.
-    The cells (m, n, b, c) and (n, m, c, b) read the same two products,
-    so each unordered pair of operators is applied once.  Returns the
-    list of failing (m, n, b, c, rho) cells, in the order of m, n, b, c
-    and the basis.
+    The cells (m, n, b, c) and (n, m, c, b) compose the same two
+    products, each with its own right side, so the operators are visited
+    as unordered pairs and each product column is computed once.
     """
-    basis = enumerate_types_upto(group, max_level)
-    keys = [
-        (m, c)
-        for m in range(-max_mode, max_mode + 1)
-        for c in range(group.num_classes)
-    ]
-    ops = {(m, c): heis(group, m, k_basis(group, c)) for m, c in keys}
-
-    def holds(m, n, b, c, rho, pq, qp):
-        if m == -n and m != 0 and c == group.inv_class[b]:
-            return pq - qp == _vector(group, group.zeta[b], {rho: m})
-        return pq == qp
-
+    keys = list(ops)
     found = []
     for i, (m, b) in enumerate(keys):
         for n, c in keys[i:]:
-            p, q = ops[m, b], ops[n, c]
-            for j, rho in enumerate(basis):
-                pq, qp = p.apply(q.column(rho)), q.apply(p.column(rho))
-                if not holds(m, n, b, c, rho, pq, qp):
-                    found.append((m, n, b, c, j, rho))
-                if (n, c) != (m, b) and not holds(n, m, c, b, rho, qp, pq):
-                    found.append((n, m, c, b, j, rho))
-    found.sort(key=lambda cell: cell[:5])
-    return [(m, n, b, c, rho.label()) for m, n, b, c, _, rho in found]
+            pq, qp = compose(ops[m, b], ops[n, c]), compose(ops[n, c], ops[m, b])
+            cells = [((m, n, b, c), pq, qp)]
+            if (n, c) != (m, b):
+                cells.append(((n, m, c, b), qp, pq))
+            for cell, lhs, swapped in cells:
+                bad = operator_difference_cells(
+                    group, lhs, right(*cell, swapped), max_level
+                )
+                found.extend((*cell, rho) for rho in bad)
+    found.sort(key=lambda cell: cell[:4])
+    return [(*cell, rho.label()) for *cell, rho in found]
+
+
+def verify_heisenberg(group, max_level, max_mode=3):
+    """[p_m(K^b), p_n(K^c)] = m delta_{m,-n} <K^b, K^c> id, exactly.
+
+    Each p_m(K^c) is built once by heis.  A cell compares p_m(K^b)
+    p_n(K^c) with p_n(K^c) p_m(K^b), plus m / zeta_b times the identity
+    where the pair is dual (n = -m != 0, c = b^{-1}).  Returns the
+    failing (m, n, b, c, rho) cells (_bracket_cells).
+    """
+    ops = {
+        (m, c): heis(group, m, k_basis(group, c))
+        for m in range(-max_mode, max_mode + 1)
+        for c in range(group.num_classes)
+    }
+
+    def right(m, n, b, c, qp):
+        if m == -n != 0 and c == group.inv_class[b]:
+            return operator_sum(group, [(1, qp)], Fraction(m, group.zeta[b]))
+        return qp
+
+    return _bracket_cells(group, ops, right, max_level)
 
 
 def verify_virasoro(group, max_level, max_mode=2):
-    """Virasoro bracket with central term over the K basis of R(Gamma).
-
-    The cells (n, m, b, c) and (m, n, c, b) read the same two products
-    L_n(K^b) L_m(K^c) and L_m(K^c) L_n(K^b), so the modes are visited as
-    unordered pairs {n, m} whose products are dropped once both cells
-    are done.  Returns the failing (n, m, b, c, rho) cells in the order
-    of n, m, b, c and the basis.
+    """[L_n(K^b), L_m(K^c)] = (n - m) L_{n+m}(K^b K^c)
+    + delta_{n,-m} (n^3 - n) / 12 tr(chi K^b K^c) id, exactly, chi the
+    Euler class.  Each L_j(beta) is built once and shared by the cells
+    that read it.  Returns the failing (n, m, b, c, rho) cells
+    (_bracket_cells).
     """
     chi = euler_class(group)
-    classes = range(group.num_classes)
-    basis = enumerate_types_upto(group, max_level)
-    modes = range(-max_mode, max_mode + 1)
     ops = {}
 
     def virasoro(j, beta):
-        op = ops.get((j, beta))
-        if op is None:
-            op = ops[(j, beta)] = virasoro_op(group, j, beta)
-        return op
+        if (j, beta) not in ops:
+            ops[j, beta] = virasoro_op(group, j, beta)
+        return ops[j, beta]
 
-    def product(j1, c1, j2, c2, products):
-        """L_{j1}(K^{c1}) L_{j2}(K^{c2}), kept in products."""
-        key = (j1, c1, j2, c2)
-        if key not in products:
-            products[key] = compose(
-                virasoro(j1, k_basis(group, c1)), virasoro(j2, k_basis(group, c2))
-            )
-        return products[key]
-
-    def cells(n, m, b, c, products):
-        """The failing (n, m, b, c, basis index, rho) of one cell."""
+    def right(n, m, b, c, mn):
         bg = convolve_g(k_basis(group, b), k_basis(group, c))
-        central = Fraction(0)
+        central = 0
         if n == -m:
             central = Fraction(n**3 - n, 12) * trace_g(convolve_g(chi, bg))
-        nm = product(n, b, m, c, products)
-        mn = product(m, c, n, b, products)
-        op = virasoro(n + m, bg)
-        # d (L_n L_m - L_m L_n - (n - m) L_{n+m} - central) on K^rho,
-        # central = e / d, must vanish
-        d, (e,) = _over_lcm([central])
-        for i, rho in enumerate(basis):
-            terms = [
-                (d, nm.column(rho)),
-                (-d, mn.column(rho)),
-                ((m - n) * d, op.column(rho)),
-            ]
-            if e:
-                terms.append((-e, basis_state(group, rho)))
-            if _lincomb(terms)[1]:  # the numerators of the difference
-                yield (n, m, b, c, i, rho)
+        return operator_sum(group, [(1, mn), (n - m, virasoro(n + m, bg))], central)
 
-    found = []
-    for n in modes:
-        for m in modes:
-            if m < n:
-                continue
-            products = {}  # dropped once both orders of {n, m} are done
-            for b in classes:
-                for c in classes:
-                    found.extend(cells(n, m, b, c, products))
-                    if m != n:
-                        found.extend(cells(m, n, c, b, products))
-    found.sort(key=lambda cell: cell[:5])
-    return [(n, m, b, c, rho.label()) for n, m, b, c, _, rho in found]
+    fields = {
+        (n, b): virasoro(n, k_basis(group, b))
+        for n in range(-max_mode, max_mode + 1)
+        for b in range(group.num_classes)
+    }
+    return _bracket_cells(group, fields, right, max_level)
 
 
 def verify_cubic(group, max_level):

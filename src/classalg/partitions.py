@@ -101,16 +101,17 @@ _TYPES = {}  # items -> the one TypeFunction with those items
 class TypeFunction:
     """A map class id -> Partition with empty partitions never stored.
 
-    Hashable; sort_key orders types by total size, then lexicographically
-    over class ids and partitions, for deterministic output.  norm is
-    ||rho||, the sum of all part sizes over all classes, kept like the
-    hash because the type is immutable.  For the same reason a type is
-    built once: the constructor returns the one instance with its items,
-    and add_part and remove_part keep each result, so the Fock
+    sort_key orders types by total size, then lexicographically over
+    class ids and partitions, for deterministic output.  norm is ||rho||,
+    the sum of all part sizes over all classes, kept because the type is
+    immutable.  For the same reason a type is built once: the
+    constructor returns the one instance with its items, so two types
+    are equal exactly when they are the same object and hash by
+    identity, and add_part and remove_part keep each result, so the Fock
     operators, which edit the same types again and again, rebuild none.
     """
 
-    __slots__ = ("items", "_hash", "norm", "_edits")
+    __slots__ = ("items", "norm", "_edits")
 
     def __new__(cls, mapping=()):
         if isinstance(mapping, dict):
@@ -134,7 +135,6 @@ class TypeFunction:
         if self is None:
             self = _TYPES[items] = object.__new__(cls)
             object.__setattr__(self, "items", items)
-            object.__setattr__(self, "_hash", hash(items))
             object.__setattr__(self, "norm", sum(lam.size for _, lam in items))
             object.__setattr__(self, "_edits", None)
         return self
@@ -219,12 +219,6 @@ class TypeFunction:
 
     def items_key(self):
         return tuple((c, lam.parts) for c, lam in self.items)
-
-    def __eq__(self, other):
-        return isinstance(other, TypeFunction) and self.items == other.items
-
-    def __hash__(self):
-        return self._hash
 
     def label(self):
         """Compact deterministic string label, e.g. 'c0:[2,1]|c1:[1]'."""

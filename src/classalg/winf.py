@@ -455,14 +455,13 @@ def verify_vo(group, gamma_index, max_level, order, corrected=True):
             for lam_a, up in zip(lams, create):
                 weight = weight_b * _partition_weight(lam_a, 1, exponent, window)
                 zero_mode.append((weight, compose(up, kill)))
-    basis = enumerate_types_upto(group, max_level)
     bad = set()
     for j in range(window + 1):
         lhs = [(square.coeff(j - k) / factorial(k), op) for k, op in enumerate(conv)]
         rhs = [(weight.coeff(j), op) for weight, op in zero_mode]
-        lhs = operator_sum(group, [(c, op) for c, op in lhs if c])
-        rhs = operator_sum(group, [(c, op) for c, op in rhs if c])
-        bad.update(rho for rho in basis if lhs.column(rho) != rhs.column(rho))
+        lhs, rhs = operator_sum(group, lhs), operator_sum(group, rhs)
+        bad.update(operator_difference_cells(group, lhs, rhs, max_level))
+    basis = enumerate_types_upto(group, max_level)
     return [(gamma_index, rho.label()) for rho in basis if rho in bad]
 
 

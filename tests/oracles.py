@@ -29,6 +29,8 @@ against.  Nothing under src/ imports this module.
   columns are FockVectors, compose and commutator on those columns, the
   pruned normal powers with one Fraction per term, and the level-one
   realization as a sum of operator images.
+- The Heisenberg and Virasoro checks one cell at a time, both
+  products recomputed in each cell.
 - The normally ordered powers of the Heisenberg field in the K^rho
   basis (the Virasoro and cubic operators), and the level-one J-modes
   of the W-algebra there, through the Heisenberg operators and every
@@ -766,6 +768,34 @@ def oracle_cubic_zero_mode(group, beta, vec):
     """(1/6) : p^3 :_0 through tau_{3*} beta, as oracle_virasoro_L."""
     tensor = fock.pushforward_tauk(beta, 3)
     return oracle_normal_power_apply(group, 3, tensor, 0, vec).scale(Fraction(1, 6))
+
+
+def oracle_verify_heisenberg(group, max_level, max_mode=3):
+    """The Heisenberg check on oracle operators read through
+    fock.heis_k, one cell (m, n, b, c) at a time with both products
+    recomputed in each cell and the central term from the bilinear
+    form."""
+    modes = range(-max_mode, max_mode + 1)
+
+    def p(m, c):
+        return OracleFockOperator(
+            group, lambda v: on_vector(lambda rho: fock.heis_k(group, m, c, rho), v)
+        )
+
+    failures = []
+    for m in modes:
+        for n in modes:
+            for b in range(group.num_classes):
+                for c in range(group.num_classes):
+                    central = 0
+                    if m == -n:
+                        central = m * bilinear_form(k_basis(group, b), k_basis(group, c))
+                    for rho in enumerate_types_upto(group, max_level):
+                        v = basis_state(group, rho)
+                        lhs = p(m, b)(p(n, c)(v)) - p(n, c)(p(m, b)(v))
+                        if lhs != v.scale(central):
+                            failures.append((m, n, b, c, rho.label()))
+    return failures
 
 
 def oracle_verify_virasoro(group, max_level, max_mode=2):

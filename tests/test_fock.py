@@ -46,6 +46,7 @@ from classalg.winf import (
     realize_J_mode,
     verify_convdiff,
     verify_vo,
+    verify_winf_level_one,
 )
 from oracles import (
     OracleFockOperator,
@@ -62,6 +63,7 @@ from oracles import (
     oracle_pruned_normal_power_apply,
     oracle_realize,
     oracle_verify_cubic,
+    oracle_verify_heisenberg,
     oracle_verify_virasoro,
     oracle_virasoro_L,
     type_from_label,
@@ -563,6 +565,26 @@ def test_faulty_pushforward_fails_the_same_cells_as_oracle(monkeypatch):
     cubic = verify_cubic(g, 3)
     assert len(cubic) == 5
     assert cubic == oracle_verify_cubic(g, 3)
+    # cyclic2 has cells with b != c, whose two orders read the same
+    # products and each compare with their own right side
+    g = load_group("cyclic2")
+    cells = verify_virasoro(g, 2, 2)
+    assert any(b != c for _, _, b, c, _ in cells)
+    assert cells == oracle_verify_virasoro(g, 2, 2)
+
+
+def test_faulty_creation_fails_the_same_heisenberg_cells_as_oracle(monkeypatch):
+    g = load_group("cyclic3")
+    original = fock.heis_k
+    monkeypatch.setattr(
+        fock,
+        "heis_k",
+        lambda grp, m, cid, rho: original(grp, m, cid, rho).scale(2 if m == -2 else 1),
+    )
+    # both orders of each pair, the dual pairs with their central term
+    cells = verify_heisenberg(g, 2)
+    assert cells
+    assert cells == oracle_verify_heisenberg(g, 2)
 
 
 def _count_heis_k(monkeypatch):
@@ -602,10 +624,14 @@ def test_operator_columns_build_no_basis_state(monkeypatch):
 
     monkeypatch.setattr(fock, "basis_state", refuse)
     assert verify_heisenberg(load_group("cyclic2"), 3) == []
+    # the central term of the Virasoro bracket is an identity column too
+    assert verify_virasoro(load_group("cyclic2"), 3, 2) == []
     g = load_group("cyclic3")
     assert verify_covcomm(g, 2, 2) == []
     assert verify_vo(g, 1, 2, 2) == []
     assert verify_convdiff(g, 2, 1) == []
+    # a bracket with a central part realizes it as the identity
+    assert verify_winf_level_one(g, 2, 20) == []
 
 
 @pytest.mark.parametrize("build", [compose, commutator])

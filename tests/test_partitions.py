@@ -117,9 +117,17 @@ def test_partition_ordering_canonical():
         Partition([0])
 
 
-def test_type_hash_is_the_hash_of_its_items():
-    for rho in (TypeFunction(), type_from_label("c0:[2,1]|c2:[3]")):
-        assert hash(rho) == hash(rho.items)
+def test_types_are_interned_and_compare_by_identity():
+    for name in ("cyclic3", "sym3"):
+        types = enumerate_types_upto(load_group(name), 3)
+        for rho in types:
+            assert TypeFunction(dict(rho.items)) is rho
+            assert type_from_label(rho.label()) is rho
+        # a rebuilt type finds the entry of the enumerated one
+        keyed = {rho: i for i, rho in enumerate(types)}
+        for rho in types:
+            keyed[TypeFunction(dict(rho.items))] = keyed[rho]
+        assert len(keyed) == len({rho.items for rho in types}) == len(types)
 
 
 def test_norm_is_the_sum_of_the_part_sizes():
